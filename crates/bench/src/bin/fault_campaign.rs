@@ -185,8 +185,6 @@ fn main() {
     report.push("pairs", Value::Arr(pair_docs));
 
     if let Some(path) = &args.json {
-        std::fs::write(path, report.render())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        eprintln!("[runner] wrote {}", path.display());
+        bench::write_document(path, &report).unwrap_or_else(|e| e.exit());
     }
 }

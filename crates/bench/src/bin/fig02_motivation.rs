@@ -80,5 +80,5 @@ fn main() {
             occamy_sim::render_lane_timeline(&stats.timeline, stats.total_lanes, 100)
         );
     }
-    args.write_json("fig02_motivation", &sweeps);
+    args.write_json("fig02_motivation", &sweeps).unwrap_or_else(|e| e.exit());
 }

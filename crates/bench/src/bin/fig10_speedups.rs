@@ -54,5 +54,5 @@ fn main() {
         "{:<7} {:>12} {:>12} {:>12}   {:>12} {:>12} {:>12}",
         "paper", "~1.00", "~1.00", "~1.00", "1.20", "1.11", "1.39"
     );
-    args.write_json("fig10_speedups", &sweeps);
+    args.write_json("fig10_speedups", &sweeps).unwrap_or_else(|e| e.exit());
 }

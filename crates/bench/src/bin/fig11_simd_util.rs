@@ -45,5 +45,5 @@ fn main() {
     let gms: Vec<f64> = ARCHS.iter().map(|a| geomean(utils[a].iter().copied())).collect();
     println!("{:<7} {:>10.1} {:>10.1} {:>10.1} {:>10.1}", "GM", gms[0], gms[1], gms[2], gms[3]);
     println!("{:<7} {:>10} {:>10} {:>10} {:>10}", "paper", "63.2", "72.5", "70.8", "84.2");
-    args.write_json("fig11_simd_util", &sweeps);
+    args.write_json("fig11_simd_util", &sweeps).unwrap_or_else(|e| e.exit());
 }

@@ -52,5 +52,5 @@ fn main() {
         geomean(fts0),
         geomean(fts1)
     );
-    args.write_json("fig13_rename_stalls", &sweeps);
+    args.write_json("fig13_rename_stalls", &sweeps).unwrap_or_else(|e| e.exit());
 }

@@ -59,5 +59,5 @@ fn main() {
         .iter()
         .map(|p| ArchSweep { label: p.label.clone(), results: vec![(p.arch, p.stats.clone())] })
         .collect();
-    args.write_json("fig15_overhead", &sweeps);
+    args.write_json("fig15_overhead", &sweeps).unwrap_or_else(|e| e.exit());
 }

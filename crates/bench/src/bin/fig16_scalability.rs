@@ -45,5 +45,5 @@ fn main() {
         "(paper: Occamy keeps core0/core1 at Private speed and wins on the \
          compute cores; FTS needs 33.5% more area to keep up at 4 cores)"
     );
-    args.write_json("fig16_scalability", &sweeps);
+    args.write_json("fig16_scalability", &sweeps).unwrap_or_else(|e| e.exit());
 }

@@ -121,5 +121,5 @@ fn main() {
          compute side to be compute-bound.",
         100.0 * sweeps[0].stats("Private").simd_utilization()
     );
-    args.write_json("scalability_8core", &sweeps);
+    args.write_json("scalability_8core", &sweeps).unwrap_or_else(|e| e.exit());
 }

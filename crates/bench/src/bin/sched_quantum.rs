@@ -176,5 +176,5 @@ fn main() {
         workers,
         started.elapsed().as_secs_f64()
     );
-    args.write_json("sched_quantum", &sweeps);
+    args.write_json("sched_quantum", &sweeps).unwrap_or_else(|e| e.exit());
 }

@@ -14,6 +14,8 @@
 //! event-driven kernel, idle-heavy and compute-bound sweeps) and write
 //! its benchmark document, committed as `BENCH_event_kernel.json`.
 
+use std::path::Path;
+
 use bench::two_speed::{accuracy, bench_to_json, campaign_to_json, run_campaign};
 use bench::{event_kernel, rule, Args};
 use occamy_sim::SimMode;
@@ -92,19 +94,11 @@ fn main() {
 
     if let Some(path) = &args.json {
         let doc = campaign_to_json(args.scale, &runs);
-        if let Err(e) = std::fs::write(path, doc.render()) {
-            eprintln!("speedup: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("[runner] wrote {}", path.display());
+        bench::write_document(path, &doc).unwrap_or_else(|e| e.exit());
     }
     if let Some(path) = &bench_out {
         let doc = bench_to_json(args.scale, args.workers(), &runs);
-        if let Err(e) = std::fs::write(path, doc.render()) {
-            eprintln!("speedup: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[runner] wrote {path}");
+        bench::write_document(Path::new(path), &doc).unwrap_or_else(|e| e.exit());
     }
 }
 
@@ -142,9 +136,5 @@ fn run_event_kernel_section(scale: f64, path: &str) {
         event_kernel::section_speedup(&points, "compute_bound")
     );
     let doc = event_kernel::bench_to_json(scale, &points);
-    if let Err(e) = std::fs::write(path, doc.render()) {
-        eprintln!("speedup: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[runner] wrote {path}");
+    bench::write_document(Path::new(path), &doc).unwrap_or_else(|e| e.exit());
 }

@@ -111,8 +111,6 @@ fn main() {
             .push("scale", Value::Num(args.scale))
             .push("kernels", Value::Arr(kernels_json))
             .push("workloads", Value::Arr(workloads_json));
-        std::fs::write(path, doc.render())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        eprintln!("[runner] wrote {}", path.display());
+        bench::write_document(path, &doc).unwrap_or_else(|e| e.exit());
     }
 }

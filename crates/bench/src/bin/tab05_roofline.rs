@@ -84,8 +84,6 @@ fn main() {
             .push("oi_mem", Value::Num(oi.mem()))
             .push("saturation_lanes", Value::UInt(saturation as u64))
             .push("rows", Value::Arr(rows_json));
-        std::fs::write(path, doc.render())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        eprintln!("[runner] wrote {}", path.display());
+        bench::write_document(path, &doc).unwrap_or_else(|e| e.exit());
     }
 }

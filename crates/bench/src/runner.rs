@@ -27,6 +27,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use occamy_sim::{Architecture, MachineStats, SimConfig, SimMode};
+use rand::splitmix64;
 use workloads::{corun, WorkloadSpec};
 
 use crate::MAX_CYCLES;
@@ -279,15 +280,6 @@ impl Default for BackoffPolicy {
         // an interactive sweep.
         BackoffPolicy { base_us: 200, cap_us: 20_000, seed: 0x0cca_a17e }
     }
-}
-
-/// SplitMix64 — the one-shot mixer used for jitter (and the seeding
-/// stage of the vendored `rand` shim).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Per-job budget and bounded-retry policy for [`run_points_checked`].

@@ -48,8 +48,24 @@ fn unknown_flag_fails_with_usage() {
         .arg("--frobnicate")
         .output()
         .expect("spawn fig10_speedups");
-    assert!(!output.status.success(), "unknown flag must be rejected");
+    assert_eq!(output.status.code(), Some(2), "unknown flag is a usage error, not a panic");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--frobnicate"), "error should name the bad flag: {stderr}");
     assert!(stderr.contains("--json"), "error should list supported flags: {stderr}");
+}
+
+#[test]
+fn unwritable_json_path_exits_3() {
+    let missing = std::env::temp_dir()
+        .join(format!("no_such_dir_{}", std::process::id()))
+        .join("out.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_tab05_roofline"))
+        .arg("--json")
+        .arg(&missing)
+        .output()
+        .expect("spawn tab05_roofline");
+    assert_eq!(output.status.code(), Some(3), "a failed write is an output error, not a panic");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot write"), "error should say what failed: {stderr}");
+    assert!(stderr.contains("out.json"), "error should name the path: {stderr}");
 }

@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::dedicated::DedicatedReg;
 use crate::program::Label;
+use crate::reglist::RegList;
 use crate::regs::{PReg, VReg, XReg};
 
 /// A scalar operand: either a register or an immediate.
@@ -270,10 +271,10 @@ impl VectorInst {
     /// The predicate registers read as *data* (`Sel`'s selector; the
     /// governing predicate of a predicated instruction is reported by
     /// [`governing_pred`](Self::governing_pred) instead).
-    pub fn pred_srcs(&self) -> Vec<PReg> {
+    pub fn pred_srcs(&self) -> RegList<PReg> {
         match self.inner() {
-            VectorInst::Sel { sel, .. } => vec![*sel],
-            _ => vec![],
+            VectorInst::Sel { sel, .. } => [*sel].into(),
+            _ => RegList::new(),
         }
     }
 
@@ -313,29 +314,29 @@ impl VectorInst {
     /// The vector registers read by this instruction. Merging predication
     /// additionally reads the old destination; the micro-architecture
     /// tracks that dependency separately at rename.
-    pub fn vector_srcs(&self) -> Vec<VReg> {
+    pub fn vector_srcs(&self) -> RegList<VReg> {
         match self.inner() {
-            VectorInst::Unary { src, .. } => vec![*src],
-            VectorInst::Binary { a, b, .. } => vec![*a, *b],
+            VectorInst::Unary { src, .. } => [*src].into(),
+            VectorInst::Binary { a, b, .. } => [*a, *b].into(),
             // FMLA also reads its accumulator.
-            VectorInst::Fma { dst, a, b } => vec![*dst, *a, *b],
-            VectorInst::ReduceAdd { src, .. } => vec![*src],
-            VectorInst::Store { src, .. } => vec![*src],
-            VectorInst::Fcm { a, b, .. } | VectorInst::Sel { a, b, .. } => vec![*a, *b],
-            _ => vec![],
+            VectorInst::Fma { dst, a, b } => [*dst, *a, *b].into(),
+            VectorInst::ReduceAdd { src, .. } => [*src].into(),
+            VectorInst::Store { src, .. } => [*src].into(),
+            VectorInst::Fcm { a, b, .. } | VectorInst::Sel { a, b, .. } => [*a, *b].into(),
+            _ => RegList::new(),
         }
     }
 
     /// The scalar registers read by this instruction (address operands,
     /// broadcast sources and `Whilelo` bounds).
-    pub fn scalar_srcs(&self) -> Vec<XReg> {
+    pub fn scalar_srcs(&self) -> RegList<XReg> {
         match self.inner() {
-            VectorInst::Dup { src, .. } => vec![*src],
+            VectorInst::Dup { src, .. } => [*src].into(),
             VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => {
-                vec![*base, *index]
+                [*base, *index].into()
             }
-            VectorInst::Whilelo { a, b, .. } => vec![*a, *b],
-            _ => vec![],
+            VectorInst::Whilelo { a, b, .. } => [*a, *b].into(),
+            _ => RegList::new(),
         }
     }
 

@@ -43,6 +43,7 @@ mod dedicated;
 mod inst;
 mod oi;
 mod program;
+mod reglist;
 mod regs;
 mod tag;
 mod vl;
@@ -53,6 +54,7 @@ pub use inst::{
 };
 pub use oi::OperationalIntensity;
 pub use program::{Label, Program, ProgramBuilder};
+pub use reglist::RegList;
 pub use regs::{PReg, VReg, XReg, NUM_PREGS, NUM_VREGS, NUM_XREGS};
 pub use tag::InstTag;
 pub use vl::{VectorLength, LANES_PER_GRANULE, LANE_BYTES};

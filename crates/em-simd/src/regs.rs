@@ -41,6 +41,14 @@ macro_rules! reg_type {
             }
         }
 
+        /// The first register (`x0`, `z0`, `p0`): the filler of unused
+        /// [`RegList`](crate::RegList) slots.
+        impl Default for $name {
+            fn default() -> Self {
+                Self::ALL[0]
+            }
+        }
+
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, "{}{}", $prefix, self.index())

@@ -117,26 +117,6 @@ impl Memory {
         self.write_bytes(addr, &value.to_le_bytes());
     }
 
-    /// Reads `lanes` contiguous f32 values starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the arena.
-    pub fn read_f32_slice(&self, addr: u64, lanes: usize) -> Vec<f32> {
-        (0..lanes).map(|i| self.read_f32(addr + 4 * i as u64)).collect()
-    }
-
-    /// Writes contiguous f32 values starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the arena.
-    pub fn write_f32_slice(&mut self, addr: u64, values: &[f32]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u64, v);
-        }
-    }
-
     fn read_array<const N: usize>(&self, addr: u64) -> [u8; N] {
         let a = addr as usize;
         self.bytes[a..a + N].try_into().expect("slice length matches")
@@ -208,14 +188,6 @@ mod tests {
         let a = mem.alloc(16);
         mem.write_u32(a, 0xdead_beef);
         assert_eq!(mem.read_u32(a), 0xdead_beef);
-    }
-
-    #[test]
-    fn slice_round_trip() {
-        let mut mem = Memory::new(1024);
-        let a = mem.alloc_f32(8);
-        mem.write_f32_slice(a, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(mem.read_f32_slice(a, 4), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

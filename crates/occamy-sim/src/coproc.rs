@@ -17,8 +17,8 @@
 use std::collections::VecDeque;
 
 use em_simd::{
-    DedicatedReg, EmSimdInst, OperationalIntensity, VReg, VectorInst, VectorLength, XReg,
-    NUM_PREGS, NUM_VREGS,
+    DedicatedReg, EmSimdInst, OperationalIntensity, PReg, RegList, VReg, VectorInst,
+    VectorLength, XReg, NUM_PREGS, NUM_VREGS,
 };
 use lane_manager::{LaneManager, PhaseDemand, ResourceTable};
 use mem_sim::{Cycle, Memory, MemorySystem};
@@ -31,7 +31,6 @@ use crate::exec;
 use crate::fault::FaultState;
 use crate::lsu::{Lsu, LsuEntry};
 use crate::regblocks::{BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks};
-use crate::sched::EventQueue;
 use crate::stats::{CoreStats, PhaseStats};
 use crate::trace::{Trace, TraceEvent, TraceStage};
 
@@ -41,7 +40,10 @@ pub(crate) enum PoolEntry {
     /// A vector instruction with its pre-resolved scalar payload: the
     /// effective address for memory ops, the broadcast value's bits for
     /// `Dup` (scalar operands are captured at transmit time, Table 2).
-    Vector { inst: VectorInst, aux: Option<u64> },
+    /// The instruction is held unwrapped ([`VectorInst::inner`]) next to
+    /// its governing predicate, so moving it down the pipeline never
+    /// clones a boxed `Predicated` wrapper.
+    Vector { inst: VectorInst, pred: Option<PReg>, aux: Option<u64> },
     /// An EM-SIMD instruction with its pre-resolved write operand.
     Em { inst: EmSimdInst, operand: u64 },
 }
@@ -108,19 +110,51 @@ enum RegClass {
 #[derive(Debug, Clone, PartialEq)]
 struct IqEntry {
     seq: u64,
+    /// The governed instruction ([`VectorInst::inner`]).
     inst: VectorInst,
-    srcs: Vec<PhysId>,
+    /// The architectural governing predicate, if predicated (checkpoints
+    /// record the instruction as written; execution uses `pred`).
+    gov: Option<PReg>,
+    srcs: RegList<PhysId>,
     dst: Option<PhysId>,
     dst_class: RegClass,
     /// Governing predicate (physical), if predicated.
     pred: Option<PhysId>,
     /// Predicate registers read as data (SEL's selector).
-    psrcs: Vec<PhysId>,
+    psrcs: RegList<PhysId>,
     /// Old destination value for merging predication.
     merge: Option<PhysId>,
     /// Scalar payload (WHILELO bounds packed as two u32).
     aux: Option<u64>,
     lanes: usize,
+}
+
+impl IqEntry {
+    /// Whether every operand is ready, so the entry can issue.
+    fn ready(&self, prf: &PhysRegFile, ppf: &PhysRegFile) -> bool {
+        self.srcs.iter().all(|&s| prf.is_ready(s))
+            && self.pred.is_none_or(|p| ppf.is_ready(p))
+            && self.psrcs.iter().all(|&p| ppf.is_ready(p))
+            && self.merge.is_none_or(|m| prf.is_ready(m))
+    }
+}
+
+/// Rewraps an unwrapped instruction under its governing predicate — the
+/// form the instruction was written in (checkpoints, trace disassembly).
+fn governed(inst: &VectorInst, pred: Option<PReg>) -> VectorInst {
+    match pred {
+        Some(pred) => VectorInst::Predicated { pred, inst: Box::new(inst.clone()) },
+        None => inst.clone(),
+    }
+}
+
+/// Splits an instruction into its governed instruction and governing
+/// predicate (the inverse of [`governed`]).
+fn ungoverned(inst: VectorInst) -> (VectorInst, Option<PReg>) {
+    match inst {
+        VectorInst::Predicated { pred, inst } => (*inst, Some(pred)),
+        other => (other, None),
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,10 +267,10 @@ impl CoProcessor {
                 lsu: Lsu::new(cfg.lsu_entries),
                 rob: VecDeque::new(),
                 rename_map: std::array::from_fn(|_| {
-                    prf.alloc_ready(Vec::new(), PhysRegFile::zero_value(0))
+                    prf.alloc_zeroed(&[], 0, cfg.total_granules)
                 }),
                 pred_rename: std::array::from_fn(|_| {
-                    ppf.alloc_ready(Vec::new(), PhysRegFile::zero_value(0))
+                    ppf.alloc_zeroed(&[], 0, cfg.total_granules)
                 }),
                 cur_vl: VectorLength::ZERO,
                 status: 0,
@@ -331,14 +365,22 @@ impl CoProcessor {
         self.cores[core].pool.len() < self.cfg.pool_entries
     }
 
+    /// Transmits a vector instruction: `inst` is the governed
+    /// instruction ([`VectorInst::inner`]) and `pred` its governing
+    /// predicate.
     pub(crate) fn push_vector(
         &mut self,
         core: usize,
         inst: VectorInst,
+        pred: Option<PReg>,
         aux: Option<u64>,
     ) {
         debug_assert!(self.pool_has_space(core));
-        self.cores[core].pool.push_back(PoolEntry::Vector { inst, aux });
+        debug_assert!(
+            !matches!(inst, VectorInst::Predicated { .. }),
+            "pool holds unwrapped instructions"
+        );
+        self.cores[core].pool.push_back(PoolEntry::Vector { inst, pred, aux });
     }
 
     pub(crate) fn push_em(&mut self, core: usize, inst: EmSimdInst, operand: u64) {
@@ -373,7 +415,7 @@ impl CoProcessor {
         }
         let max_width = (self.cfg.total_granules * 16) as u64;
         self.cores[core].pool.iter().any(|e| match e {
-            PoolEntry::Vector { inst, aux: Some(a) } if inst.is_mem() => {
+            PoolEntry::Vector { inst, aux: Some(a), .. } if inst.is_mem() => {
                 // Saturating: wild (near-u64::MAX) addresses from untrusted
                 // programs must not overflow the span arithmetic.
                 *a < addr.saturating_add(bytes) && addr < a.saturating_add(max_width)
@@ -388,18 +430,13 @@ impl CoProcessor {
         self.inflight.iter().any(|f| f.complete_at <= now)
     }
 
-    /// Schedules every pending completion — in-flight compute writebacks
-    /// and issued LSU accesses — into the event queue, keyed by the same
-    /// `(track, seq)` identities the event log uses.
-    pub(crate) fn schedule_completions(&self, q: &mut EventQueue) {
-        for f in &self.inflight {
-            q.schedule(f.complete_at, Track::Coproc, f.rob_seq);
-        }
-        for ctx in &self.cores {
-            for (at, seq) in ctx.lsu.issued_completions() {
-                q.schedule(at, Track::Memory, seq);
-            }
-        }
+    /// The earliest pending completion — an in-flight compute writeback
+    /// or an issued LSU access — if any: the co-processor's term of the
+    /// event kernel's skip horizon.
+    pub(crate) fn next_completion(&self) -> Option<Cycle> {
+        let compute = self.inflight.iter().map(|f| f.complete_at);
+        let memory = self.cores.iter().flat_map(|ctx| ctx.lsu.issued_completions());
+        compute.chain(memory).min()
     }
 
     /// The event kernel's inertness probe for one core: decides — without
@@ -424,19 +461,13 @@ impl CoProcessor {
         if ctx.rob.front().is_some_and(|h| h.done) {
             return CoprocActivity::Active;
         }
-        if ctx.lsu.issued_completions().any(|(at, _)| at <= now) {
+        if ctx.lsu.issued_completions().any(|at| at <= now) {
             return CoprocActivity::Active;
         }
 
-        // Stage 2a (compute issue): mirrors `try_issue_compute`'s
-        // readiness filter.
-        let compute_ready = ctx.iq.iter().any(|e| {
-            e.srcs.iter().all(|&s| self.prf.is_ready(s))
-                && e.pred.is_none_or(|p| self.ppf.is_ready(p))
-                && e.psrcs.iter().all(|&p| self.ppf.is_ready(p))
-                && e.merge.is_none_or(|m| self.prf.is_ready(m))
-        });
-        if compute_ready {
+        // Stage 2a (compute issue): `try_issue_compute`'s readiness
+        // filter.
+        if ctx.iq.iter().any(|e| e.ready(&self.prf, &self.ppf)) {
             return CoprocActivity::Active;
         }
 
@@ -450,15 +481,7 @@ impl CoProcessor {
             if e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
                 continue;
             }
-            let span = match e.pred {
-                Some(p) => self
-                    .ppf
-                    .read(p)
-                    .iter()
-                    .rposition(|&a| a != 0.0)
-                    .map_or(0, |i| (i as u64 + 1) * 4),
-                None => e.bytes,
-            };
+            let span = e.pred.map_or(e.bytes, |p| exec::active_span(self.ppf.read(p)));
             if span > 0 && e.addr.checked_add(span).is_none_or(|end| end > mem_capacity) {
                 // Would trip a MemoryFault.
                 return CoprocActivity::Active;
@@ -543,66 +566,64 @@ impl CoProcessor {
         e.done = true;
     }
 
-    /// Stage 1: writebacks, load/store completion, retirement.
-    pub(crate) fn complete(&mut self, now: Cycle) -> Vec<ScalarWriteback> {
-        let mut wbs = Vec::new();
+    /// Stage 1: writebacks, load/store completion, retirement. Scalar
+    /// results bound for the cores (reductions) are appended to `wbs`.
+    pub(crate) fn complete(&mut self, now: Cycle, wbs: &mut Vec<ScalarWriteback>) {
+        // Compute writebacks, in place: due entries hand their value
+        // buffer to the destination register and leave the list.
+        let mut inflight = std::mem::take(&mut self.inflight);
+        inflight.retain_mut(|f| {
+            if f.complete_at > now {
+                return true;
+            }
+            // Residue check at writeback (§ detection & recovery): a
+            // corrupted result is *detected* here, not corrected — the
+            // value still lands, and the machine's recovery layer decides
+            // whether to roll back to the last checkpoint.
+            if let Some((granule, injected_at)) = f.faulted {
+                self.trip(SimError::LaneFault {
+                    core: f.core,
+                    granule,
+                    injected_at,
+                    detected_at: now,
+                });
+            }
+            if let Some(dst) = f.dst {
+                let value = std::mem::take(&mut f.value);
+                match f.dst_class {
+                    RegClass::Vector => self.prf.write(dst, value),
+                    RegClass::Pred => self.ppf.write(dst, value),
+                }
+            }
+            if let Some((reg, value)) = f.scalar_wb {
+                wbs.push(ScalarWriteback { core: f.core, reg, value });
+            }
+            self.trace_event(now, f.core, f.rob_seq, TraceStage::Complete, String::new());
+            Self::mark_rob_done(&mut self.cores[f.core].rob, f.rob_seq);
+            false
+        });
+        self.inflight = inflight;
 
-        // Compute writebacks.
-        let mut remaining = Vec::with_capacity(self.inflight.len());
-        let mut lane_faults = Vec::new();
-        for f in self.inflight.drain(..) {
-            if f.complete_at <= now {
-                // Residue check at writeback (§ detection & recovery):
-                // a corrupted result is *detected* here, not corrected —
-                // the value still lands, and the machine's recovery layer
-                // decides whether to roll back to the last checkpoint.
-                if let Some((granule, injected_at)) = f.faulted {
-                    lane_faults.push(SimError::LaneFault {
-                        core: f.core,
-                        granule,
-                        injected_at,
-                        detected_at: now,
-                    });
+        // Memory completions: load data moves into its register.
+        for core in 0..self.cores.len() {
+            let ctx = &mut self.cores[core];
+            let (prf, trace) = (&mut self.prf, &mut self.trace);
+            ctx.lsu.drain_completed(now, |e| {
+                if let Some(dst) = e.dst {
+                    debug_assert!(e.data.is_some(), "load data captured at issue");
+                    prf.write(dst, e.data.unwrap_or_default());
                 }
-                if let Some(dst) = f.dst {
-                    match f.dst_class {
-                        RegClass::Vector => self.prf.write(dst, f.value),
-                        RegClass::Pred => self.ppf.write(dst, f.value),
-                    }
-                }
-                if let Some((reg, value)) = f.scalar_wb {
-                    wbs.push(ScalarWriteback { core: f.core, reg, value });
-                }
-                if self.trace.is_enabled() {
-                    self.trace.record(TraceEvent {
+                if trace.is_enabled() {
+                    trace.record(TraceEvent {
                         cycle: now,
-                        core: f.core,
-                        seq: f.rob_seq,
+                        core,
+                        seq: e.seq,
                         stage: TraceStage::Complete,
                         disasm: String::new(),
                     });
                 }
-                Self::mark_rob_done(&mut self.cores[f.core].rob, f.rob_seq);
-            } else {
-                remaining.push(f);
-            }
-        }
-        self.inflight = remaining;
-        for e in lane_faults {
-            self.trip(e);
-        }
-
-        // Memory completions.
-        for core in 0..self.cores.len() {
-            let done = self.cores[core].lsu.drain_completed(now);
-            for e in done {
-                if let Some(dst) = e.dst {
-                    debug_assert!(e.data.is_some(), "load data captured at issue");
-                    self.prf.write(dst, e.data.unwrap_or_default());
-                }
-                self.trace_event(now, core, e.seq, TraceStage::Complete, String::new());
-                Self::mark_rob_done(&mut self.cores[core].rob, e.seq);
-            }
+                Self::mark_rob_done(&mut ctx.rob, e.seq);
+            });
         }
 
         // Retirement: free previous physical registers in order.
@@ -616,12 +637,10 @@ impl CoProcessor {
                         self.trace_event(now, core, head.seq, TraceStage::Retire, String::new());
                         match head.prev_phys {
                             Some((prev, RegClass::Vector)) => {
-                                let blocks = self.prf.free(prev);
-                                self.blocks.release(&blocks);
+                                self.prf.free(prev, |b| self.blocks.release(b));
                             }
                             Some((prev, RegClass::Pred)) => {
-                                let blocks = self.ppf.free(prev);
-                                self.blocks.release_pred(&blocks);
+                                self.ppf.free(prev, |b| self.blocks.release_pred(b));
                             }
                             None => {}
                         }
@@ -631,19 +650,19 @@ impl CoProcessor {
                 }
             }
         }
-        wbs
     }
 
-    /// Stage 2: compute and memory issue. Returns per-core issue counts.
+    /// Stage 2: compute and memory issue. Adds the per-core issue counts
+    /// to `counts` (one entry per core).
     pub(crate) fn issue(
         &mut self,
         now: Cycle,
         mem: &mut Memory,
         memsys: &mut MemorySystem,
         faults: &mut Option<FaultState>,
-    ) -> Vec<IssueCounts> {
+        counts: &mut [IssueCounts],
+    ) {
         let ncores = self.cores.len();
-        let mut counts = vec![IssueCounts::default(); ncores];
         let shared = self.arch == Architecture::TemporalSharing;
 
         // Compute issue. Under temporal sharing the whole datapath is
@@ -695,80 +714,77 @@ impl CoProcessor {
                 }
             }
         }
-        counts
     }
 
     /// Issues the oldest ready compute instruction of `core`, if any.
+    /// The result is computed into the destination register's own value
+    /// buffer, which travels with the in-flight entry until writeback.
     fn try_issue_compute(
         &mut self,
         core: usize,
         now: Cycle,
         faults: &mut Option<FaultState>,
     ) -> bool {
-        let pos = {
-            let ctx = &self.cores[core];
-            ctx.iq
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| {
-                    e.srcs.iter().all(|&s| self.prf.is_ready(s))
-                        && e.pred.is_none_or(|p| self.ppf.is_ready(p))
-                        && e.psrcs.iter().all(|&p| self.ppf.is_ready(p))
-                        && e.merge.is_none_or(|m| self.prf.is_ready(m))
-                })
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(i, _)| i)
+        let iq = &self.cores[core].iq;
+        // Rename pushes in `seq` order and issue removes in place, so the
+        // first ready entry is the oldest ready one.
+        debug_assert!(iq.windows(2).all(|w| w[0].seq < w[1].seq), "issue queue out of age order");
+        let Some(pos) = iq.iter().position(|e| e.ready(&self.prf, &self.ppf)) else {
+            return false;
         };
-        let Some(pos) = pos else { return false };
         let e = self.cores[core].iq.remove(pos);
-        if self.trace.is_enabled() {
-            self.trace_event(now, core, e.seq, TraceStage::Issue, String::new());
-        }
-        let latency = match e.inst.inner() {
+        self.trace_event(now, core, e.seq, TraceStage::Issue, String::new());
+        let latency = match e.inst {
             VectorInst::Binary { op: em_simd::VBinOp::Fdiv, .. }
             | VectorInst::Unary { op: em_simd::VUnOp::Fsqrt, .. } => self.cfg.exe_latency_long,
             _ => self.cfg.exe_latency,
         };
-        let srcs: Vec<&[f32]> = e.srcs.iter().map(|&s| self.prf.read(s)).collect();
-        let mask: Option<&[f32]> = e.pred.map(|p| self.ppf.read(p));
-        let (mut value, mut scalar_wb) = match e.inst.inner() {
-            VectorInst::Unary { op, .. } => (exec::exec_unary(*op, srcs[0]), None),
-            VectorInst::Binary { op, .. } => (exec::exec_binary(*op, srcs[0], srcs[1]), None),
-            VectorInst::Fma { .. } => (exec::exec_fma(srcs[0], srcs[1], srcs[2]), None),
-            VectorInst::DupImm { imm, .. } => (vec![*imm; e.lanes], None),
+        let mut value = match (e.dst, e.dst_class) {
+            (Some(d), RegClass::Vector) => self.prf.take_buffer(d),
+            (Some(d), RegClass::Pred) => self.ppf.take_buffer(d),
+            (None, _) => Vec::new(),
+        };
+        let (prf, ppf) = (&self.prf, &self.ppf);
+        let src = |i: usize| prf.read(e.srcs[i]);
+        let mask: Option<&[f32]> = e.pred.map(|p| ppf.read(p));
+        let mut scalar_wb = None;
+        match &e.inst {
+            VectorInst::Unary { op, .. } => exec::exec_unary(*op, src(0), &mut value),
+            VectorInst::Binary { op, .. } => exec::exec_binary(*op, src(0), src(1), &mut value),
+            VectorInst::Fma { .. } => exec::exec_fma(src(0), src(1), src(2), &mut value),
+            VectorInst::DupImm { imm, .. } => exec::broadcast(*imm, e.lanes, &mut value),
             VectorInst::Dup { .. } => {
                 // Rename rewrites Dup into DupImm when the broadcast value
                 // was captured; fall back to the raw payload bits.
                 debug_assert!(false, "Dup should have been rewritten to DupImm at rename");
-                (vec![f32::from_bits(e.aux.unwrap_or(0) as u32); e.lanes], None)
+                exec::broadcast(f32::from_bits(e.aux.unwrap_or(0) as u32), e.lanes, &mut value);
             }
             VectorInst::ReduceAdd { dst, .. } => {
                 let sum = match mask {
-                    Some(m) => exec::reduce_add_masked(m, srcs[0]),
-                    None => exec::reduce_add(srcs[0]),
+                    Some(m) => exec::reduce_add_masked(m, src(0)),
+                    None => exec::reduce_add(src(0)),
                 };
-                (Vec::new(), Some((*dst, sum)))
+                scalar_wb = Some((*dst, sum));
             }
             VectorInst::Whilelo { .. } => {
                 debug_assert!(e.aux.is_some(), "whilelo bounds captured at transmit");
                 let bounds = e.aux.unwrap_or(0);
-                (exec::whilelo(bounds >> 32, bounds & 0xffff_ffff, e.lanes), None)
+                exec::whilelo(bounds >> 32, bounds & 0xffff_ffff, e.lanes, &mut value);
             }
-            VectorInst::Fcm { op, .. } => (exec::compare(*op, srcs[0], srcs[1]), None),
+            VectorInst::Fcm { op, .. } => exec::compare(*op, src(0), src(1), &mut value),
             VectorInst::Sel { .. } => {
-                let sel = self.ppf.read(e.psrcs[0]);
-                (exec::blend(sel, srcs[0], srcs[1]), None)
+                exec::blend(ppf.read(e.psrcs[0]), src(0), src(1), &mut value);
             }
             VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
-                // Memory ops live in the LSU and inner() strips
+                // Memory ops live in the LSU and rename unwraps
                 // predication; neither can reach the issue queue.
                 debug_assert!(false, "non-compute instruction in the issue queue");
-                (vec![0.0; e.lanes], None)
+                exec::broadcast(0.0, e.lanes, &mut value);
             }
-        };
+        }
         // Merging predication: inactive lanes keep the old destination.
         if let (Some(m), Some(old)) = (mask, e.merge) {
-            value = exec::blend(m, &value, self.prf.read(old));
+            exec::merge(m, &mut value, prf.read(old));
         }
         // Lane-fault injection (§ detection & recovery): a transient or
         // permanent ExeBU fault flips a bit in the lanes one granule of
@@ -813,7 +829,8 @@ impl CoProcessor {
         true
     }
 
-    /// Issues one eligible memory operation of `core`, if any.
+    /// Issues one eligible memory operation of `core`, if any. Load data
+    /// is read into the destination register's own value buffer.
     fn try_issue_mem(
         &mut self,
         core: usize,
@@ -824,9 +841,9 @@ impl CoProcessor {
     ) -> bool {
         let n = self.cores[core].lsu.len();
         for idx in 0..n {
-            let (store, issued, addr, bytes, lanes, src, pred) = {
+            let (store, issued, addr, bytes, lanes, dst, src, pred) = {
                 let e = &self.cores[core].lsu.entries()[idx];
-                (e.store, e.issued, e.addr, e.bytes, e.lanes, e.src, e.pred)
+                (e.store, e.issued, e.addr, e.bytes, e.lanes, e.dst, e.src, e.pred)
             };
             if issued {
                 continue;
@@ -834,18 +851,12 @@ impl CoProcessor {
             if pred.is_some_and(|p| !self.ppf.is_ready(p)) {
                 continue;
             }
-            let mask: Option<Vec<f32>> = pred.map(|p| self.ppf.read(p).to_vec());
             // Bounds check against the functional arena before touching
             // it: an out-of-range vector access is a typed fault, not a
             // crash. Predicated accesses only touch active lanes (SVE
             // fault suppression), so the checked span ends at the last
             // active lane.
-            let span = match &mask {
-                Some(m) => {
-                    m.iter().rposition(|&a| a != 0.0).map_or(0, |i| (i as u64 + 1) * 4)
-                }
-                None => bytes,
-            };
+            let span = pred.map_or(bytes, |p| exec::active_span(self.ppf.read(p)));
             if span > 0
                 && addr.checked_add(span).is_none_or(|end| end > mem.capacity() as u64)
             {
@@ -857,7 +868,7 @@ impl CoProcessor {
                 });
                 return false;
             }
-            if store {
+            let data = if store {
                 if self.cores[core].lsu.store_blocked(idx) {
                     continue;
                 }
@@ -868,77 +879,43 @@ impl CoProcessor {
                 if !self.prf.is_ready(src) {
                     continue;
                 }
-                let value = self.prf.read(src).to_vec();
-                match &mask {
-                    // Predicated store: only active lanes are written.
-                    Some(m) => {
-                        for (i, (&active, &v)) in m.iter().zip(&value).enumerate() {
-                            if active != 0.0 {
-                                mem.write_f32(addr + 4 * i as u64, v);
-                            }
-                        }
-                    }
-                    None => mem.write_f32_slice(addr, &value),
-                }
-                let (served, level) = memsys.vector_access_traced(now, core, addr, bytes, true);
-                let done = served + faults.as_mut().map_or(0, FaultState::spike_mem);
-                if level != mem_sim::ServiceLevel::FirstLevel {
-                    self.event(now, Track::Memory, EventKind::CacheMiss { core, level });
-                }
-                let e = &mut self.cores[core].lsu.entries_mut()[idx];
-                e.issued = true;
-                e.complete_at = Some(done);
-                let seq = self.cores[core].lsu.entries()[idx].seq;
-                self.trace_event(now, core, seq, TraceStage::Issue, String::new());
-                return true;
+                let mask = pred.map(|p| self.ppf.read(p));
+                exec::store(mem, addr, self.prf.read(src), mask);
+                None
             } else {
                 if self.cores[core].lsu.load_blocked(idx) {
                     continue;
                 }
-                // Predicated loads are zeroing (SVE LD1) and suppress
-                // faults on inactive lanes: only active lanes touch
-                // memory.
-                let data = match &mask {
-                    Some(m) => m
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &active)| {
-                            if active != 0.0 {
-                                mem.read_f32(addr + 4 * i as u64)
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect(),
-                    None => mem.read_f32_slice(addr, lanes),
-                };
-                let (served, level) = memsys.vector_access_traced(now, core, addr, bytes, false);
-                let done = served + faults.as_mut().map_or(0, FaultState::spike_mem);
-                if level != mem_sim::ServiceLevel::FirstLevel {
-                    self.event(now, Track::Memory, EventKind::CacheMiss { core, level });
-                }
-                let e = &mut self.cores[core].lsu.entries_mut()[idx];
-                e.issued = true;
-                e.complete_at = Some(done);
-                e.data = Some(data);
-                let seq = self.cores[core].lsu.entries()[idx].seq;
-                self.trace_event(now, core, seq, TraceStage::Issue, String::new());
-                return true;
+                let mut data = dst.map_or_else(Vec::new, |d| self.prf.take_buffer(d));
+                exec::load(mem, addr, lanes, pred.map(|p| self.ppf.read(p)), &mut data);
+                Some(data)
+            };
+            let (served, level) = memsys.vector_access_traced(now, core, addr, bytes, store);
+            let done = served + faults.as_mut().map_or(0, FaultState::spike_mem);
+            if level != mem_sim::ServiceLevel::FirstLevel {
+                self.event(now, Track::Memory, EventKind::CacheMiss { core, level });
             }
+            let e = &mut self.cores[core].lsu.entries_mut()[idx];
+            e.issued = true;
+            e.complete_at = Some(done);
+            e.data = data;
+            let seq = e.seq;
+            self.trace_event(now, core, seq, TraceStage::Issue, String::new());
+            return true;
         }
         false
     }
 
     /// Stage 3: rename + the EM-SIMD data path. Updates rename-stall and
-    /// phase statistics in `stats`; returns responses for waiting scalar
-    /// cores.
+    /// phase statistics in `stats`; appends responses for waiting scalar
+    /// cores to `resps`.
     pub(crate) fn rename(
         &mut self,
         now: Cycle,
         stats: &mut [CoreStats],
         faults: &mut Option<FaultState>,
-    ) -> Vec<EmResponse> {
-        let mut resps = Vec::new();
+        resps: &mut Vec<EmResponse>,
+    ) {
         let mut em_budget = self.cfg.em_width;
         // Rotate the service order so the shared EM-SIMD data path cannot
         // be starved by other cores' vector-length retry loops (with a
@@ -953,8 +930,8 @@ impl CoProcessor {
             while budget > 0 && !self.cores[core].pool.is_empty() {
                 let Some(front) = self.cores[core].pool.front().cloned() else { break };
                 match front {
-                    PoolEntry::Vector { inst, aux } => {
-                        if !self.rename_vector(core, inst, aux, now, &mut stalled_on_regs) {
+                    PoolEntry::Vector { inst, pred, aux } => {
+                        if !self.rename_vector(core, inst, pred, aux, now, &mut stalled_on_regs) {
                             break;
                         }
                         self.cores[core].pool.pop_front();
@@ -991,15 +968,16 @@ impl CoProcessor {
                 }
             }
         }
-        resps
     }
 
-    /// Renames one vector instruction. Returns `false` when a structural
-    /// or register-file stall blocks the pool head.
+    /// Renames one vector instruction (`inst` governed by `pred`).
+    /// Returns `false` when a structural or register-file stall blocks
+    /// the pool head.
     fn rename_vector(
         &mut self,
         core: usize,
         inst: VectorInst,
+        pred: Option<PReg>,
         aux: Option<u64>,
         now: Cycle,
         stalled_on_regs: &mut bool,
@@ -1028,21 +1006,16 @@ impl CoProcessor {
         // Read source mappings before redefining the destination (FMLA
         // reads its accumulator; merging predication reads the old
         // destination).
-        let srcs: Vec<PhysId> =
-            inst.vector_srcs().iter().map(|v| self.cores[core].rename_map[v.index()]).collect();
-        let pred_phys =
-            inst.governing_pred().map(|p| self.cores[core].pred_rename[p.index()]);
-        let psrcs: Vec<PhysId> = inst
-            .pred_srcs()
-            .iter()
-            .map(|p| self.cores[core].pred_rename[p.index()])
-            .collect();
+        let ctx = &self.cores[core];
+        let srcs: RegList<PhysId> =
+            inst.vector_srcs().iter().map(|v| ctx.rename_map[v.index()]).collect();
+        let pred_phys = pred.map(|p| ctx.pred_rename[p.index()]);
+        let psrcs: RegList<PhysId> =
+            inst.pred_srcs().iter().map(|p| ctx.pred_rename[p.index()]).collect();
         // Merging predication needs the prior destination value — but only
         // for compute; predicated loads are zeroing.
-        let merge = match (&inst, inst.vector_dst()) {
-            (VectorInst::Predicated { .. }, Some(d)) if !inst.is_mem() => {
-                Some(self.cores[core].rename_map[d.index()])
-            }
+        let merge = match (pred, inst.vector_dst()) {
+            (Some(_), Some(d)) if !inst.is_mem() => Some(ctx.rename_map[d.index()]),
             _ => None,
         };
 
@@ -1050,24 +1023,24 @@ impl CoProcessor {
         let mut dst_phys = None;
         let mut dst_class = RegClass::Vector;
         if let Some(d) = inst.vector_dst() {
-            let spans = self.cores[core].spans.clone();
-            if !self.blocks.try_reserve(&spans) {
+            let ctx = &mut self.cores[core];
+            if !self.blocks.try_reserve(&ctx.spans) {
                 *stalled_on_regs = true;
                 return false;
             }
-            let id = self.prf.alloc(spans);
-            prev_phys = Some((self.cores[core].rename_map[d.index()], RegClass::Vector));
-            self.cores[core].rename_map[d.index()] = id;
+            let id = self.prf.alloc(&ctx.spans, self.cfg.total_granules);
+            prev_phys = Some((ctx.rename_map[d.index()], RegClass::Vector));
+            ctx.rename_map[d.index()] = id;
             dst_phys = Some(id);
         } else if let Some(p) = inst.pred_dst() {
-            let spans = self.cores[core].spans.clone();
-            if !self.blocks.try_reserve_pred(&spans) {
+            let ctx = &mut self.cores[core];
+            if !self.blocks.try_reserve_pred(&ctx.spans) {
                 *stalled_on_regs = true;
                 return false;
             }
-            let id = self.ppf.alloc(spans);
-            prev_phys = Some((self.cores[core].pred_rename[p.index()], RegClass::Pred));
-            self.cores[core].pred_rename[p.index()] = id;
+            let id = self.ppf.alloc(&ctx.spans, self.cfg.total_granules);
+            prev_phys = Some((ctx.pred_rename[p.index()], RegClass::Pred));
+            ctx.pred_rename[p.index()] = id;
             dst_phys = Some(id);
             dst_class = RegClass::Pred;
         }
@@ -1076,12 +1049,12 @@ impl CoProcessor {
         self.next_seq += 1;
         self.cores[core].rob.push_back(RobEntry { seq, done: false, prev_phys });
         if self.trace.is_enabled() {
-            self.trace_event(now, core, seq, TraceStage::Rename, inst.to_string());
+            self.trace_event(now, core, seq, TraceStage::Rename, governed(&inst, pred).to_string());
         }
 
         if inst.is_mem() {
-            let store = matches!(inst.inner(), VectorInst::Store { .. });
-            let src = match inst.inner() {
+            let store = matches!(inst, VectorInst::Store { .. });
+            let src = match &inst {
                 VectorInst::Store { src, .. } => Some(self.cores[core].rename_map[src.index()]),
                 _ => None,
             };
@@ -1114,6 +1087,7 @@ impl CoProcessor {
             self.cores[core].iq.push(IqEntry {
                 seq,
                 inst,
+                gov: pred,
                 srcs,
                 dst: dst_phys,
                 dst_class,
@@ -1489,14 +1463,10 @@ impl CoProcessor {
         // Restore the architectural vector values at the re-acquired
         // width (alloc_arch_regs left them zeroed).
         for (v, value) in ctx.vregs.iter().enumerate() {
-            let id = self.cores[core].rename_map[v];
-            let blocks = self.prf.free(id);
-            self.cores[core].rename_map[v] = self.prf.alloc_ready(blocks, value.clone());
+            self.prf.swap_value(self.cores[core].rename_map[v], &mut value.clone());
         }
         for (p, value) in ctx.pregs.iter().enumerate() {
-            let id = self.cores[core].pred_rename[p];
-            let blocks = self.ppf.free(id);
-            self.cores[core].pred_rename[p] = self.ppf.alloc_ready(blocks, value.clone());
+            self.ppf.swap_value(self.cores[core].pred_rename[p], &mut value.clone());
         }
         true
     }
@@ -1504,70 +1474,62 @@ impl CoProcessor {
     /// Attempts the architecture-specific vector-length reconfiguration.
     /// The caller has verified the core's pipeline is drained.
     fn try_set_vl(&mut self, core: usize, granules: usize) -> bool {
-        match &self.arch {
-            Architecture::TemporalSharing => {
-                // Temporal sharing runs every core at full width.
-                if granules != 0 && granules != self.cfg.total_granules {
-                    return false;
-                }
-                let spans: Vec<usize> =
-                    if granules == 0 { Vec::new() } else { (0..self.cfg.total_granules).collect() };
-                // The free lists are shared: the other cores' in-flight
-                // registers may leave no room for this core's
-                // architectural state. Fail (status 0) and let the
-                // software retry — a real contention cost of temporal
-                // sharing.
-                let old = self.cores[core].spans.clone();
-                let fits = spans.iter().all(|b| {
-                    let released = if old.contains(b) { NUM_VREGS } else { 0 };
-                    let released_p = if old.contains(b) { NUM_PREGS } else { 0 };
-                    self.blocks.free_entries(*b) + released >= NUM_VREGS
-                        && self.blocks.free_pred_entries(*b) + released_p >= NUM_PREGS
+        let total = self.cfg.total_granules;
+        if self.arch == Architecture::TemporalSharing {
+            // Temporal sharing runs every core at full width.
+            if granules != 0 && granules != total {
+                return false;
+            }
+            // The free lists are shared: the other cores' in-flight
+            // registers may leave no room for this core's architectural
+            // state. Fail (status 0) and let the software retry — a real
+            // contention cost of temporal sharing.
+            let old = &self.cores[core].spans;
+            let fits = granules == 0
+                || (0..total).all(|b| {
+                    let released = if old.contains(&b) { NUM_VREGS } else { 0 };
+                    let released_p = if old.contains(&b) { NUM_PREGS } else { 0 };
+                    self.blocks.free_entries(b) + released >= NUM_VREGS
+                        && self.blocks.free_pred_entries(b) + released_p >= NUM_PREGS
                 });
-                if !fits {
-                    return false;
-                }
-                self.reset_core_regs(core, spans, granules);
-                true
+            if !fits {
+                return false;
             }
-            _ => {
-                if self.table.try_reconfigure(core, VectorLength::new(granules)).is_err() {
-                    return false;
-                }
-                self.release_arch_regs(core);
-                let spans = self.blocks.reassign(core, granules);
-                self.alloc_arch_regs(core, spans, granules);
-                true
-            }
+        } else if self.table.try_reconfigure(core, VectorLength::new(granules)).is_err() {
+            return false;
         }
-    }
-
-    fn reset_core_regs(&mut self, core: usize, spans: Vec<usize>, granules: usize) {
         self.release_arch_regs(core);
+        let mut spans = std::mem::take(&mut self.cores[core].spans);
+        if self.arch == Architecture::TemporalSharing {
+            spans.clear();
+            if granules != 0 {
+                spans.extend(0..total);
+            }
+        } else {
+            self.blocks.reassign(core, granules, &mut spans);
+        }
         self.alloc_arch_regs(core, spans, granules);
+        true
     }
 
     fn release_arch_regs(&mut self, core: usize) {
         for v in 0..NUM_VREGS {
-            let id = self.cores[core].rename_map[v];
-            let blocks = self.prf.free(id);
-            self.blocks.release(&blocks);
+            self.prf.free(self.cores[core].rename_map[v], |b| self.blocks.release(b));
         }
         for p in 0..NUM_PREGS {
-            let id = self.cores[core].pred_rename[p];
-            let blocks = self.ppf.free(id);
-            self.blocks.release_pred(&blocks);
+            self.ppf.free(self.cores[core].pred_rename[p], |b| self.blocks.release_pred(b));
         }
     }
 
     fn alloc_arch_regs(&mut self, core: usize, spans: Vec<usize>, granules: usize) {
         debug_assert!(
             spans.iter().all(|&b| {
-                matches!(self.blocks.owner(b), crate::regblocks::BlockOwner::Shared)
-                    || self.blocks.spans_for(core).contains(&b)
+                let owner = self.blocks.owner(b);
+                owner == BlockOwner::Shared || owner == BlockOwner::Core(core)
             }),
             "core {core} allocating registers in blocks it does not own"
         );
+        let lanes = granules * em_simd::LANES_PER_GRANULE;
         for v in 0..NUM_VREGS {
             let reserved = self.blocks.try_reserve(&spans);
             debug_assert!(reserved, "architectural registers must always fit (32 of {})",
@@ -1582,7 +1544,7 @@ impl CoProcessor {
                     ),
                 });
             }
-            let id = self.prf.alloc_ready(spans.clone(), PhysRegFile::zero_value(granules));
+            let id = self.prf.alloc_zeroed(&spans, lanes, self.cfg.total_granules);
             self.cores[core].rename_map[v] = id;
         }
         for p in 0..NUM_PREGS {
@@ -1599,7 +1561,7 @@ impl CoProcessor {
                     ),
                 });
             }
-            let id = self.ppf.alloc_ready(spans.clone(), PhysRegFile::zero_value(granules));
+            let id = self.ppf.alloc_zeroed(&spans, lanes, self.cfg.total_granules);
             self.cores[core].pred_rename[p] = id;
         }
         self.cores[core].cur_vl = VectorLength::new(granules);
@@ -1626,25 +1588,22 @@ impl CoProcessor {
 
     /// Borrows the current architectural value of a predicate register
     /// (see [`vreg`](Self::vreg)).
-    pub(crate) fn preg(&self, core: usize, p: em_simd::PReg) -> &[f32] {
+    pub(crate) fn preg(&self, core: usize, p: PReg) -> &[f32] {
         self.ppf.read(self.cores[core].pred_rename[p.index()])
     }
 
     /// Overwrites an architectural vector register in place (functional
-    /// engine): the physical entry is recycled within the same register
-    /// blocks, so block occupancy is unchanged.
-    pub(crate) fn write_vreg(&mut self, core: usize, v: VReg, value: Vec<f32>) {
-        let id = self.cores[core].rename_map[v.index()];
-        let blocks = self.prf.free(id);
-        self.cores[core].rename_map[v.index()] = self.prf.alloc_ready(blocks, value);
+    /// engine) by swapping buffers: `value` receives the old value's
+    /// buffer for reuse. The physical entry and its register blocks are
+    /// unchanged.
+    pub(crate) fn write_vreg(&mut self, core: usize, v: VReg, value: &mut Vec<f32>) {
+        self.prf.swap_value(self.cores[core].rename_map[v.index()], value);
     }
 
     /// Overwrites an architectural predicate register in place
-    /// (functional engine).
-    pub(crate) fn write_preg(&mut self, core: usize, p: em_simd::PReg, value: Vec<f32>) {
-        let id = self.cores[core].pred_rename[p.index()];
-        let blocks = self.ppf.free(id);
-        self.cores[core].pred_rename[p.index()] = self.ppf.alloc_ready(blocks, value);
+    /// (functional engine; see [`write_vreg`](Self::write_vreg)).
+    pub(crate) fn write_preg(&mut self, core: usize, p: PReg, value: &mut Vec<f32>) {
+        self.ppf.swap_value(self.cores[core].pred_rename[p.index()], value);
     }
 }
 
@@ -1664,28 +1623,79 @@ impl CoProcessor {
 // empty defaults. Everything else — including the out-of-order windows —
 // round-trips exactly.
 
-statecodec::impl_codec_enum!(PoolEntry {
-    0 => Vector { inst, aux },
-    1 => Em { inst, operand },
-});
+// Hand-written so a pool entry encodes exactly like the instruction it
+// was transmitted as: the governing predicate is written as the
+// `Predicated` wrapper it was split from.
+impl statecodec::Codec for PoolEntry {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        match self {
+            PoolEntry::Vector { inst, pred, aux } => {
+                sink.put_byte(0);
+                statecodec::Codec::encode(&governed(inst, *pred), sink);
+                statecodec::Codec::encode(aux, sink);
+            }
+            PoolEntry::Em { inst, operand } => {
+                sink.put_byte(1);
+                statecodec::Codec::encode(inst, sink);
+                statecodec::Codec::encode(operand, sink);
+            }
+        }
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        match <u8 as statecodec::Codec>::decode(src)? {
+            0 => {
+                let (inst, pred) = ungoverned(statecodec::Codec::decode(src)?);
+                Ok(PoolEntry::Vector { inst, pred, aux: statecodec::Codec::decode(src)? })
+            }
+            1 => Ok(PoolEntry::Em {
+                inst: statecodec::Codec::decode(src)?,
+                operand: statecodec::Codec::decode(src)?,
+            }),
+            other => {
+                Err(statecodec::DecodeError::at(src, format!("invalid tag {other} for PoolEntry")))
+            }
+        }
+    }
+}
 
 statecodec::impl_codec_enum!(RegClass {
     0 => Vector,
     1 => Pred,
 });
 
-statecodec::impl_codec!(IqEntry {
-    seq,
-    inst,
-    srcs,
-    dst,
-    dst_class,
-    pred,
-    psrcs,
-    merge,
-    aux,
-    lanes,
-});
+// Hand-written for the same reason as `PoolEntry`: `inst` and `gov`
+// encode as the one instruction they were split from.
+impl statecodec::Codec for IqEntry {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.seq, sink);
+        statecodec::Codec::encode(&governed(&self.inst, self.gov), sink);
+        statecodec::Codec::encode(&self.srcs, sink);
+        statecodec::Codec::encode(&self.dst, sink);
+        statecodec::Codec::encode(&self.dst_class, sink);
+        statecodec::Codec::encode(&self.pred, sink);
+        statecodec::Codec::encode(&self.psrcs, sink);
+        statecodec::Codec::encode(&self.merge, sink);
+        statecodec::Codec::encode(&self.aux, sink);
+        statecodec::Codec::encode(&self.lanes, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        let seq = statecodec::Codec::decode(src)?;
+        let (inst, gov) = ungoverned(statecodec::Codec::decode(src)?);
+        Ok(IqEntry {
+            seq,
+            inst,
+            gov,
+            srcs: statecodec::Codec::decode(src)?,
+            dst: statecodec::Codec::decode(src)?,
+            dst_class: statecodec::Codec::decode(src)?,
+            pred: statecodec::Codec::decode(src)?,
+            psrcs: statecodec::Codec::decode(src)?,
+            merge: statecodec::Codec::decode(src)?,
+            aux: statecodec::Codec::decode(src)?,
+            lanes: statecodec::Codec::decode(src)?,
+        })
+    }
+}
 statecodec::impl_codec!(RobEntry { seq, done, prev_phys });
 statecodec::impl_codec!(InflightCompute {
     complete_at,
@@ -1789,6 +1799,10 @@ impl statecodec::Codec for CoProcessor {
                     src,
                     "core spanning set references a register block beyond the machine",
                 ));
+            }
+            // Compute issue takes the first ready entry as the oldest.
+            if ctx.iq.windows(2).any(|w| w[0].seq >= w[1].seq) {
+                return Err(statecodec::DecodeError::at(src, "issue queue out of age order"));
             }
         }
         Ok(CoProcessor {

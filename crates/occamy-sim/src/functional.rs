@@ -7,7 +7,7 @@
 //! architectural register values (the [`crate::exec`] kernels, which the
 //! compiler auto-vectorizes over contiguous `f32` slices). The engine
 //! reuses the *semantic* layers of the timing model — [`crate::exec`]
-//! for vector compute, [`ScalarCore::exec_pure`] for scalar arithmetic,
+//! for vector semantics, [`ScalarCore::exec_pure_in`] for scalar arithmetic,
 //! and [`CoProcessor::exec_em`] for the EM-SIMD dedicated registers
 //! (phase records, `<OI>` sanitization, lane-manager replans and
 //! `<VL>` reconfiguration are all bit-identical) — while bypassing the
@@ -31,7 +31,7 @@
 //! refuses to enter a functional mode while either is active
 //! ([`SimError::Config`]), so the engine never sees them.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, ScalarInst, VectorInst, XReg};
+use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, ScalarInst, VectorInst};
 use mem_sim::ServiceLevel;
 
 use crate::error::SimError;
@@ -65,11 +65,15 @@ pub(crate) struct FunctionalEngine<'m> {
     /// a pure functional run never returns to timing, so its windows
     /// skip the warming entirely.
     warm: bool,
+    /// The buffer each vector result is computed into. Writing the
+    /// result swaps it with the destination register's buffer, so the
+    /// old value's storage computes the next result.
+    value: Vec<f32>,
 }
 
 impl<'m> FunctionalEngine<'m> {
     pub(crate) fn new(m: &'m mut Machine, warm: bool) -> Self {
-        FunctionalEngine { m, warm }
+        FunctionalEngine { m, warm, value: Vec::new() }
     }
 
     /// Executes up to `fuel[c]` instructions on core `c` (for every
@@ -242,72 +246,50 @@ impl<'m> FunctionalEngine<'m> {
             return self.exec_vector_mem(c, v, lanes);
         }
 
-        // Register reads borrow the physical register file directly —
-        // the instruction loop's only allocation is the one result
-        // vector the writeback needs to own.
+        // Register reads borrow the physical register file directly, and
+        // the result is computed into the engine's recycled buffer.
         let m = &mut *self.m;
+        let value = &mut self.value;
         let coproc = &m.coproc;
         let mask: Option<&[f32]> = v.governing_pred().map(|p| coproc.preg(c, p));
         let srcs = v.vector_srcs();
+        let src = |i: usize| coproc.vreg(c, srcs[i]);
         let x = &m.scalar[c].x;
-        let (mut value, scalar_wb): (Vec<f32>, Option<(XReg, f32)>) = match v.inner() {
-            VectorInst::Unary { op, .. } => (exec::exec_unary(*op, coproc.vreg(c, srcs[0])), None),
-            VectorInst::Binary { op, .. } => {
-                (exec::exec_binary(*op, coproc.vreg(c, srcs[0]), coproc.vreg(c, srcs[1])), None)
-            }
-            VectorInst::Fma { .. } => (
-                exec::exec_fma(
-                    coproc.vreg(c, srcs[0]),
-                    coproc.vreg(c, srcs[1]),
-                    coproc.vreg(c, srcs[2]),
-                ),
-                None,
-            ),
-            VectorInst::DupImm { imm, .. } => (vec![*imm; lanes], None),
+        let mut scalar_wb = None;
+        match v.inner() {
+            VectorInst::Unary { op, .. } => exec::exec_unary(*op, src(0), value),
+            VectorInst::Binary { op, .. } => exec::exec_binary(*op, src(0), src(1), value),
+            VectorInst::Fma { .. } => exec::exec_fma(src(0), src(1), src(2), value),
+            VectorInst::DupImm { imm, .. } => exec::broadcast(*imm, lanes, value),
             VectorInst::Dup { src, .. } => {
-                (vec![f32::from_bits(x[src.index()] as u32); lanes], None)
+                exec::broadcast(f32::from_bits(x[src.index()] as u32), lanes, value);
             }
             VectorInst::ReduceAdd { dst, .. } => {
                 let sum = match mask {
-                    Some(mk) => exec::reduce_add_masked(mk, coproc.vreg(c, srcs[0])),
-                    None => exec::reduce_add(coproc.vreg(c, srcs[0])),
+                    Some(mk) => exec::reduce_add_masked(mk, src(0)),
+                    None => exec::reduce_add(src(0)),
                 };
-                (Vec::new(), Some((*dst, sum)))
+                scalar_wb = Some((*dst, sum));
             }
             VectorInst::Whilelo { a, b, .. } => {
                 let lo = x[a.index()] as u32;
                 let hi = x[b.index()] as u32;
-                (exec::whilelo(u64::from(lo), u64::from(hi), lanes), None)
+                exec::whilelo(u64::from(lo), u64::from(hi), lanes, value);
             }
-            VectorInst::Fcm { op, .. } => {
-                (exec::compare(*op, coproc.vreg(c, srcs[0]), coproc.vreg(c, srcs[1])), None)
+            VectorInst::Fcm { op, .. } => exec::compare(*op, src(0), src(1), value),
+            VectorInst::Sel { sel, .. } => {
+                exec::blend(coproc.preg(c, *sel), src(0), src(1), value);
             }
-            VectorInst::Sel { sel, .. } => (
-                exec::blend(coproc.preg(c, *sel), coproc.vreg(c, srcs[0]), coproc.vreg(c, srcs[1])),
-                None,
-            ),
             VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
                 // inner() strips predication and memory ops were routed
                 // above; nothing reaches here.
                 debug_assert!(false, "non-compute instruction in the compute path");
-                (vec![0.0; lanes], None)
+                exec::broadcast(0.0, lanes, value);
             }
-        };
+        }
         // Merging predication: inactive lanes keep the old destination.
-        // Merged in place when the widths line up; the width-mismatch
-        // case falls back to `exec::blend`, which panics exactly like
-        // the timing path would.
         if let (Some(mk), Some(d)) = (mask, v.vector_dst()) {
-            let old = coproc.vreg(c, d);
-            if mk.len() == value.len() && value.len() == old.len() {
-                for (i, slot) in value.iter_mut().enumerate() {
-                    if mk[i] == 0.0 {
-                        *slot = old[i];
-                    }
-                }
-            } else {
-                value = exec::blend(mk, &value, old);
-            }
+            exec::merge(mk, value, coproc.vreg(c, d));
         }
         if let Some(d) = v.vector_dst() {
             m.coproc.write_vreg(c, d, value);
@@ -341,10 +323,7 @@ impl<'m> FunctionalEngine<'m> {
         let mask: Option<&[f32]> = v.governing_pred().map(|p| m.coproc.preg(c, p));
         // Predicated accesses only touch active lanes (SVE fault
         // suppression): the checked span ends at the last active lane.
-        let span = match mask {
-            Some(mk) => mk.iter().rposition(|&a| a != 0.0).map_or(0, |i| (i as u64 + 1) * 4),
-            None => bytes,
-        };
+        let span = mask.map_or(bytes, exec::active_span);
         if span > 0 && addr.checked_add(span).is_none_or(|end| end > m.mem.capacity() as u64) {
             let e = SimError::MemoryFault {
                 core: c,
@@ -367,36 +346,11 @@ impl<'m> FunctionalEngine<'m> {
         }
         match v.inner() {
             VectorInst::Load { dst, .. } => {
-                // Predicated loads are zeroing (SVE LD1).
-                let data: Vec<f32> = match mask {
-                    Some(mk) => mk
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &active)| {
-                            if active != 0.0 {
-                                m.mem.read_f32(addr + 4 * i as u64)
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect(),
-                    None => m.mem.read_f32_slice(addr, lanes),
-                };
-                m.coproc.write_vreg(c, *dst, data);
+                exec::load(&m.mem, addr, lanes, mask, &mut self.value);
+                m.coproc.write_vreg(c, *dst, &mut self.value);
             }
             VectorInst::Store { src, .. } => {
-                let value = m.coproc.vreg(c, *src);
-                match mask {
-                    // Predicated store: only active lanes are written.
-                    Some(mk) => {
-                        for (i, (&active, &val)) in mk.iter().zip(value).enumerate() {
-                            if active != 0.0 {
-                                m.mem.write_f32(addr + 4 * i as u64, val);
-                            }
-                        }
-                    }
-                    None => m.mem.write_f32_slice(addr, value),
-                }
+                exec::store(&mut m.mem, addr, m.coproc.vreg(c, *src), mask);
             }
             _ => {}
         }

@@ -39,7 +39,6 @@ mod profile;
 mod recovery;
 mod regblocks;
 mod scalar;
-mod sched;
 pub mod snapshot_io;
 mod stats;
 mod trace;
@@ -55,7 +54,6 @@ pub use metrics::{Histogram, Metric, MetricValue, MetricsRegistry};
 pub use profile::{render_profile, CoreProfile, CycleBreakdown, CycleClass, ProfileState};
 pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use regblocks::LaneHealth;
-pub use sched::{EventQueue, ScheduledEvent};
 pub use snapshot_io::{snapshot_from_bytes, snapshot_to_bytes, SnapshotIoError, SNAPSHOT_VERSION};
 pub use stats::{CoreStats, MachineStats, PhaseStats, Timeline, TimelineBucket};
 pub use trace::{render_pipeview, to_kanata, Trace, TraceEvent, TraceStage};

@@ -120,27 +120,24 @@ impl Lsu {
         self.entries[..idx].iter().any(|e| !e.issued)
     }
 
-    /// Removes completed entries (`complete_at <= now`), returning them.
-    pub fn drain_completed(&mut self, now: Cycle) -> Vec<LsuEntry> {
-        let mut done = Vec::new();
-        self.entries.retain(|e| {
+    /// Removes completed entries (`complete_at <= now`) in age order,
+    /// moving each one into `on_done`.
+    pub fn drain_completed(&mut self, now: Cycle, mut on_done: impl FnMut(LsuEntry)) {
+        let mut i = 0;
+        while i < self.entries.len() {
+            let e = &self.entries[i];
             if e.issued && e.complete_at.is_some_and(|c| c <= now) {
-                done.push(e.clone());
-                false
+                on_done(self.entries.remove(i));
             } else {
-                true
+                i += 1;
             }
-        });
-        done
+        }
     }
 
-    /// Completion times of issued entries, as `(complete_at, seq)` pairs
-    /// — the wakeups the event kernel schedules on the memory track.
-    pub fn issued_completions(&self) -> impl Iterator<Item = (Cycle, u64)> + '_ {
-        self.entries
-            .iter()
-            .filter(|e| e.issued)
-            .filter_map(|e| e.complete_at.map(|c| (c, e.seq)))
+    /// Completion cycles of issued entries — the wake-ups the event
+    /// kernel's skip horizon folds in.
+    pub fn issued_completions(&self) -> impl Iterator<Item = Cycle> + '_ {
+        self.entries.iter().filter(|e| e.issued).filter_map(|e| e.complete_at)
     }
 
     /// Whether any entry (issued or not) overlaps the byte range — the
@@ -222,10 +219,11 @@ mod tests {
         lsu.push(load(2, 0x40, 64));
         lsu.entries_mut()[0].issued = true;
         lsu.entries_mut()[0].complete_at = Some(10);
-        assert!(lsu.drain_completed(5).is_empty());
-        let done = lsu.drain_completed(10);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].seq, 1);
+        let mut done = Vec::new();
+        lsu.drain_completed(5, |e| done.push(e.seq));
+        assert!(done.is_empty());
+        lsu.drain_completed(10, |e| done.push(e.seq));
+        assert_eq!(done, vec![1]);
         assert_eq!(lsu.len(), 1);
     }
 

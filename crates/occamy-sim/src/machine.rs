@@ -4,7 +4,9 @@ use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program, ScalarI
 use mem_sim::{Cycle, MemStats, Memory, MemorySystem};
 
 use crate::config::{Architecture, SimConfig};
-use crate::coproc::{CoProcessor, CoprocActivity, OsContext};
+use crate::coproc::{
+    CoProcessor, CoprocActivity, EmResponse, IssueCounts, OsContext, ScalarWriteback,
+};
 use crate::error::{CoreDump, SimError, WatchdogDump};
 use crate::events::{EventKind, EventLog, Track};
 use crate::fault::{FaultPlan, FaultState, FaultStats};
@@ -12,7 +14,6 @@ use crate::metrics::{Histogram, MetricsRegistry};
 use crate::profile::{CycleClass, ProfileState};
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
 use crate::scalar::{ScalarCore, Wait};
-use crate::sched::EventQueue;
 use crate::stats::{CoreStats, MachineStats, Timeline};
 
 /// Width of the timeline buckets, matching the paper's plots
@@ -91,10 +92,11 @@ pub struct Machine {
     /// window actually runs.
     twospeed: TwoSpeed,
     /// Event-driven timing-kernel control (see
-    /// [`step_bounded`](Machine::step_bounded)): the reference-mode flag
-    /// and skip accounting. Not architectural state — excluded from
-    /// machine equality, snapshots and rollbacks, so a run that jumped
-    /// its idle spans compares `==` to one that ticked through them.
+    /// [`step_bounded`](Machine::step_bounded)): the reference-mode flag,
+    /// skip accounting and the per-cycle scratch buffers. Not
+    /// architectural state — excluded from machine equality, snapshots
+    /// and rollbacks, so a run that jumped its idle spans compares `==`
+    /// to one that ticked through them.
     kernel: KernelCtl,
 }
 
@@ -113,6 +115,46 @@ struct KernelCtl {
     /// Whether to publish `sim.cycles_skipped` in the metrics registry
     /// (off by default: golden documents embed registry snapshots).
     expose_metric: bool,
+    /// Buffers the per-cycle stages fill and clear, reused from cycle to
+    /// cycle so a steady-state step allocates nothing.
+    scratch: Scratch,
+}
+
+/// Per-cycle working storage of [`Machine::tick`],
+/// [`Machine::probe_inert`] and [`Machine::apply_skip`]. Every user
+/// clears what it fills; contents never carry over between cycles, so a
+/// clone starts empty and debug dumps leave the contents out.
+#[derive(Default)]
+struct Scratch {
+    /// Per-core issue counts of the current cycle.
+    issued: Vec<IssueCounts>,
+    /// Per-core busy lanes of the current cycle.
+    busy: Vec<f64>,
+    /// Per-core allocated lanes of the current cycle (or skipped span).
+    alloc: Vec<usize>,
+    /// Per-core overhead counters before rename, for the profiler.
+    prof_base: Vec<(f64, f64, u64)>,
+    /// Scalar writebacks from the co-processor's complete stage.
+    wbs: Vec<ScalarWriteback>,
+    /// EM-SIMD responses from the rename stage.
+    resps: Vec<EmResponse>,
+    /// Per-core findings of the inertness probe.
+    inert: Vec<InertCore>,
+    /// Tags of the overhead instructions a scalar core executed this
+    /// cycle, charged only if its front end saturates.
+    deferred: Vec<InstTag>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Scratch")
+    }
 }
 
 impl KernelCtl {
@@ -534,7 +576,7 @@ impl Machine {
     /// kept.
     pub fn restore_snapshot(&mut self, snapshot: &MachineSnapshot) {
         let ctl = self.recovery.take();
-        let kernel = self.kernel.clone();
+        let kernel = std::mem::take(&mut self.kernel);
         *self = (*snapshot.0).clone();
         self.recovery = ctl;
         // Kernel choice and skip accounting are measurement state, not
@@ -945,7 +987,7 @@ impl Machine {
     ///
     /// How the jump stays exact: the inertness probe
     /// ([`probe_inert`](Machine::probe_inert)) proves that a tick at the
-    /// current cycle would change nothing, a [`EventQueue`] over every
+    /// current cycle would change nothing, the earliest of every
     /// scheduled future action (pipeline and memory completions, scalar
     /// load arrivals, watchdog/checkpoint/self-test timers) bounds how
     /// long that stays true, and [`apply_skip`](Machine::apply_skip)
@@ -962,9 +1004,9 @@ impl Machine {
         self.step()
     }
 
-    /// The skip decision: probes for inertness, gathers the event
-    /// horizon, and jumps `cycle` to `min(horizon, bound - 1)` when that
-    /// is in the future. Leaves the machine untouched otherwise.
+    /// The skip decision: probes for inertness, folds the event horizon,
+    /// and jumps `cycle` to `min(horizon, bound - 1)` when that is in the
+    /// future. Leaves the machine untouched otherwise.
     fn try_skip_idle(&mut self, bound: Cycle) {
         let now = self.cycle;
         // Capping at `bound - 1` keeps the loop's final cycle a real
@@ -979,67 +1021,81 @@ impl Machine {
         if self.recovery.is_some() && self.coproc.quarantine_counts().0 != 0 {
             return;
         }
-        let Some(inert) = self.probe_inert() else { return };
-        let mut q = EventQueue::new(now);
-        self.coproc.schedule_completions(&mut q);
-        for (c, s) in self.scalar.iter().enumerate() {
-            for &(done, _) in &s.pending_loads {
-                q.schedule(done, Track::Core(c), 0);
+        let mut inert = std::mem::take(&mut self.kernel.scratch.inert);
+        if self.probe_inert(&mut inert) {
+            let horizon = self.skip_horizon(bound);
+            if horizon > now {
+                self.apply_skip(horizon - now, &inert);
             }
         }
+        self.kernel.scratch.inert = inert;
+    }
+
+    /// The earliest cycle at which anything is scheduled to act, capped
+    /// at `bound - 1`: a running minimum over every component's next
+    /// wake-up. A deadline at or before the current cycle yields a
+    /// horizon that is not in the future, so nothing is skipped.
+    fn skip_horizon(&self, bound: Cycle) -> Cycle {
+        let now = self.cycle;
+        let scalar_loads = self
+            .scalar
+            .iter()
+            .flat_map(|s| s.pending_loads.iter().map(|&(done, _)| done))
+            .min();
         // Watchdog timer: inert cycles are by definition stagnant, so
         // the trip step (which must execute for real, recording the
         // event and the dump) comes `watchdog - stagnant` steps out; the
         // step *starting* at that cycle performs the trip.
-        if !self.done() {
-            let trip = now + self.watchdog.saturating_sub(self.stagnant).saturating_sub(1);
-            q.schedule(trip, Track::Recovery, 0);
-        }
-        if let Some(ctl) = self.recovery.as_ref() {
-            // Checkpoint timer: the next multiple of the interval
-            // (`recovery_maintenance` checkpoints when `cycle % interval
-            // == 0`), or right now if the initial checkpoint is owed.
-            let at = if ctl.checkpoint.is_none() {
-                now
-            } else {
-                let i = ctl.policy.checkpoint_interval.max(1);
-                now.div_ceil(i) * i
-            };
-            q.schedule(at, Track::Recovery, 1);
-            // Self-test timer — only when the sweep can observe anything
-            // (mirrors the guards in `recovery_maintenance`; without a
-            // fault plan the sweep is a no-op and needs no event).
-            if ctl.policy.selftest_interval > 0
-                && ctl.policy.quarantine
-                && self.coproc.has_lane_manager()
-                && self.faults.is_some()
-            {
-                let i = ctl.policy.selftest_interval;
-                q.schedule(now.max(1).div_ceil(i) * i, Track::Recovery, 2);
+        let watchdog = (!self.done())
+            .then(|| now + self.watchdog.saturating_sub(self.stagnant).saturating_sub(1));
+        let (checkpoint, selftest) = match self.recovery.as_ref() {
+            None => (None, None),
+            Some(ctl) => {
+                // Checkpoint timer: the next multiple of the interval
+                // (`recovery_maintenance` checkpoints when `cycle %
+                // interval == 0`), or right now if the initial checkpoint
+                // is owed.
+                let checkpoint = if ctl.checkpoint.is_none() {
+                    now
+                } else {
+                    let i = ctl.policy.checkpoint_interval.max(1);
+                    now.div_ceil(i) * i
+                };
+                // Self-test timer — only when the sweep can observe
+                // anything (mirrors the guards in `recovery_maintenance`;
+                // without a fault plan the sweep is a no-op).
+                let selftest = (ctl.policy.selftest_interval > 0
+                    && ctl.policy.quarantine
+                    && self.coproc.has_lane_manager()
+                    && self.faults.is_some())
+                .then(|| {
+                    let i = ctl.policy.selftest_interval;
+                    now.max(1).div_ceil(i) * i
+                });
+                (Some(checkpoint), selftest)
             }
-        }
-        let horizon = q.next_at().map_or(bound - 1, |at| at.min(bound - 1));
-        if horizon <= now {
-            return;
-        }
-        self.apply_skip(horizon - now, &inert);
+        };
+        [self.coproc.next_completion(), scalar_loads, watchdog, checkpoint, selftest]
+            .into_iter()
+            .flatten()
+            .fold(bound - 1, Cycle::min)
     }
 
     /// Proves — without mutating anything — that a `tick` at the current
     /// cycle would change no machine state, and captures each core's
-    /// per-cycle statistics side-effects for bulk replay. Returns `None`
-    /// as soon as any component would act; a conservative `None` merely
-    /// forgoes the skip.
-    fn probe_inert(&self) -> Option<Vec<InertCore>> {
+    /// per-cycle statistics side-effects into `cores` for bulk replay.
+    /// Returns `false` as soon as any component would act; a
+    /// conservative `false` merely forgoes the skip.
+    fn probe_inert(&self, cores: &mut Vec<InertCore>) -> bool {
         let now = self.cycle;
+        cores.clear();
         if self.coproc.inflight_due(now) {
-            return None;
+            return false;
         }
         let mem_capacity = self.mem.capacity() as u64;
-        let mut cores = Vec::with_capacity(self.cfg.cores);
         for c in 0..self.cfg.cores {
             if self.scalar[c].pending_loads.iter().any(|&(done, _)| done <= now) {
-                return None;
+                return false;
             }
             // `tick` records a finish marker the first cycle a halted
             // core's co-processor context drains.
@@ -1048,19 +1104,19 @@ impl Machine {
                 && self.coproc.is_drained(c)
                 && self.scalar[c].program.is_some()
             {
-                return None;
+                return false;
             }
             let reg_stall = match self.coproc.core_activity(c, now, mem_capacity) {
-                CoprocActivity::Active => return None,
+                CoprocActivity::Active => return false,
                 CoprocActivity::Inert { reg_stall } => reg_stall,
             };
             let overhead = match self.probe_scalar(c) {
-                ScalarActivity::Active => return None,
+                ScalarActivity::Active => return false,
                 ScalarActivity::Inert { overhead } => overhead,
             };
             cores.push(InertCore { overhead, reg_stall });
         }
-        Some(cores)
+        true
     }
 
     /// The scalar half of the inertness probe: decides whether
@@ -1139,10 +1195,11 @@ impl Machine {
     /// identically zero on an inert cycle).
     fn apply_skip(&mut self, span: Cycle, inert: &[InertCore]) {
         let start = self.cycle;
-        let mut alloc = vec![0usize; self.cfg.cores];
+        let mut alloc = std::mem::take(&mut self.kernel.scratch.alloc);
+        alloc.clear();
         for c in 0..self.cfg.cores {
             let lanes = self.coproc.cur_vl(c).lanes();
-            alloc[c] = lanes;
+            alloc.push(lanes);
             self.core_stats[c].alloc_lane_cycles += lanes as u64 * span;
             if inert[c].reg_stall {
                 self.core_stats[c].rename_stall_cycles += span;
@@ -1180,6 +1237,7 @@ impl Machine {
             self.profile = Some(prof);
         }
         self.timeline.record_idle_span(start, &alloc, span);
+        self.kernel.scratch.alloc = alloc;
         // Inert cycles are stagnant by definition; `check_watchdog`
         // would have reset to zero each cycle only if the machine were
         // done.
@@ -1327,7 +1385,7 @@ impl Machine {
         // not recur deterministically, while a permanent fault keeps
         // firing until classification quarantines its granule.
         let keep_faults = self.faults.take();
-        let keep_kernel = self.kernel.clone();
+        let keep_kernel = std::mem::take(&mut self.kernel);
         *self = (*image.0).clone();
         self.faults = keep_faults;
         // Skip accounting survives the rollback: it measures the driver,
@@ -1734,45 +1792,57 @@ impl Machine {
             return;
         }
         let now = self.cycle;
+        let cores = self.cfg.cores;
+        let mut s = std::mem::take(&mut self.kernel.scratch);
 
         // Stage 1: completions and scalar writebacks.
         for core in &mut self.scalar {
             core.complete_scalar_loads(now);
         }
-        for wb in self.coproc.complete(now) {
+        s.wbs.clear();
+        self.coproc.complete(now, &mut s.wbs);
+        for wb in &s.wbs {
             self.scalar[wb.core].write_f32(wb.reg, wb.value);
             self.scalar[wb.core].pending_x[wb.reg.index()] = false;
         }
 
         // Stage 2: issue; accumulate occupancy statistics.
-        let issued = self.coproc.issue(now, &mut self.mem, &mut self.memsys, &mut self.faults);
-        let mut busy = vec![0.0; self.cfg.cores];
-        let mut alloc = vec![0usize; self.cfg.cores];
-        for c in 0..self.cfg.cores {
+        s.issued.clear();
+        s.issued.resize(cores, IssueCounts::default());
+        self.coproc.issue(now, &mut self.mem, &mut self.memsys, &mut self.faults, &mut s.issued);
+        s.busy.clear();
+        s.alloc.clear();
+        for c in 0..cores {
             let lanes = self.coproc.cur_vl(c).lanes();
-            self.core_stats[c].vector_compute_issued += issued[c].compute;
-            self.core_stats[c].vector_mem_issued += issued[c].mem;
+            let issued = s.issued[c];
+            self.core_stats[c].vector_compute_issued += issued.compute;
+            self.core_stats[c].vector_mem_issued += issued.mem;
             // Average occupancy over the compute and ld/st data paths.
-            busy[c] = lanes as f64
-                * (issued[c].compute as f64 / self.cfg.compute_width as f64
-                    + issued[c].mem as f64 / self.cfg.mem_width as f64)
+            let busy = lanes as f64
+                * (issued.compute as f64 / self.cfg.compute_width as f64
+                    + issued.mem as f64 / self.cfg.mem_width as f64)
                 / 2.0;
-            self.core_stats[c].busy_lane_cycles += busy[c];
-            alloc[c] = lanes;
+            self.core_stats[c].busy_lane_cycles += busy;
+            s.busy.push(busy);
+            s.alloc.push(lanes);
             self.core_stats[c].alloc_lane_cycles += lanes as u64;
         }
 
         // Snapshot the overhead counters so the profiler can classify
         // this cycle by what actually moved during it.
-        let prof_base: Option<Vec<(f64, f64, u64)>> = self.profile.is_some().then(|| {
-            self.core_stats
-                .iter()
-                .map(|s| (s.monitor_cycles, s.reconfig_cycles, s.scalar_executed))
-                .collect()
-        });
+        if self.profile.is_some() {
+            s.prof_base.clear();
+            s.prof_base.extend(
+                self.core_stats
+                    .iter()
+                    .map(|st| (st.monitor_cycles, st.reconfig_cycles, st.scalar_executed)),
+            );
+        }
 
         // Stage 3: rename + EM-SIMD data path.
-        for resp in self.coproc.rename(now, &mut self.core_stats, &mut self.faults) {
+        s.resps.clear();
+        self.coproc.rename(now, &mut self.core_stats, &mut self.faults, &mut s.resps);
+        for resp in &s.resps {
             if let Some((reg, value)) = resp.write_x {
                 self.scalar[resp.core].x[reg.index()] = value;
             }
@@ -1780,13 +1850,13 @@ impl Machine {
         }
 
         // Stage 4: scalar cores execute and transmit.
-        for c in 0..self.cfg.cores {
-            self.step_scalar(c, now);
+        for c in 0..cores {
+            self.step_scalar(c, now, &mut s.deferred);
         }
 
         // A workload is finished once its core halted *and* its last
         // vector instructions drained from the co-processor.
-        for c in 0..self.cfg.cores {
+        for c in 0..cores {
             if self.scalar[c].halted
                 && self.core_stats[c].finish_cycle.is_none()
                 && self.coproc.is_drained(c)
@@ -1799,16 +1869,17 @@ impl Machine {
         // Classify the cycle per core. Every core gets exactly one
         // category per cycle, so the per-core attribution sums to the
         // total simulated cycles (checked by `render_profile`).
-        if let (Some(base), Some(mut prof)) = (prof_base, self.profile.take()) {
-            for c in 0..self.cfg.cores {
-                let (mon0, rec0, sc0) = base[c];
+        if let Some(mut prof) = self.profile.take() {
+            for c in 0..cores {
+                let (mon0, rec0, sc0) = s.prof_base[c];
+                let issued = s.issued[c];
                 let class = if self.core_stats[c].monitor_cycles > mon0 {
                     CycleClass::Monitor
                 } else if self.core_stats[c].reconfig_cycles > rec0 {
                     CycleClass::DrainReconfig
-                } else if issued[c].compute > 0 {
+                } else if issued.compute > 0 {
                     CycleClass::Compute
-                } else if issued[c].mem > 0
+                } else if issued.mem > 0
                     || self.coproc.lsu_outstanding(c) + self.scalar[c].pending_loads.len() > 0
                 {
                     CycleClass::MemoryBound
@@ -1824,7 +1895,8 @@ impl Machine {
             self.profile = Some(prof);
         }
 
-        self.timeline.record(now, &busy, &alloc);
+        self.timeline.record(now, &s.busy, &s.alloc);
+        self.kernel.scratch = s;
         self.cycle += 1;
     }
 
@@ -1839,7 +1911,8 @@ impl Machine {
     }
 
     /// Executes up to `scalar_width` instructions on core `c`.
-    fn step_scalar(&mut self, c: usize, now: Cycle) {
+    /// `deferred` is scratch for the cycle's overhead-instruction tags.
+    fn step_scalar(&mut self, c: usize, now: Cycle, deferred: &mut Vec<InstTag>) {
         if self.scalar[c].frozen {
             return;
         }
@@ -1856,43 +1929,63 @@ impl Machine {
         if self.scalar[c].halted {
             return;
         }
+        // Borrow the program for the cycle, as the functional engine
+        // does for a slice: fetching by reference keeps `Predicated`
+        // boxes off the per-cycle path.
+        let Some(program) = self.scalar[c].program.take() else {
+            debug_assert!(false, "running core has a program");
+            self.trip_off_the_end(c);
+            return;
+        };
+        self.step_scalar_in(c, now, &program, deferred);
+        self.scalar[c].program = Some(program);
+    }
+
+    /// Latches the decode fault of a core whose PC left its program.
+    fn trip_off_the_end(&mut self, c: usize) {
+        self.trip(SimError::Decode {
+            core: c,
+            pc: self.scalar[c].pc,
+            detail: "program counter ran off the end of the program (missing HALT?)".into(),
+        });
+    }
+
+    /// [`step_scalar`](Machine::step_scalar) over a program taken out of
+    /// the core for the duration of the cycle.
+    fn step_scalar_in(
+        &mut self,
+        c: usize,
+        now: Cycle,
+        program: &Program,
+        deferred: &mut Vec<InstTag>,
+    ) {
         let weight = 1.0 / self.cfg.scalar_width as f64;
         let mut budget = self.cfg.scalar_width;
         // Overhead instructions (partition monitor, prologue/epilogue)
         // are only charged when the front end is saturated this cycle —
         // on an 8-issue core they usually ride in slack slots, which is
         // why the paper measures monitoring at ~0.3%.
-        let mut deferred: Vec<(InstTag, f64)> = Vec::new();
+        deferred.clear();
         while budget > 0 && !self.scalar[c].halted {
             let pc = self.scalar[c].pc;
-            let fetched = self
-                .scalar[c]
-                .program
-                .as_ref()
-                .and_then(|p| (pc < p.len()).then(|| (p.fetch(pc).clone(), p.tag(pc))));
-            let Some((inst, tag)) = fetched else {
-                debug_assert!(self.scalar[c].program.is_some(), "running core has a program");
-                self.trip(SimError::Decode {
-                    core: c,
-                    pc,
-                    detail: "program counter ran off the end of the program (missing HALT?)"
-                        .into(),
-                });
+            if pc >= program.len() {
+                self.trip_off_the_end(c);
                 return;
-            };
-            match inst {
+            }
+            let tag = program.tag(pc);
+            match program.fetch(pc) {
                 Inst::Halt => {
                     self.scalar[c].halted = true;
                 }
                 Inst::Scalar(s) if s.is_mem() => {
-                    if self.scalar[c].blocked_on_pending(&s) {
+                    if self.scalar[c].blocked_on_pending(s) {
                         break;
                     }
                     // Bound scalar memory-level parallelism.
                     if self.scalar[c].pending_loads.len() >= 8 {
                         break;
                     }
-                    let (base, index, store) = match s {
+                    let (base, index, store) = match *s {
                         ScalarInst::Ldr { base, index, .. } => (base, index, false),
                         ScalarInst::Str { base, index, .. } => (base, index, true),
                         _ => unreachable!(),
@@ -1915,7 +2008,7 @@ impl Machine {
                     }
                     let done = self.memsys.scalar_access(now, c, addr, store)
                         + self.faults.as_mut().map_or(0, FaultState::spike_mem);
-                    match s {
+                    match *s {
                         ScalarInst::Ldr { dst, .. } => {
                             // Non-blocking: dependents interlock on the
                             // pending flag until the data arrives.
@@ -1936,12 +2029,12 @@ impl Machine {
                     budget -= 1;
                 }
                 Inst::Scalar(s) => {
-                    if self.scalar[c].blocked_on_pending(&s) {
+                    if self.scalar[c].blocked_on_pending(s) {
                         break;
                     }
-                    self.scalar[c].exec_pure(&s);
+                    self.scalar[c].exec_pure_in(s, program);
                     self.core_stats[c].scalar_executed += 1;
-                    deferred.push((tag, weight));
+                    deferred.push(tag);
                     budget -= 1;
                 }
                 Inst::Vector(v) => {
@@ -1971,17 +2064,17 @@ impl Machine {
                     if let Some(d) = v.scalar_dst() {
                         self.scalar[c].pending_x[d.index()] = true;
                     }
-                    self.coproc.push_vector(c, v, aux);
+                    self.coproc.push_vector(c, v.inner().clone(), v.governing_pred(), aux);
                     self.scalar[c].pc += 1;
-                    deferred.push((tag, weight));
+                    deferred.push(tag);
                     budget -= 1;
                 }
-                Inst::EmSimd(e) => {
+                &Inst::EmSimd(e) => {
                     // MRS <decision> is satisfied speculatively (§4.1.1).
                     if let EmSimdInst::Mrs { dst, reg: DedicatedReg::Decision } = e {
                         self.scalar[c].x[dst.index()] = self.coproc.read_decision(c);
                         self.scalar[c].pc += 1;
-                        deferred.push((tag, weight));
+                        deferred.push(tag);
                         budget -= 1;
                         continue;
                     }
@@ -2002,14 +2095,14 @@ impl Machine {
                     self.scalar[c].pc += 1;
                     self.scalar[c].wait = Wait::EmAck;
                     self.scalar[c].wait_tag = tag;
-                    deferred.push((tag, weight));
+                    deferred.push(tag);
                     break;
                 }
             }
         }
         if budget == 0 {
-            for (tag, w) in deferred {
-                self.attribute_overhead(c, tag, w);
+            for &tag in deferred.iter() {
+                self.attribute_overhead(c, tag, weight);
             }
         }
     }

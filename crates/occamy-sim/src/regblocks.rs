@@ -44,7 +44,7 @@ impl fmt::Display for BlockOwner {
 
 /// A physical register name. Identifies a value slot in [`PhysRegFile`];
 /// the per-block storage it occupies is tracked by [`RegBlocks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhysId(pub(crate) u32);
 
 /// Health of one RegBlk/ExeBU pair, as seen by the quarantine state
@@ -172,7 +172,8 @@ impl RegBlocks {
 
     /// Reassigns ownership so that `core` owns exactly `granules` blocks:
     /// its current blocks are freed, then the lowest-indexed free blocks
-    /// are claimed. Returns the indices now owned, in order.
+    /// are claimed. `claimed` receives the indices now owned, in order
+    /// (its previous contents are discarded).
     ///
     /// This mirrors the `MSR <VL>` table update of §4.2.2 and must only
     /// be called once the core's pipeline is drained (the caller's
@@ -184,13 +185,13 @@ impl RegBlocks {
     /// Panics if fewer than `granules` blocks are free after releasing
     /// the core's current blocks — callers check availability through the
     /// resource table first.
-    pub fn reassign(&mut self, core: usize, granules: usize) -> Vec<usize> {
+    pub fn reassign(&mut self, core: usize, granules: usize, claimed: &mut Vec<usize>) {
         for o in self.owner.iter_mut() {
             if *o == BlockOwner::Core(core) {
                 *o = BlockOwner::Free;
             }
         }
-        let mut claimed = Vec::with_capacity(granules);
+        claimed.clear();
         for (i, o) in self.owner.iter_mut().enumerate() {
             if claimed.len() == granules {
                 break;
@@ -204,21 +205,6 @@ impl RegBlocks {
             claimed.len() == granules,
             "lane manager over-committed: core {core} wanted {granules} blocks"
         );
-        claimed
-    }
-
-    /// The blocks a register written by `core` spans, given the core's
-    /// current spanning set (owned blocks, or all blocks under FTS).
-    pub fn spans_for(&self, core: usize) -> Vec<usize> {
-        let mut spans: Vec<usize> = (0..self.owner.len())
-            .filter(|&i| match self.owner[i] {
-                BlockOwner::Core(c) => c == core,
-                BlockOwner::Shared => true,
-                BlockOwner::Free => false,
-            })
-            .collect();
-        spans.sort_unstable();
-        spans
     }
 
     /// Whether [`try_reserve`](Self::try_reserve) would succeed — the
@@ -293,7 +279,9 @@ impl RegBlocks {
     }
 }
 
-/// One value slot of the physical register file.
+/// One value slot of the physical register file. A slot keeps its
+/// value and block buffers across recycling, so steady-state renames
+/// reuse storage instead of allocating it.
 #[derive(Debug, Clone, PartialEq)]
 struct Slot {
     /// Whether the value has been produced.
@@ -324,22 +312,42 @@ impl PhysRegFile {
     }
 
     /// Allocates a slot spanning `blocks` (whose free-list entries the
-    /// caller has already reserved). The value is not ready.
-    pub fn alloc(&mut self, blocks: Vec<usize>) -> PhysId {
+    /// caller has already reserved). The value is not ready. A new slot
+    /// reserves storage for `max_granules` granules, the widest register
+    /// the machine can configure, so recycling never has to grow it.
+    pub fn alloc(&mut self, blocks: &[usize], max_granules: usize) -> PhysId {
         if let Some(id) = self.recycled.pop() {
-            self.slots[id as usize] = Slot { ready: false, value: Vec::new(), blocks, live: true };
+            let s = &mut self.slots[id as usize];
+            s.ready = false;
+            s.live = true;
+            s.value.clear();
+            s.blocks.clear();
+            s.blocks.extend_from_slice(blocks);
             PhysId(id)
         } else {
-            self.slots.push(Slot { ready: false, value: Vec::new(), blocks, live: true });
+            let mut slot_blocks = Vec::with_capacity(max_granules.max(blocks.len()));
+            slot_blocks.extend_from_slice(blocks);
+            self.slots.push(Slot {
+                ready: false,
+                value: Vec::with_capacity(max_granules * LANES_PER_GRANULE),
+                blocks: slot_blocks,
+                live: true,
+            });
+            // Every slot may be free at once: size the recycle stack with
+            // the file, so `free` never grows it.
+            self.recycled.reserve(self.slots.len() - self.recycled.len());
             PhysId((self.slots.len() - 1) as u32)
         }
     }
 
-    /// Allocates a slot that is immediately ready with `value` (used for
-    /// the architectural zero-state after reset/reconfiguration).
-    pub fn alloc_ready(&mut self, blocks: Vec<usize>, value: Vec<f32>) -> PhysId {
-        let id = self.alloc(blocks);
-        self.write(id, value);
+    /// Allocates a slot that is immediately ready with an all-zero value
+    /// of `lanes` lanes (the architectural state after reset or
+    /// reconfiguration); `max_granules` as for [`alloc`](Self::alloc).
+    pub fn alloc_zeroed(&mut self, blocks: &[usize], lanes: usize, max_granules: usize) -> PhysId {
+        let id = self.alloc(blocks, max_granules);
+        let s = &mut self.slots[id.0 as usize];
+        s.value.resize(lanes, 0.0);
+        s.ready = true;
         id
     }
 
@@ -360,6 +368,17 @@ impl PhysRegFile {
         &s.value
     }
 
+    /// Lends the (empty) value buffer of a not-yet-written slot to its
+    /// producer: the issue stage computes the result into it while the
+    /// instruction is in flight, and [`write`](Self::write) hands it
+    /// back. Buffers thus circulate between slots and in-flight entries
+    /// without being allocated per instruction.
+    pub fn take_buffer(&mut self, id: PhysId) -> Vec<f32> {
+        let s = &mut self.slots[id.0 as usize];
+        debug_assert!(s.live && !s.ready, "buffer taken from a written physical register {id:?}");
+        std::mem::take(&mut s.value)
+    }
+
     /// Produces `id`'s value and marks it ready. Writing a freed or
     /// already-written slot trips a `debug_assert!` in debug builds; in
     /// release builds the last write wins.
@@ -371,25 +390,31 @@ impl PhysRegFile {
         s.ready = true;
     }
 
-    /// Frees a slot, returning the blocks whose entries the caller must
-    /// release back to [`RegBlocks`]. A double free returns no blocks
-    /// (and trips a `debug_assert!` in debug builds) so block entries
-    /// are never released twice.
-    pub fn free(&mut self, id: PhysId) -> Vec<usize> {
+    /// Replaces a ready slot's value in place by swapping buffers with
+    /// `value`, which receives the old value (the functional engine's
+    /// architectural overwrite: the slot, its blocks and its readiness
+    /// are unchanged).
+    pub fn swap_value(&mut self, id: PhysId, value: &mut Vec<f32>) {
+        let s = &mut self.slots[id.0 as usize];
+        debug_assert!(s.live && s.ready, "overwrite of not-ready physical register {id:?}");
+        std::mem::swap(&mut s.value, value);
+    }
+
+    /// Frees a slot, handing the blocks whose entries the caller must
+    /// release back to [`RegBlocks`] to `release`. A double free releases
+    /// no blocks (and trips a `debug_assert!` in debug builds) so block
+    /// entries are never released twice.
+    pub fn free(&mut self, id: PhysId, release: impl FnOnce(&[usize])) {
         let s = &mut self.slots[id.0 as usize];
         debug_assert!(s.live, "double free of physical register {id:?}");
         if !s.live {
-            return Vec::new();
+            return;
         }
         s.live = false;
         s.ready = false;
         self.recycled.push(id.0);
-        std::mem::take(&mut s.blocks)
-    }
-
-    /// A ready all-zero value of `granules` width.
-    pub fn zero_value(granules: usize) -> Vec<f32> {
-        vec![0.0; granules * LANES_PER_GRANULE]
+        release(&s.blocks);
+        s.blocks.clear();
     }
 }
 
@@ -397,18 +422,24 @@ impl PhysRegFile {
 mod tests {
     use super::*;
 
+    fn reassign(rb: &mut RegBlocks, core: usize, granules: usize) -> Vec<usize> {
+        let mut claimed = vec![99];
+        rb.reassign(core, granules, &mut claimed);
+        claimed
+    }
+
     #[test]
     fn reassign_claims_lowest_free_blocks() {
         let mut rb = RegBlocks::new(8, 160, 64);
-        let a = rb.reassign(0, 3);
+        let a = reassign(&mut rb, 0, 3);
         assert_eq!(a, vec![0, 1, 2]);
-        let b = rb.reassign(1, 2);
+        let b = reassign(&mut rb, 1, 2);
         assert_eq!(b, vec![3, 4]);
         // Core 0 shrinks to 1: frees 0..3, claims block 0.
-        let c = rb.reassign(0, 1);
+        let c = reassign(&mut rb, 0, 1);
         assert_eq!(c, vec![0]);
         assert_eq!(rb.owner(1), BlockOwner::Free);
-        assert_eq!(rb.spans_for(1), vec![3, 4]);
+        assert_eq!((rb.owner(3), rb.owner(4)), (BlockOwner::Core(1), BlockOwner::Core(1)));
     }
 
     #[test]
@@ -418,14 +449,14 @@ mod tests {
         assert_eq!(rb.health(2), LaneHealth::Retired);
         assert!(!rb.begin_quarantine(2), "idempotent");
         // Retired blocks are never handed out again.
-        let claimed = rb.reassign(0, 3);
+        let claimed = reassign(&mut rb, 0, 3);
         assert_eq!(claimed, vec![0, 1, 3]);
     }
 
     #[test]
     fn quarantine_of_an_owned_block_drains_then_retires() {
         let mut rb = RegBlocks::new(4, 160, 64);
-        assert_eq!(rb.reassign(0, 2), vec![0, 1]);
+        assert_eq!(reassign(&mut rb, 0, 2), vec![0, 1]);
         assert!(rb.begin_quarantine(1));
         assert_eq!(rb.health(1), LaneHealth::Draining);
         assert!(rb.is_quarantined(1));
@@ -434,19 +465,18 @@ mod tests {
         assert_eq!(rb.draining_blocks(), vec![1]);
         // Owner repartitions down to one granule: the draining block is
         // freed but not reclaimed, then finalization retires it.
-        assert_eq!(rb.reassign(0, 1), vec![0]);
+        assert_eq!(reassign(&mut rb, 0, 1), vec![0]);
         assert!(rb.try_finish_drain(1));
         assert_eq!(rb.retired_blocks(), vec![1]);
         // Growing again skips the retired block.
-        assert_eq!(rb.reassign(0, 3), vec![0, 2, 3]);
+        assert_eq!(reassign(&mut rb, 0, 3), vec![0, 2, 3]);
     }
 
     #[test]
     fn shared_blocks_span_everything() {
         let mut rb = RegBlocks::new(4, 160, 64);
         rb.set_all_shared();
-        assert_eq!(rb.spans_for(0), vec![0, 1, 2, 3]);
-        assert_eq!(rb.spans_for(1), vec![0, 1, 2, 3]);
+        assert!((0..4).all(|b| rb.owner(b) == BlockOwner::Shared));
     }
 
     #[test]
@@ -471,21 +501,22 @@ mod tests {
     #[test]
     fn phys_file_value_lifecycle() {
         let mut prf = PhysRegFile::new();
-        let id = prf.alloc(vec![0, 1]);
+        let id = prf.alloc(&[0, 1], 2);
         assert!(!prf.is_ready(id));
         prf.write(id, vec![1.0; 8]);
         assert!(prf.is_ready(id));
         assert_eq!(prf.read(id)[3], 1.0);
-        let blocks = prf.free(id);
-        assert_eq!(blocks, vec![0, 1]);
+        let mut released = Vec::new();
+        prf.free(id, |b| released.extend_from_slice(b));
+        assert_eq!(released, vec![0, 1]);
     }
 
     #[test]
     fn slots_are_recycled() {
         let mut prf = PhysRegFile::new();
-        let a = prf.alloc(vec![0]);
-        prf.free(a);
-        let b = prf.alloc(vec![1]);
+        let a = prf.alloc(&[0], 1);
+        prf.free(a, |_| {});
+        let b = prf.alloc(&[1], 1);
         assert_eq!(a.0, b.0, "slot recycled");
         assert!(!prf.is_ready(b));
     }
@@ -494,7 +525,7 @@ mod tests {
     #[should_panic(expected = "double write")]
     fn double_write_panics() {
         let mut prf = PhysRegFile::new();
-        let id = prf.alloc_ready(vec![0], vec![0.0; 4]);
+        let id = prf.alloc_zeroed(&[0], 4, 1);
         prf.write(id, vec![1.0; 4]);
     }
 
@@ -502,14 +533,26 @@ mod tests {
     #[should_panic(expected = "freed physical register")]
     fn use_after_free_panics() {
         let mut prf = PhysRegFile::new();
-        let id = prf.alloc(vec![0]);
-        prf.free(id);
+        let id = prf.alloc(&[0], 1);
+        prf.free(id, |_| {});
         let _ = prf.is_ready(id);
     }
 
     #[test]
-    fn zero_value_width() {
-        assert_eq!(PhysRegFile::zero_value(3).len(), 12);
+    fn recycled_slots_reuse_their_buffers() {
+        let mut prf = PhysRegFile::new();
+        let a = prf.alloc_zeroed(&[0, 1], 8, 3);
+        assert_eq!(prf.read(a).len(), 8);
+        prf.free(a, |_| {});
+        let b = prf.alloc(&[2], 3);
+        assert_eq!(a, b);
+        let buf = prf.take_buffer(b);
+        assert!(buf.is_empty() && buf.capacity() >= 12, "the slot keeps its full-width buffer");
+        prf.write(b, buf);
+        assert!(prf.is_ready(b));
+        let mut released = Vec::new();
+        prf.free(b, |blocks| released.extend_from_slice(blocks));
+        assert_eq!(released, vec![2]);
     }
 }
 

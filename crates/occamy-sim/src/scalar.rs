@@ -17,7 +17,7 @@
 //!   EM-SIMD data path responds — except `MRS <decision>`, which is
 //!   speculatively satisfied immediately (§4.1.1).
 
-use em_simd::{InstTag, Operand, Program, ScalarInst, XReg, NUM_XREGS};
+use em_simd::{InstTag, Operand, Program, RegList, ScalarInst, XReg, NUM_XREGS};
 use mem_sim::Cycle;
 
 /// What a scalar core is currently blocked on.
@@ -101,41 +101,36 @@ impl ScalarCore {
 
     /// The scalar registers an instruction reads (for pending-writeback
     /// interlocks).
-    pub fn scalar_reads(inst: &ScalarInst) -> Vec<XReg> {
-        fn op(o: &Operand) -> Option<XReg> {
-            match o {
-                Operand::Reg(r) => Some(*r),
-                Operand::Imm(_) => None,
+    pub fn scalar_reads(inst: &ScalarInst) -> RegList<XReg> {
+        // A register operand plus an optional register-or-immediate.
+        fn reg_op(a: XReg, b: &Operand) -> RegList<XReg> {
+            match b {
+                Operand::Reg(r) => [a, *r].into(),
+                Operand::Imm(_) => [a].into(),
             }
         }
         match inst {
-            ScalarInst::MovImm { .. } | ScalarInst::FmovImm { .. } | ScalarInst::Nop => vec![],
-            ScalarInst::Mov { src, .. } => vec![*src],
+            ScalarInst::MovImm { .. } | ScalarInst::FmovImm { .. } | ScalarInst::Nop => {
+                RegList::new()
+            }
+            ScalarInst::Mov { src, .. } => [*src].into(),
             ScalarInst::Add { a, b, .. }
             | ScalarInst::Sub { a, b, .. }
             | ScalarInst::Mul { a, b, .. }
             | ScalarInst::Div { a, b, .. }
-            | ScalarInst::Rem { a, b, .. } => {
-                let mut v = vec![*a];
-                v.extend(op(b));
-                v
-            }
-            ScalarInst::ShlImm { a, .. } => vec![*a],
+            | ScalarInst::Rem { a, b, .. } => reg_op(*a, b),
+            ScalarInst::ShlImm { a, .. } => [*a].into(),
             ScalarInst::Fadd { a, b, .. }
             | ScalarInst::Fsub { a, b, .. }
             | ScalarInst::Fmul { a, b, .. }
-            | ScalarInst::Fdiv { a, b, .. } => vec![*a, *b],
-            ScalarInst::Ldr { base, index, .. } => vec![*base, *index],
-            ScalarInst::Str { src, base, index } => vec![*src, *base, *index],
-            ScalarInst::B { .. } => vec![],
+            | ScalarInst::Fdiv { a, b, .. } => [*a, *b].into(),
+            ScalarInst::Ldr { base, index, .. } => [*base, *index].into(),
+            ScalarInst::Str { src, base, index } => [*src, *base, *index].into(),
+            ScalarInst::B { .. } => RegList::new(),
             ScalarInst::Beq { a, b, .. }
             | ScalarInst::Bne { a, b, .. }
             | ScalarInst::Blt { a, b, .. }
-            | ScalarInst::Bge { a, b, .. } => {
-                let mut v = vec![*a];
-                v.extend(op(b));
-                v
-            }
+            | ScalarInst::Bge { a, b, .. } => reg_op(*a, b),
         }
     }
 
@@ -180,20 +175,10 @@ impl ScalarCore {
     }
 
     /// Executes a non-memory scalar instruction, updating registers and
-    /// the program counter (branches resolve immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a memory instruction or without a program.
-    pub fn exec_pure(&mut self, inst: &ScalarInst) {
-        let program = self.program.take().expect("no program loaded");
-        self.exec_pure_in(inst, &program);
-        self.program = Some(program);
-    }
-
-    /// [`exec_pure`](Self::exec_pure) with the program supplied by the
-    /// caller — for the functional engine, which holds the program
-    /// outside the core while batch-executing a slice.
+    /// the program counter (branches resolve immediately against
+    /// `program`, which the caller holds outside the core while it
+    /// executes: for a cycle in the timing model, for a slice in the
+    /// functional engine).
     ///
     /// # Panics
     ///
@@ -292,6 +277,13 @@ mod tests {
         c
     }
 
+    /// Executes `inst` against the core's own program.
+    fn exec(c: &mut ScalarCore, inst: &ScalarInst) {
+        let program = c.program.take().expect("program loaded");
+        c.exec_pure_in(inst, &program);
+        c.program = Some(program);
+    }
+
     #[test]
     fn integer_alu_ops() {
         let mut c = core_with(|b| {
@@ -305,7 +297,7 @@ mod tests {
                 em_simd::Inst::Scalar(s) => *s,
                 _ => panic!(),
             };
-            c.exec_pure(&i);
+            exec(&mut c, &i);
         }
         assert_eq!(c.x[1], 15);
         assert_eq!(c.x[2], 150);
@@ -317,7 +309,7 @@ mod tests {
         let mut c = core_with(|_| {});
         c.write_f32(XReg::X5, 2.5);
         c.write_f32(XReg::X6, 4.0);
-        c.exec_pure(&ScalarInst::Fmul { dst: XReg::X7, a: XReg::X5, b: XReg::X6 });
+        exec(&mut c, &ScalarInst::Fmul { dst: XReg::X7, a: XReg::X5, b: XReg::X6 });
         assert_eq!(c.read_f32(XReg::X7), 10.0);
     }
 
@@ -325,9 +317,9 @@ mod tests {
     fn division_by_zero_is_zero() {
         let mut c = core_with(|_| {});
         c.x[0] = 42;
-        c.exec_pure(&ScalarInst::Div { dst: XReg::X1, a: XReg::X0, b: Operand::Imm(0) });
+        exec(&mut c, &ScalarInst::Div { dst: XReg::X1, a: XReg::X0, b: Operand::Imm(0) });
         assert_eq!(c.x[1], 0);
-        c.exec_pure(&ScalarInst::Rem { dst: XReg::X2, a: XReg::X0, b: Operand::Imm(0) });
+        exec(&mut c, &ScalarInst::Rem { dst: XReg::X2, a: XReg::X0, b: Operand::Imm(0) });
         assert_eq!(c.x[2], 42);
     }
 
@@ -342,8 +334,8 @@ mod tests {
         b.halt();
         let mut c = ScalarCore::idle();
         c.load(b.build());
-        c.exec_pure(&ScalarInst::MovImm { dst: XReg::X0, imm: 1 });
-        c.exec_pure(&ScalarInst::Beq { a: XReg::X0, b: Operand::Imm(1), target: skip });
+        exec(&mut c, &ScalarInst::MovImm { dst: XReg::X0, imm: 1 });
+        exec(&mut c, &ScalarInst::Beq { a: XReg::X0, b: Operand::Imm(1), target: skip });
         assert_eq!(c.pc, 3, "branch skipped the mov");
         assert_eq!(c.x[1], 0);
     }

@@ -1,7 +1,7 @@
 //! Differential suite for the event-driven timing kernel.
 //!
-//! The kernel's contract (see `src/sched.rs` and
-//! `Machine::step_bounded`) is that skipping provably inert cycles is
+//! The kernel's contract (see `Machine::step_bounded`) is that skipping
+//! provably inert cycles is
 //! *invisible*: every architectural and statistical observable — memory,
 //! registers, `MachineStats`, the structured event log, fault cycles,
 //! watchdog trips — is identical to the per-cycle reference path. This
@@ -16,18 +16,16 @@
 //!   detection-and-recovery subsystem (checkpoints, rollbacks,
 //!   quarantine), where the kernel must either skip exactly or refuse
 //!   to skip;
-//! * invariants of the scheduler itself: the queue never pops into the
-//!   past, and pop order is a pure function of the event *set* — any
-//!   insertion order yields the same sequence.
+//! * deterministic cases on a memory-latency-bound loop: the skip path
+//!   engages, jumps exactly to the next scheduled completion, and takes
+//!   no jump when a completion is already due.
 
 use em_simd::{
-    DedicatedReg, EmSimdInst, Operand, OperationalIntensity, PReg, Program, ProgramBuilder,
+    DedicatedReg, EmSimdInst, Operand, OperationalIntensity, Program, ProgramBuilder,
     ScalarInst, VBinOp, VReg, VectorInst, XReg,
 };
 use mem_sim::Memory;
-use occamy_sim::{
-    Architecture, EventQueue, FaultPlan, Machine, RecoveryPolicy, SimConfig, Track,
-};
+use occamy_sim::{Architecture, FaultPlan, Machine, RecoveryPolicy, SimConfig};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -427,85 +425,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler invariants.
-// ---------------------------------------------------------------------
-
-fn track_from(idx: u8) -> Track {
-    match idx % 6 {
-        0 => Track::Core(0),
-        1 => Track::Core(1),
-        2 => Track::Coproc,
-        3 => Track::LaneManager,
-        4 => Track::Memory,
-        _ => Track::Recovery,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
-
-    /// Pop order is a pure function of the scheduled event *set*: any
-    /// permutation of the insertions yields the identical pop sequence,
-    /// and the clock never moves backwards while draining.
-    #[test]
-    fn pop_order_is_insertion_order_independent(
-        events in prop::collection::vec((0u64..500, 0u8..6, 0u64..50), 0..64),
-        rot in 0usize..64,
-    ) {
-        let mut a = EventQueue::new(0);
-        for &(at, t, seq) in &events {
-            a.schedule(at, track_from(t), seq);
-        }
-        let mut b = EventQueue::new(0);
-        let pivot = rot.min(events.len());
-        for &(at, t, seq) in events[pivot..].iter().chain(&events[..pivot]) {
-            b.schedule(at, track_from(t), seq);
-        }
-        prop_assert_eq!(a.len(), events.len());
-        prop_assert_eq!(a.len(), b.len());
-
-        let mut last_at = 0u64;
-        for _ in 0..events.len() {
-            let (x, y) = (a.pop(), b.pop());
-            prop_assert_eq!(x, y, "pop sequence depends on insertion order");
-            let ev = x.expect("len() events must pop");
-            prop_assert!(ev.at >= last_at, "pop order must be cycle-monotone");
-            prop_assert!(a.now() >= ev.at, "pop must advance the clock to the event");
-            last_at = ev.at;
-        }
-        prop_assert!(a.is_empty() && b.is_empty());
-    }
-
-    /// The queue never schedules into the past: whatever mix of
-    /// `advance_to` and `schedule` calls, `next_at` (and every pop)
-    /// stays at or after the clock.
-    #[test]
-    fn queue_never_schedules_into_the_past(
-        ops in prop::collection::vec((0u64..1_000, 0u64..1_000, 0u8..6), 1..64),
-    ) {
-        let mut q = EventQueue::new(0);
-        for (i, &(advance, at, t)) in ops.iter().enumerate() {
-            // Advance like the kernel does: never beyond the earliest
-            // pending event (the skip horizon is `min(next_at, bound)`).
-            let target = q.now().max(advance);
-            q.advance_to(q.next_at().map_or(target, |h| h.min(target)));
-            // Release builds clamp past deadlines to `now` (debug builds
-            // assert first — so only schedule at/after the clock here;
-            // the clamp itself is covered by the sched unit tests).
-            q.schedule(at.max(q.now()), track_from(t), i as u64);
-            if let Some(head) = q.next_at() {
-                prop_assert!(head >= q.now(), "head {head} fell behind clock {}", q.now());
-            }
-        }
-        let mut last = q.now();
-        while let Some(ev) = q.pop() {
-            prop_assert!(ev.at >= last, "pop went into the past");
-            last = ev.at;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Deterministic idle-heavy cases: the skip path must actually engage.
 // ---------------------------------------------------------------------
 
@@ -620,4 +539,45 @@ fn reference_switch_stops_skipping() {
     m2.set_reference_kernel(true);
     m2.run(BUDGET).expect("reference run completes");
     assert_eq!(m2.cycles_skipped(), 0, "reference mode must never skip");
+}
+
+/// The skip horizon is the earliest scheduled completion, and a
+/// completion already due at the current cycle bounds it there: the
+/// event kernel then takes no jump and executes the cycle for real.
+#[test]
+fn completion_due_now_yields_no_jump() {
+    // Tick the idle-heavy loop one reference cycle at a time until a
+    // reduction result lands in x1: the tick at that cycle completes an
+    // in-flight instruction whose deadline is exactly that cycle (the
+    // tick before it left x1 alone).
+    let mut m = idle_heavy_machine();
+    m.set_reference_kernel(true);
+    let mut prev = m.clone();
+    loop {
+        assert!(!m.done() && m.cycle() < BUDGET, "a reduction must land before the loop ends");
+        let before = m.clone();
+        m.step().expect("reference step");
+        if m.xregs(0)[1] != before.xregs(0)[1] {
+            let due = before;
+            let landed = m;
+
+            let mut event = due.clone();
+            event.set_reference_kernel(false);
+            event.step_bounded(BUDGET).expect("event-kernel step");
+            assert_eq!(event.cycles_skipped(), 0, "a completion due now must not be jumped");
+            assert_eq!(event.cycle(), due.cycle() + 1, "exactly one real step");
+            assert!(event == landed, "the step at the due cycle diverged from the reference");
+
+            // One cycle earlier the reduction is still in flight: the
+            // kernel jumps exactly to its deadline and executes it.
+            let mut early = prev;
+            assert_eq!(early.cycle() + 1, due.cycle());
+            early.set_reference_kernel(false);
+            early.step_bounded(BUDGET).expect("event-kernel step");
+            assert_eq!(early.cycles_skipped(), 1, "the in-flight cycle is jumped");
+            assert!(early == landed, "the jump overshot or undershot the completion");
+            return;
+        }
+        prev = before;
+    }
 }

@@ -23,10 +23,6 @@ const LINTED: &[&str] = &[
     "crates/occamy-sim/src/recovery.rs",
     "crates/occamy-sim/src/regblocks.rs",
     "crates/occamy-sim/src/lsu.rs",
-    // The event-driven timing kernel sits on the hot path of every run;
-    // a mis-scheduled event must degrade to a conservative real tick,
-    // never a crash.
-    "crates/occamy-sim/src/sched.rs",
     // The observability layer is diagnostic-only and must never abort a
     // run it is merely watching.
     "crates/occamy-sim/src/events.rs",

@@ -13,14 +13,7 @@ use crate::cache::CacheConfig;
 use crate::protocol::{fnv1a, ChaosKind, JobSpec};
 use crate::service::ServiceConfig;
 use bench::runner::BackoffPolicy;
-
-/// SplitMix64, the mixer behind the whole deterministic plan.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use rand::splitmix64;
 
 /// The deterministic job plan: spec `i` is a pure function of
 /// `(seed, i)`, so every process, worker count and interleaving

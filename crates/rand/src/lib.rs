@@ -9,6 +9,25 @@
 //! this repository only needs a *deterministic, well-mixed* stream, not
 //! a specific one.
 
+/// SplitMix64's increment: the golden-ratio constant `2^64 / φ`.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 as a one-shot mixer: a well-mixed 64-bit word that is a
+/// pure function of `x`. Deterministic plans and jitter hash their
+/// inputs through it; [`rngs::StdRng`] seeds from its stream.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(rand::splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// ```
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next 64 random bits.
@@ -93,7 +112,7 @@ pub trait SeedableRng: Sized {
 pub mod rngs {
     //! Concrete generators.
 
-    use super::{RngCore, SeedableRng};
+    use super::{splitmix64, RngCore, SeedableRng, GOLDEN_GAMMA};
 
     /// Deterministic stand-in for `rand::rngs::StdRng`: `xoshiro256**`.
     #[derive(Debug, Clone)]
@@ -103,14 +122,13 @@ pub mod rngs {
 
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
-            // SplitMix64 expansion, the xoshiro authors' recommended seeding.
+            // SplitMix64 expansion, the xoshiro authors' recommended seeding:
+            // the i-th word mixes `seed + i * gamma`.
             let mut state = seed;
             let mut next = || {
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
+                let z = splitmix64(state);
+                state = state.wrapping_add(GOLDEN_GAMMA);
+                z
             };
             StdRng { s: [next(), next(), next(), next()] }
         }
@@ -179,6 +197,22 @@ mod tests {
             let j = rng.gen_range(-5i64..=5);
             assert!((-5..=5).contains(&j));
         }
+    }
+
+    #[test]
+    fn seeding_is_the_splitmix64_stream() {
+        // Words of the reference SplitMix64 stream from seed 0.
+        let rng = StdRng::seed_from_u64(0);
+        let mut want = [0u64; 4];
+        let mut state = 0u64;
+        for w in &mut want {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            *w = z ^ (z >> 31);
+        }
+        assert_eq!(rng.state(), want);
     }
 
     #[test]
