@@ -31,8 +31,7 @@ use runner::SweepPoint;
 /// under it).
 pub const MAX_CYCLES: u64 = 200_000_000;
 
-const USAGE: &str =
-    "--fast, --scale <f>, --workers <n>, --json <path>, --mode timing|functional|sampled[:spec]";
+const USAGE: &str = "--fast, --scale <f>, --workers <n>, --json <path>, --mode timing|functional";
 
 /// Why an experiment binary stops early. Each kind has its own exit
 /// status, the same as the `occamy` CLI's: 2 for a malformed command

@@ -108,7 +108,7 @@ pub struct SweepPoint {
     /// (most sweeps bake scaling into `specs` and pass 1.0).
     pub build_scale: f64,
     /// Two-speed simulation mode ([`SimMode::Timing`] for exact cycle
-    /// counts; functional/sampled modes mark cycles `estimated`).
+    /// counts; functional mode marks cycles `estimated`).
     pub mode: SimMode,
 }
 

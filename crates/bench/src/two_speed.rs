@@ -1,47 +1,34 @@
 //! The two-speed `speedup` campaign: the same Table-3 co-run sweep in
-//! full timing, functional fast-forward, and sampled mode, with a
-//! cycle-accuracy report for the estimating modes.
+//! full timing and functional fast-forward, with a cycle-accuracy
+//! report for the functional mode's estimated totals.
 //!
-//! Two kinds of output, kept strictly apart:
-//!
-//! - [`campaign_to_json`] — the deterministic document behind
-//!   `speedup --json`: per-point cycle totals (exact or estimated) and
-//!   the accuracy report. Byte-identical across `--workers` counts and
-//!   free of wall-clock readings (guarded by `tests/two_speed_purity.rs`).
-//! - [`bench_to_json`] — the `BENCH_two_speed.json` document: the
-//!   deterministic campaign PLUS the host wall-clock measurements and
-//!   the wall-clock speedup of each estimating mode over full timing.
-//!   Inherently machine-dependent; regenerated with `speedup --bench`.
+//! [`campaign_to_json`] renders the deterministic document behind
+//! `speedup --json`: per-point cycle totals (exact or estimated) and the
+//! accuracy report. It is byte-identical across `--workers` counts and
+//! free of wall-clock readings (guarded by `tests/two_speed_purity.rs`).
+//! Host speed is measured by the repository benchmark (`perfbench`),
+//! which repeats every run.
 
-use std::time::{Duration, Instant};
-
-use occamy_sim::{MachineStats, SampledSpec, SimConfig, SimMode};
+use occamy_sim::{MachineStats, SimConfig, SimMode};
 use workloads::table3;
 
 use crate::json::Value;
 use crate::{geomean, sweep_pairs_mode, ArchSweep};
 
-/// The three modes the campaign compares, in reporting order.
-pub fn campaign_modes() -> [(&'static str, SimMode); 3] {
-    [
-        ("timing", SimMode::Timing),
-        ("functional", SimMode::Functional),
-        ("sampled", SimMode::Sampled(SampledSpec::default())),
-    ]
+/// The two modes the campaign compares, in reporting order.
+pub fn campaign_modes() -> [(&'static str, SimMode); 2] {
+    [("timing", SimMode::Timing), ("functional", SimMode::Functional)]
 }
 
 /// One mode's complete sweep over the Table-3 co-run population.
 #[derive(Debug, Clone)]
 pub struct ModeRun {
-    /// Mode label (`"timing"`, `"functional"`, `"sampled"`).
+    /// Mode label (`"timing"`, `"functional"`).
     pub label: &'static str,
     /// The mode every point ran in.
     pub mode: SimMode,
     /// One sweep per Table-3 pair, four architectures each.
     pub sweeps: Vec<ArchSweep>,
-    /// Host wall-clock for the whole sweep (build + simulate). Never
-    /// part of the deterministic document.
-    pub wall: Duration,
 }
 
 /// The cycle total a point stands behind: exact simulated cycles in
@@ -66,10 +53,10 @@ pub fn run_campaign(scale: f64, workers: usize) -> Vec<ModeRun> {
     let pairs = table3::all_pairs(scale);
     campaign_modes()
         .into_iter()
-        .map(|(label, mode)| {
-            let started = Instant::now();
-            let sweeps = sweep_pairs_mode(&pairs, &cfg, 1.0, workers, mode);
-            ModeRun { label, mode, sweeps, wall: started.elapsed() }
+        .map(|(label, mode)| ModeRun {
+            label,
+            mode,
+            sweeps: sweep_pairs_mode(&pairs, &cfg, 1.0, workers, mode),
         })
         .collect()
 }
@@ -197,34 +184,6 @@ pub fn campaign_to_json(scale: f64, runs: &[ModeRun]) -> Value {
         }
     }
     doc.push("accuracy", acc);
-    doc
-}
-
-/// The `BENCH_two_speed.json` document: the deterministic campaign plus
-/// the host wall-clock measurements (seconds per mode and wall-clock
-/// speedup over full timing). Machine-dependent by design.
-pub fn bench_to_json(scale: f64, workers: usize, runs: &[ModeRun]) -> Value {
-    let mut doc = campaign_to_json(scale, runs);
-    doc.push("workers", Value::UInt(workers as u64));
-    let timing_wall = runs
-        .iter()
-        .find(|r| r.mode == SimMode::Timing)
-        .map_or(Duration::ZERO, |r| r.wall);
-    let walls = runs
-        .iter()
-        .map(|run| {
-            let mut row = Value::obj();
-            let secs = run.wall.as_secs_f64();
-            row.push("mode", Value::Str(run.label.to_owned()))
-                .push("wall_seconds", Value::Num(secs))
-                .push(
-                    "speedup_vs_timing",
-                    Value::Num(if secs > 0.0 { timing_wall.as_secs_f64() / secs } else { 1.0 }),
-                );
-            row
-        })
-        .collect();
-    doc.push("wall_clock", Value::Arr(walls));
     doc
 }
 

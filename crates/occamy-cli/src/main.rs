@@ -13,7 +13,7 @@
 //!   --arch <a>          occamy|private|fts|vls       (default occamy)
 //!   --granules <g>      fixed VL for private/vls     (default 4)
 //!   --param <name=v>    set a runtime parameter      (repeatable)
-//!   --mode <m>          timing|functional|sampled[:spec]  (default timing)
+//!   --mode <m>          timing|functional          (default timing)
 //!   --trace             print the instruction pipeview
 //!   --trace-buf <n>     trace/event ring capacity (default 4096)
 //!   --events <f>        write Chrome trace_event JSON for Perfetto
@@ -121,8 +121,8 @@ fn print_usage() {
          --arch <a>        occamy|private|fts|vls (default occamy)\n  \
          --granules <g>    fixed vector length in 128-bit granules (default 4)\n  \
          --param <k=v>     set a runtime parameter (repeatable)\n  \
-         --mode <m>        run: timing | functional | sampled[:warmup=N,sample=N,ff=N]\n                    \
-         functional/sampled fast-forward on host SIMD; cycle totals\n                    \
+         --mode <m>        run: timing | functional\n                    \
+         functional fast-forwards on host SIMD; cycle totals\n                    \
          are then ESTIMATED (default timing; incompatible with\n                    \
          --inject/--recover)\n  \
          --trace           print the instruction pipeview\n  \

@@ -297,6 +297,21 @@ fn events_flag_writes_chrome_trace_json() {
 }
 
 #[test]
+fn unknown_mode_is_a_usage_error() {
+    let path = write_kernel("mode_sampled", "c[i] = a[i] + b[i]\n");
+    let out = occamy()
+        .args(["run", path.to_str().unwrap(), "--mode", "sampled"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--mode") && err.contains("timing") && err.contains("functional"),
+        "{err}"
+    );
+}
+
+#[test]
 fn zero_trace_buf_is_a_usage_error() {
     let path = write_kernel("tracebuf0", "c[i] = a[i] + b[i]\n");
     let out = occamy()

@@ -32,7 +32,6 @@
 //! ([`SimError::Config`]), so the engine never sees them.
 
 use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, ScalarInst, VectorInst};
-use mem_sim::ServiceLevel;
 
 use crate::error::SimError;
 use crate::exec;
@@ -43,8 +42,8 @@ use crate::scalar::Wait;
 /// functional execution interleaves cores in bounded slices so the
 /// EM-SIMD interaction order (phase records, replans) is deterministic
 /// — a different deterministic order than the cycle-level interleaving,
-/// which is why the differential suite pins multi-core runs to sampled
-/// windows and full-state equality to single-core programs.
+/// which is why the differential suite pins full-state equality to
+/// single-core programs.
 const SLICE: u64 = 1024;
 
 /// Outcome of executing one instruction on one core.
@@ -59,12 +58,6 @@ enum Step {
 /// state. Create one per functional window.
 pub(crate) struct FunctionalEngine<'m> {
     m: &'m mut Machine,
-    /// Functional cache warming (SMARTS §3): memory accesses update
-    /// cache tag/LRU state so a timing sample after the window measures
-    /// a warm memory system. Only worth paying for in sampled mode —
-    /// a pure functional run never returns to timing, so its windows
-    /// skip the warming entirely.
-    warm: bool,
     /// The buffer each vector result is computed into. Writing the
     /// result swaps it with the destination register's buffer, so the
     /// old value's storage computes the next result.
@@ -72,23 +65,20 @@ pub(crate) struct FunctionalEngine<'m> {
 }
 
 impl<'m> FunctionalEngine<'m> {
-    pub(crate) fn new(m: &'m mut Machine, warm: bool) -> Self {
-        FunctionalEngine { m, warm, value: Vec::new() }
+    pub(crate) fn new(m: &'m mut Machine) -> Self {
+        FunctionalEngine { m, value: Vec::new() }
     }
 
-    /// Executes up to `fuel[c]` instructions on core `c` (for every
-    /// live core), round-robin in [`SLICE`]-instruction turns, until
-    /// every core halts or runs out of fuel. Per-core fuel lets the
-    /// sampled mode advance all cores by the same amount of *estimated
-    /// time* even when their CPIs differ. Returns per-core executed
-    /// counts.
+    /// Executes up to `fuel` instructions on every live core,
+    /// round-robin in [`SLICE`]-instruction turns, until every core
+    /// halts or runs out of fuel. Returns per-core executed counts.
     ///
     /// # Errors
     ///
     /// Surfaces the first architectural fault (decode, memory,
     /// invalid-VL) a program trips, latched on the machine exactly as
     /// the timing path would latch it.
-    pub(crate) fn run_window(&mut self, fuel: &[u64]) -> Result<Vec<u64>, SimError> {
+    pub(crate) fn run_window(&mut self, fuel: u64) -> Result<Vec<u64>, SimError> {
         let cores = self.m.scalar.len();
         let mut executed = vec![0u64; cores];
         let mut live: Vec<bool> = (0..cores)
@@ -103,8 +93,7 @@ impl<'m> FunctionalEngine<'m> {
                 if !live[c] {
                     continue;
                 }
-                let budget =
-                    SLICE.min(fuel.get(c).copied().unwrap_or(0).saturating_sub(executed[c]));
+                let budget = SLICE.min(fuel.saturating_sub(executed[c]));
                 if budget == 0 {
                     live[c] = false;
                     continue;
@@ -211,9 +200,6 @@ impl<'m> FunctionalEngine<'m> {
                 capacity: self.m.mem.capacity() as u64,
             }));
         }
-        if self.warm {
-            self.m.memsys.warm(addr, 4, ServiceLevel::L2);
-        }
         match s {
             ScalarInst::Ldr { dst, .. } => {
                 let v = self.m.mem.read_u32(addr);
@@ -309,7 +295,6 @@ impl<'m> FunctionalEngine<'m> {
     /// memory image: same span arithmetic, bounds check, zeroing-load
     /// and active-lane-store semantics as the timing LSU path.
     fn exec_vector_mem(&mut self, c: usize, v: &VectorInst, lanes: usize) -> Result<Step, SimError> {
-        let warm = self.warm;
         let m = &mut *self.m;
         let (base, index) = match v.inner() {
             VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => {
@@ -337,12 +322,6 @@ impl<'m> FunctionalEngine<'m> {
                 m.fault = Some(e.clone());
             }
             return Err(e);
-        }
-        // Keep vector-cache and L2 tag/LRU state in sync with the lines
-        // this access would touch, so post-fast-forward timing windows
-        // see warm caches.
-        if warm && span > 0 {
-            m.memsys.warm(addr, span, ServiceLevel::FirstLevel);
         }
         match v.inner() {
             VectorInst::Load { dst, .. } => {

@@ -49,7 +49,7 @@ pub use config::{Architecture, SimConfig};
 pub use error::{CoreDump, SimError, WatchdogDump};
 pub use events::{to_chrome_trace, Event, EventKind, EventLog, Track};
 pub use fault::{FaultPlan, FaultState, FaultStats};
-pub use machine::{ConfigError, Machine, MachineSnapshot, SampledSpec, SavedTask, SimMode};
+pub use machine::{ConfigError, Machine, MachineSnapshot, SavedTask, SimMode};
 pub use metrics::{Histogram, Metric, MetricValue, MetricsRegistry};
 pub use profile::{render_profile, CoreProfile, CycleBreakdown, CycleClass, ProfileState};
 pub use recovery::{RecoveryPolicy, RecoveryStats};

@@ -198,8 +198,7 @@ enum ScalarActivity {
 }
 
 /// The machine's execution mode (the gem5 Atomic-vs-O3 split): the
-/// cycle-accurate default, a pure functional fast-forward, or an
-/// alternating SMARTS-style sampled mode.
+/// cycle-accurate default or a pure functional fast-forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
     /// Cycle-accurate simulation (the default; byte-identical to
@@ -211,77 +210,20 @@ pub enum SimMode {
     /// timing. Cycle totals are extrapolated (IPC = 1) and marked
     /// `estimated` in [`MachineStats`].
     Functional,
-    /// Alternating cycle-accurate sample windows and functional
-    /// fast-forward windows; cycle totals are extrapolated from each
-    /// sample's measured CPI and marked `estimated`.
-    Sampled(SampledSpec),
-}
-
-/// Window sizes for [`SimMode::Sampled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampledSpec {
-    /// Cycle-accurate warm-up cycles before the first sample.
-    pub warmup: Cycle,
-    /// Cycle-accurate cycles per sample window.
-    pub sample: Cycle,
-    /// Approximate virtual cycles fast-forwarded between samples: each
-    /// core's instruction budget is `ff / cpi[core]` so all cores
-    /// advance the same estimated time.
-    pub ff: u64,
-}
-
-impl Default for SampledSpec {
-    fn default() -> Self {
-        SampledSpec { warmup: 500, sample: 500, ff: 20_000 }
-    }
 }
 
 impl SimMode {
-    /// Parses a mode specification: `timing`, `functional`, `sampled`,
-    /// or `sampled:warmup=N,sample=N,ff=N` (each key optional, defaults
-    /// from [`SampledSpec::default`]).
+    /// Parses a mode specification: `timing` or `functional`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the malformed specification.
+    /// Returns a description of the unknown specification.
     pub fn parse(spec: &str) -> Result<SimMode, String> {
         match spec {
-            "timing" => return Ok(SimMode::Timing),
-            "functional" => return Ok(SimMode::Functional),
-            "sampled" => return Ok(SimMode::Sampled(SampledSpec::default())),
-            _ => {}
+            "timing" => Ok(SimMode::Timing),
+            "functional" => Ok(SimMode::Functional),
+            _ => Err(format!("unknown mode '{spec}' (expected timing or functional)")),
         }
-        let Some(rest) = spec.strip_prefix("sampled:") else {
-            return Err(format!(
-                "unknown mode '{spec}' (expected timing, functional, or sampled:<spec>)"
-            ));
-        };
-        let mut s = SampledSpec::default();
-        for part in rest.split(',').filter(|p| !p.is_empty()) {
-            let Some((key, value)) = part.split_once('=') else {
-                return Err(format!("malformed sampled parameter '{part}' (expected key=value)"));
-            };
-            let n: u64 = value
-                .parse()
-                .map_err(|_| format!("sampled parameter '{key}' has non-numeric value '{value}'"))?;
-            match key {
-                "warmup" => s.warmup = n,
-                "sample" => s.sample = n,
-                "ff" => s.ff = n,
-                _ => {
-                    return Err(format!(
-                        "unknown sampled parameter '{key}' (expected warmup, sample, or ff)"
-                    ))
-                }
-            }
-        }
-        if s.sample == 0 {
-            return Err("sampled mode needs a non-zero sample window".into());
-        }
-        if s.ff == 0 {
-            return Err("sampled mode needs a non-zero fast-forward window".into());
-        }
-        Ok(SimMode::Sampled(s))
     }
 }
 
@@ -290,9 +232,6 @@ impl std::fmt::Display for SimMode {
         match self {
             SimMode::Timing => write!(f, "timing"),
             SimMode::Functional => write!(f, "functional"),
-            SimMode::Sampled(s) => {
-                write!(f, "sampled:warmup={},sample={},ff={}", s.warmup, s.sample, s.ff)
-            }
         }
     }
 }
@@ -413,8 +352,8 @@ impl Machine {
         self.mode
     }
 
-    /// Switches the execution mode. Switching into `Functional` or
-    /// `Sampled` requires a quiesced machine (see
+    /// Switches the execution mode. Switching into `Functional`
+    /// requires a quiesced machine (see
     /// [`quiesce`](Machine::quiesce)) and is refused while a fault plan
     /// or the recovery subsystem is active: injected faults perturb
     /// *timing* state the functional engine does not model, so they can
@@ -809,7 +748,6 @@ impl Machine {
         match self.mode {
             SimMode::Timing => self.run_timing(max_cycles),
             SimMode::Functional => self.run_functional(max_cycles),
-            SimMode::Sampled(spec) => self.run_sampled(max_cycles, spec),
         }
     }
 
@@ -839,100 +777,16 @@ impl Machine {
         Ok(stats)
     }
 
-    /// SMARTS-style sampling: a cycle-accurate warm-up, then alternating
-    /// cycle-accurate sample windows (which measure per-core CPI) and
-    /// functional fast-forward windows (whose cycle cost is extrapolated
-    /// from the latest sample's CPI).
-    fn run_sampled(&mut self, max_cycles: Cycle, spec: SampledSpec) -> Result<MachineStats, SimError> {
-        let deadline = max_cycles;
-        // CPI carried over from the previous sample window; starts at the
-        // IPC=1 assumption until the first sample completes.
-        let mut cpi = vec![1.0; self.cfg.cores];
-        while self.cycle < deadline && !self.done() {
-            // Detailed warm-up in timing mode before EVERY sample window
-            // (SMARTS-style): refills the pipeline and re-warms the
-            // memory system after a functional window so the sample
-            // doesn't measure the cold-start transient.
-            let warm_end = (self.cycle + spec.warmup).min(deadline);
-            while self.cycle < warm_end && !self.done() {
-                self.step_bounded(warm_end)?;
-            }
-            if self.done() || self.cycle >= deadline {
-                break;
-            }
-            // Sample window: measure per-core retirement rates.
-            let before: Vec<u64> = self.core_stats.iter().map(retired_insts).collect();
-            let start = self.cycle;
-            let sample_end = (self.cycle + spec.sample).min(deadline);
-            while self.cycle < sample_end && !self.done() {
-                self.step_bounded(sample_end)?;
-            }
-            let elapsed = self.cycle - start;
-            if elapsed > 0 {
-                for (c, b) in before.iter().enumerate() {
-                    let insts = retired_insts(&self.core_stats[c]).saturating_sub(*b);
-                    // An idle/halted core retires nothing; charge it the
-                    // window at the machine's pace rather than inventing
-                    // an infinite CPI.
-                    cpi[c] = if insts == 0 { 1.0 } else { elapsed as f64 / insts as f64 };
-                }
-            }
-            if self.done() || self.cycle >= deadline {
-                break;
-            }
-            // Fast-forward window, charged at the sampled CPI. Fuel is
-            // per-core so every core advances ~`ff` estimated cycles of
-            // virtual time: a core twice as fast (in insts/cycle) gets
-            // twice the instruction budget, keeping the cores' progress
-            // time-consistent across the window.
-            self.quiesce(deadline.saturating_sub(self.cycle).max(1))?;
-            #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let fuel: Vec<u64> = cpi
-                .iter()
-                .map(|&c| ((spec.ff as f64 / c).ceil() as u64).max(1))
-                .collect();
-            let executed = self.fast_forward_window(&fuel, true)?;
-            let est: f64 = executed
-                .iter()
-                .enumerate()
-                .map(|(c, &n)| n as f64 * cpi[c])
-                .fold(0.0, f64::max);
-            self.twospeed.est_cycles += est;
-            if executed.iter().all(|&n| n == 0) {
-                // No forward progress left for the functional engine
-                // (e.g. every remaining instruction is in a timing-only
-                // wait); let the timing windows finish the run.
-                continue;
-            }
-        }
-        self.recovery_maintenance();
-        let mut stats = self.stats();
-        stats.timed_out = !stats.completed;
-        Ok(stats)
-    }
-
-    /// Fast-forwards every core to completion (or fuel exhaustion),
-    /// extrapolating cycles at IPC = 1 on the slowest core.
+    /// Fast-forwards every core to completion (or until it has executed
+    /// `fuel` instructions) over architectural state, with observability
+    /// (trace, events) suppressed, extrapolating cycles at IPC = 1 on the
+    /// slowest core.
     ///
     /// # Errors
     ///
     /// Surfaces any architectural fault (decode, memory, invalid-VL) the
     /// programs trip, exactly as the timing path would.
-    fn fast_forward(&mut self, fuel_per_core: u64) -> Result<(), SimError> {
-        let fuel = vec![fuel_per_core; self.cfg.cores];
-        let executed = self.fast_forward_window(&fuel, false)?;
-        let est = executed.iter().copied().max().unwrap_or(0);
-        self.twospeed.est_cycles += est as f64;
-        Ok(())
-    }
-
-    /// One functional window: batch-executes up to `fuel[c]`
-    /// instructions on core `c` over architectural state, with
-    /// observability (trace, events) suppressed. `warm` enables
-    /// functional cache warming (sampled mode only — pure functional
-    /// runs never return to timing, so they skip it). Returns the
-    /// per-core executed-instruction counts.
-    fn fast_forward_window(&mut self, fuel: &[u64], warm: bool) -> Result<Vec<u64>, SimError> {
+    fn fast_forward(&mut self, fuel: u64) -> Result<(), SimError> {
         debug_assert!(self.is_quiesced(), "functional windows start quiesced");
         if self.twospeed.insts.is_empty() {
             self.twospeed.insts = vec![0; self.cfg.cores];
@@ -942,8 +796,7 @@ impl Machine {
         // interleave wrong-clock entries into the timing streams.
         let trace = std::mem::replace(&mut self.coproc.trace, crate::trace::Trace::disabled());
         let events = std::mem::replace(&mut self.coproc.events, EventLog::disabled());
-        let mut engine = crate::functional::FunctionalEngine::new(self, warm);
-        let result = engine.run_window(fuel);
+        let result = crate::functional::FunctionalEngine::new(self).run_window(fuel);
         self.coproc.trace = trace;
         self.coproc.events = events;
         let executed = result?;
@@ -951,7 +804,9 @@ impl Machine {
             self.twospeed.insts[c] += n;
         }
         self.twospeed.windows += 1;
-        Ok(executed)
+        let est = executed.iter().copied().max().unwrap_or(0);
+        self.twospeed.est_cycles += est as f64;
+        Ok(())
     }
 
     /// Advances the machine by one cycle, surfacing any fault tripped by
@@ -2108,12 +1963,6 @@ impl Machine {
     }
 }
 
-/// Instructions a core has retired (scalar + vector), the numerator of
-/// the sampled-mode CPI measurement.
-fn retired_insts(cs: &CoreStats) -> u64 {
-    cs.scalar_executed + cs.vector_compute_issued + cs.vector_mem_issued
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2181,30 +2030,9 @@ mod tests {
 // point is [`crate::snapshot_io`], whose refusal gate
 // ([`Machine::snapshot_io_refusal`]) runs first.
 
-impl statecodec::Codec for SampledSpec {
-    fn encode(&self, sink: &mut statecodec::Sink) {
-        statecodec::Codec::encode(&self.warmup, sink);
-        statecodec::Codec::encode(&self.sample, sink);
-        statecodec::Codec::encode(&self.ff, sink);
-    }
-    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
-        let warmup = <Cycle as statecodec::Codec>::decode(src)?;
-        let sample = <Cycle as statecodec::Codec>::decode(src)?;
-        let ff = <u64 as statecodec::Codec>::decode(src)?;
-        if sample == 0 || ff == 0 {
-            return Err(statecodec::DecodeError::at(
-                src,
-                "sampled-mode spec needs non-zero sample and fast-forward windows",
-            ));
-        }
-        Ok(SampledSpec { warmup, sample, ff })
-    }
-}
-
 statecodec::impl_codec_enum!(SimMode {
     0 => Timing,
     1 => Functional,
-    2 => Sampled(spec),
 });
 statecodec::impl_codec!(TwoSpeed { insts, est_cycles, windows });
 

@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use statecodec::{Codec, DecodeError, Sink, Src};
+use statecodec::{crc32, Codec, DecodeError, Sink, Src};
 
 use crate::machine::{decode_machine, encode_machine};
 use crate::MachineSnapshot;
@@ -93,21 +93,6 @@ impl From<DecodeError> for SnapshotIoError {
     fn from(e: DecodeError) -> Self {
         SnapshotIoError::Corrupt { offset: e.offset, detail: e.detail }
     }
-}
-
-/// CRC-32 (IEEE 802.3, the zlib polynomial), bit-reflected, one byte at
-/// a time. Slow-but-simple is fine: snapshots are megabytes at most and
-/// written at checkpoint cadence, not per cycle.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// Serializes a snapshot to the versioned, CRC-trailed byte format.
@@ -290,11 +275,5 @@ mod tests {
             Err(SnapshotIoError::Refused(why)) => assert!(why.contains("tracing"), "{why}"),
             other => panic!("expected refusal, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 }

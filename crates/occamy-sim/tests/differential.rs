@@ -367,27 +367,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(150)))]
-
-    /// Sampled mode (alternating timing and functional windows) lands on
-    /// the same architectural state as pure timing on completed runs.
-    #[test]
-    fn sampled_execution_matches_timing(seed in 0u64..1u64 << 48) {
-        let mut timing = build_machine(seed);
-        let timing_result = timing.run(BUDGET);
-
-        let mut sampled = build_machine(seed);
-        sampled
-            .set_mode(SimMode::parse("sampled:warmup=200,sample=200,ff=2000").expect("spec"))
-            .expect("fresh machine accepts the mode");
-        let sampled_result = sampled.run(BUDGET);
-
-        if let (Ok(t), Ok(s)) = (&timing_result, &sampled_result) {
-            if t.completed && s.completed {
-                assert_architecturally_equal(&timing, &sampled, seed);
-            }
-        }
-    }
-}

@@ -11,7 +11,8 @@ use em_simd::{
 };
 use mem_sim::Memory;
 use occamy_sim::{
-    Architecture, FaultPlan, Machine, RecoveryPolicy, SimConfig, SimError, SimMode,
+    snapshot_from_bytes, snapshot_to_bytes, Architecture, FaultPlan, Machine, RecoveryPolicy,
+    SimConfig, SimError, SimMode, SnapshotIoError,
 };
 
 /// `c[i] = a[i] * a[i] + k` at an elastic VL (acquire loop via
@@ -145,9 +146,46 @@ fn active_fault_plan_rejects_functional_mode() {
     let err = m.set_mode(SimMode::Functional).expect_err("must refuse");
     assert!(matches!(err, SimError::Config(_)), "want SimError::Config, got {err:?}");
     assert!(m == before, "a refused switch must leave the machine untouched");
-    // Sampled mode rides the same functional windows and is refused too.
-    let err = m.set_mode(SimMode::parse("sampled").expect("spec")).expect_err("must refuse");
-    assert!(matches!(err, SimError::Config(_)));
+}
+
+/// The mode parser knows exactly two modes; anything else (the retired
+/// `sampled` mode included) is a typed error that names both.
+#[test]
+fn only_timing_and_functional_modes_parse() {
+    assert_eq!(SimMode::parse("timing"), Ok(SimMode::Timing));
+    assert_eq!(SimMode::parse("functional"), Ok(SimMode::Functional));
+    for spec in ["sampled", "Timing", ""] {
+        let err = SimMode::parse(spec).expect_err("unknown mode must be refused");
+        assert!(err.contains("timing") && err.contains("functional"), "{spec:?}: {err}");
+    }
+}
+
+/// A checkpoint whose mode tag is not timing (0) or functional (1) —
+/// e.g. one naming the retired sampled mode (2) — decodes to a typed
+/// `Corrupt` error, never a panic.
+#[test]
+fn unknown_mode_tag_in_a_snapshot_is_corrupt() {
+    let (timing, ..) = build_machine();
+    let mut functional = timing.clone();
+    functional.set_mode(SimMode::Functional).expect("fresh machine is quiesced");
+    let a = snapshot_to_bytes(&timing.snapshot()).expect("encode");
+    let mut b = snapshot_to_bytes(&functional.snapshot()).expect("encode");
+    // Outside the CRC trailer the two encodings differ in exactly one
+    // byte: the mode tag.
+    let n = b.len();
+    let diff: Vec<usize> = (0..n - 4).filter(|&i| a[i] != b[i]).collect();
+    let [at] = diff[..] else { panic!("expected one differing byte, got {diff:?}") };
+    assert_eq!((a[at], b[at]), (0, 1), "mode tag at byte {at}");
+    b[at] = 2;
+    // Re-seal the CRC so the tag check (not the CRC) fires.
+    let crc = statecodec::crc32(&b[..n - 4]);
+    b[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    match snapshot_from_bytes(&b) {
+        Err(SnapshotIoError::Corrupt { detail, .. }) => {
+            assert!(detail.contains("invalid tag 2"), "{detail}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
 }
 
 /// Same for the recovery subsystem (checkpoints/rollbacks).

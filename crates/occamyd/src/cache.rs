@@ -20,8 +20,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bench::json::{self, Limits, Value};
+use statecodec::crc32;
 
-use crate::journal::crc32;
 use crate::protocol::fnv1a;
 
 /// Cache sizing and verification policy.

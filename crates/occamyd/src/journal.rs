@@ -17,7 +17,10 @@
 //! compact rendering of `body`. The CRC guard means a torn tail (the
 //! crash landed mid-`write`) or a bit-flipped line is *detected*, never
 //! silently replayed: replay stops at the first invalid line and
-//! reports how much it kept. Appends go through a group-commit
+//! reports how much it kept. A line whose CRC holds but whose body this
+//! build cannot decode (a record from a build with a different job
+//! schema) is intact, not torn: replay skips and counts it and goes on.
+//! Appends go through a group-commit
 //! discipline — records that gate a client-visible reply are fsync'd
 //! before the reply is sent, and informational records ride along with
 //! the next sync.
@@ -36,22 +39,9 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bench::json::{self, Limits, Value};
+use statecodec::crc32;
 
 use crate::protocol::JobSpec;
-
-/// CRC-32 (IEEE), bit-reflected — the same polynomial guarding
-/// simulator snapshots ([`occamy_sim::snapshot_io`]).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Journal tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,8 +139,8 @@ impl JournalRecord {
         outer.render_compact()
     }
 
-    /// Parses one journal line, validating the CRC guard.
-    fn parse_line(line: &str) -> Option<JournalRecord> {
+    /// Validates one journal line's CRC guard and returns its body.
+    fn parse_line(line: &str) -> Option<Value> {
         let limits = Limits { max_bytes: crate::protocol::MAX_LINE_BYTES, max_depth: 16 };
         let outer = json::parse_limited(line, &limits).ok()?;
         let stored = outer.get("crc").and_then(Value::as_str)?;
@@ -159,6 +149,11 @@ impl JournalRecord {
         if stored != computed {
             return None;
         }
+        Some(body.clone())
+    }
+
+    /// Decodes a CRC-checked record body.
+    fn from_body(body: &Value) -> Option<JournalRecord> {
         let rec = body.get("rec").and_then(Value::as_str)?;
         let string = |key: &str| body.get(key).and_then(Value::as_str).map(str::to_owned);
         match rec {
@@ -193,12 +188,17 @@ pub struct ReplayReport {
     /// Whether replay stopped early at an invalid line (torn tail or
     /// corruption); everything before it was kept.
     pub torn: bool,
+    /// CRC-valid records skipped because this build cannot decode them
+    /// (e.g. a job in an execution mode it no longer has). Their bytes
+    /// count as valid: they are kept, not truncated.
+    pub skipped: usize,
 }
 
 /// Replays journal bytes: valid records up to the first invalid line.
 ///
 /// A crash can tear the final record mid-write; the CRC guard catches
 /// the tear (at *any* byte offset) and replay keeps the clean prefix.
+/// Intact records this build cannot decode are skipped and counted.
 pub fn replay_bytes(bytes: &[u8]) -> (Vec<JournalRecord>, ReplayReport) {
     let mut records = Vec::new();
     let mut report = ReplayReport::default();
@@ -211,14 +211,18 @@ pub fn replay_bytes(bytes: &[u8]) -> (Vec<JournalRecord>, ReplayReport) {
             break;
         };
         let line = &rest[..nl];
-        let parsed = std::str::from_utf8(line).ok().and_then(JournalRecord::parse_line);
-        let Some(record) = parsed else {
+        let Some(body) = std::str::from_utf8(line).ok().and_then(JournalRecord::parse_line) else {
             report.torn = true;
             break;
         };
-        records.push(record);
+        match JournalRecord::from_body(&body) {
+            Some(record) => {
+                records.push(record);
+                report.records += 1;
+            }
+            None => report.skipped += 1,
+        }
         offset += nl + 1;
-        report.records += 1;
         report.valid_bytes = offset as u64;
     }
     (records, report)
@@ -446,8 +450,8 @@ mod tests {
     #[test]
     fn records_round_trip_through_lines() {
         for record in sample_records() {
-            let parsed = JournalRecord::parse_line(&record.to_line()).expect("parse");
-            assert_eq!(parsed, record);
+            let body = JournalRecord::parse_line(&record.to_line()).expect("crc");
+            assert_eq!(JournalRecord::from_body(&body), Some(record));
         }
     }
 
@@ -485,6 +489,50 @@ mod tests {
         let (replayed, report) = replay_bytes(&bytes);
         assert!(replayed.is_empty());
         assert!(report.torn);
+    }
+
+    /// Re-renders `record` as a CRC-valid line whose job `mode` is
+    /// `mode`: what a build with a different set of execution modes
+    /// would have written.
+    fn line_with_mode(record: &JournalRecord, mode: &str) -> String {
+        let body = record.body().render_compact();
+        let body = body.replace("\"mode\":\"timing\"", &format!("\"mode\":\"{mode}\""));
+        assert!(body.contains(mode), "{body}");
+        format!("{{\"crc\":\"{:08x}\",\"body\":{body}}}\n", crc32(body.as_bytes()))
+    }
+
+    #[test]
+    fn replay_skips_intact_records_it_cannot_decode_and_never_truncates_them() {
+        let records = sample_records();
+        let old = JournalRecord::Accepted { tenant: "t".into(), id: "old".into(), spec: spec(9) };
+        // An `accepted` record in the retired sampled mode, and one in a
+        // mode no build ever had: both CRC-valid, neither decodable.
+        let mut bytes = render(&records[..2]);
+        for mode in ["sampled", "warp"] {
+            bytes.extend_from_slice(line_with_mode(&old, mode).as_bytes());
+        }
+        bytes.extend_from_slice(&render(&records[2..]));
+
+        let (replayed, report) = replay_bytes(&bytes);
+        assert_eq!(replayed, records, "every decodable record replays, later ones included");
+        assert_eq!(report.records, records.len());
+        assert_eq!(report.skipped, 2);
+        assert!(!report.torn);
+        assert_eq!(report.valid_bytes as usize, bytes.len());
+
+        // A reopen keeps the skipped lines: the file does not shrink.
+        let dir = std::env::temp_dir().join(format!("occamyd_journal_skip_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("journal.log");
+        std::fs::write(&path, &bytes).expect("write");
+        let (journal, replayed, report) =
+            Journal::open(&path, JournalConfig::default()).expect("open");
+        assert_eq!(replayed, records);
+        assert_eq!((report.skipped, report.torn), (2, false));
+        assert_eq!(journal.len_bytes(), bytes.len() as u64);
+        drop(journal);
+        assert_eq!(std::fs::read(&path).expect("read"), bytes, "reopen must not truncate");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

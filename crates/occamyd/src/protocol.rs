@@ -162,7 +162,7 @@ pub struct JobSpec {
     pub arch: String,
     /// Trip-count multiplier in `(0, MAX_SCALE]`.
     pub scale: f64,
-    /// Two-speed execution mode.
+    /// Two-speed execution mode: `timing` or `functional`.
     pub mode: SimMode,
     /// Optional [`FaultPlan`] spec (validated at decode time). The plan
     /// seed is re-salted per retry attempt, modelling transient faults.
@@ -1073,6 +1073,15 @@ mod tests {
             let e = Request::parse_line(line).expect_err(line);
             assert_eq!(e.kind, ProtocolErrorKind::Schema, "{line} → {e}");
         }
+    }
+
+    #[test]
+    fn submit_in_an_unknown_mode_is_a_schema_error_naming_both_modes() {
+        let line = "{\"op\":\"submit\",\"tenant\":\"t\",\"id\":\"x\",\
+                    \"job\":{\"workloads\":[\"WL1\"],\"mode\":\"sampled\"}}";
+        let e = Request::parse_line(line).expect_err(line);
+        assert_eq!(e.kind, ProtocolErrorKind::Schema, "{line} → {e}");
+        assert!(e.detail.contains("timing") && e.detail.contains("functional"), "{e}");
     }
 
     #[test]

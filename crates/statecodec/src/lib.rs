@@ -18,9 +18,28 @@
 //!   privacy in Rust is module-scoped, so the impls must sit in the
 //!   defining modules).
 //!
+//! - [`crc32`]: the one integrity check every durable byte format in
+//!   the workspace seals its records with (snapshot files, the
+//!   `occamyd` journal and result cache).
+//!
 //! Floats round-trip by bit pattern (`to_bits`/`from_bits`), so NaN
 //! payloads and signed zeros survive — cycle-accounting fields like
 //! busy-lane fractions are `f64` and must not be perturbed.
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial), bit-reflected, one byte at
+/// a time. Slow-but-simple is fine: it guards snapshots written at
+/// checkpoint cadence and service records, never a per-cycle path.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+        }
+    }
+    !crc
+}
 
 /// Encoding destination: an append-only byte buffer.
 #[derive(Debug, Default)]
@@ -423,6 +442,12 @@ mod tests {
         let back = T::decode(&mut src).expect("decodes");
         src.finish().expect("fully consumed");
         assert_eq!(back, value);
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // IEEE CRC-32 of "123456789" is the classic check value.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

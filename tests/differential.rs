@@ -123,39 +123,3 @@ proptest! {
         assert_outcomes_match(&timing, &fast, &t, &f, &label)?;
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 60, ..ProptestConfig::default() })]
-
-    /// Sampled execution (alternating timing and functional windows) is
-    /// architecturally exact too — only its *cycle totals* are
-    /// estimates.
-    #[test]
-    fn compiled_kernels_match_timing_under_sampled_execution(
-        kernel_pick in 0usize..25,
-        n in 17usize..400,
-        seed in any::<u64>(),
-    ) {
-        let names = table3::kernel_names();
-        let name = names[kernel_pick % names.len()];
-        let (arch, mode) = arch_mode(3);
-        let label = format!("{name} n={n} sampled");
-        let (mut timing, mut fast) = build_pair(name, mode, &arch, n, seed);
-
-        let t = timing.run(50_000_000).expect("timing fault");
-        prop_assert!(t.completed, "{}: timing run timed out", label);
-        let spec = SimMode::parse("sampled:warmup=200,sample=200,ff=2000").expect("spec");
-        fast.set_mode(spec).expect("fresh machine is quiesced");
-        let f = fast.run(50_000_000).expect("sampled fault");
-        prop_assert!(f.completed, "{}: sampled run timed out", label);
-        // Short programs can finish inside the warmup+sample timing
-        // windows without ever fast-forwarding; `estimated` is only
-        // owed once a functional window actually executed something.
-        prop_assert!(
-            f.functional_insts == 0 || f.estimated,
-            "{}: a run with functional windows must be marked estimated",
-            label
-        );
-        assert_outcomes_match(&timing, &fast, &t, &f, &label)?;
-    }
-}

@@ -12,8 +12,6 @@
 //!    byte-identical across worker counts — parallel sweeps must not
 //!    perturb estimated totals any more than exact ones.
 
-use std::time::Duration;
-
 use bench::two_speed::{campaign_modes, campaign_to_json, ModeRun};
 use bench::{sweep_pairs, sweep_pairs_mode, sweeps_to_json};
 use occamy::bench_workloads::table3;
@@ -64,9 +62,8 @@ fn explicit_timing_mode_matches_default_route() {
     assert!(a == b, "--mode timing must be the identity on sweep output");
 }
 
-/// Invariant 2: the deterministic campaign document (all three modes,
-/// including the sampled one with its timing/functional interleaving)
-/// is byte-identical across worker counts.
+/// Invariant 2: the deterministic campaign document (timing and
+/// functional) is byte-identical across worker counts.
 #[test]
 fn campaign_json_is_byte_identical_across_worker_counts() {
     let cfg = SimConfig::paper_2core();
@@ -79,8 +76,6 @@ fn campaign_json_is_byte_identical_across_worker_counts() {
                 label,
                 mode,
                 sweeps: sweep_pairs_mode(subset, &cfg, 1.0, workers, mode),
-                // Wall-clock never enters the deterministic document.
-                wall: Duration::ZERO,
             })
             .collect();
         campaign_to_json(0.05, &runs).render()
