@@ -92,6 +92,31 @@ pub(crate) enum CoprocActivity {
     Active,
 }
 
+/// What memory issue's gate ([`CoProcessor::pick_mem`]) found: the
+/// first LSU entry that can act this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MemPick {
+    /// The entry at this LSU index issues.
+    Issue(usize),
+    /// The entry's access leaves the memory arena: a typed fault.
+    Fault { addr: u64, bytes: u64 },
+}
+
+/// What rename's gate ([`CoProcessor::rename_gate`]) decided for the
+/// vector instruction at the head of a core's pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RenameGate {
+    /// The ROB, or the issue queue or LSU the instruction needs, is full.
+    Full,
+    /// `<VL>` is zero: renaming trips [`SimError::InvalidVl`].
+    InvalidVl,
+    /// The destination's register blocks are exhausted (charging
+    /// `rename_stall_cycles`).
+    RegStall,
+    /// The instruction renames.
+    Go,
+}
+
 /// Per-core issue counts for one cycle (consumed by the machine's
 /// statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -441,11 +466,13 @@ impl CoProcessor {
 
     /// The event kernel's inertness probe for one core: decides — without
     /// mutating anything — whether a `tick` at cycle `now` would change
-    /// co-processor state for `core`. Each check mirrors the corresponding
-    /// stage exactly; when in doubt the probe answers
+    /// co-processor state for `core`. Built from the stages' own gates
+    /// ([`oldest_ready`](Self::oldest_ready),
+    /// [`pick_mem`](Self::pick_mem), [`rename_gate`](Self::rename_gate),
+    /// [`em_must_wait`](Self::em_must_wait)); only the event-log edges
+    /// are checked here. When in doubt the probe answers
     /// [`CoprocActivity::Active`], which merely forgoes a skip and can
-    /// never change results. The differential proptests in
-    /// `tests/event_kernel.rs` hold the mirror to the real stages.
+    /// never change results.
     pub(crate) fn core_activity(
         &self,
         core: usize,
@@ -453,102 +480,38 @@ impl CoProcessor {
         mem_capacity: u64,
     ) -> CoprocActivity {
         let ctx = &self.cores[core];
-
         // Stage 1 (complete): a retirement-ready ROB head or a due LSU
-        // completion would do work. (Due in-flight compute results are
-        // ruled out machine-wide by `inflight_due` before cores are
-        // probed.)
-        if ctx.rob.front().is_some_and(|h| h.done) {
+        // completion. (Due in-flight compute results are ruled out
+        // machine-wide by `inflight_due` before cores are probed.)
+        // Stage 2: an issuable compute or memory operation.
+        if ctx.rob.front().is_some_and(|h| h.done)
+            || ctx.lsu.issued_completions().any(|at| at <= now)
+            || self.oldest_ready(core).is_some()
+            || self.pick_mem(core, mem_capacity).is_some()
+        {
             return CoprocActivity::Active;
         }
-        if ctx.lsu.issued_completions().any(|at| at <= now) {
-            return CoprocActivity::Active;
-        }
-
-        // Stage 2a (compute issue): `try_issue_compute`'s readiness
-        // filter.
-        if ctx.iq.iter().any(|e| e.ready(&self.prf, &self.ppf)) {
-            return CoprocActivity::Active;
-        }
-
-        // Stage 2b (memory issue): mirrors `try_issue_mem`'s skip order,
-        // including the bounds check that trips *before* the blocked
-        // checks.
-        for (idx, e) in ctx.lsu.entries().iter().enumerate() {
-            if e.issued {
-                continue;
-            }
-            if e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
-                continue;
-            }
-            let span = e.pred.map_or(e.bytes, |p| exec::active_span(self.ppf.read(p)));
-            if span > 0 && e.addr.checked_add(span).is_none_or(|end| end > mem_capacity) {
-                // Would trip a MemoryFault.
-                return CoprocActivity::Active;
-            }
-            if e.store {
-                if ctx.lsu.store_blocked(idx) {
-                    continue;
-                }
-                match e.src {
-                    Some(src) if self.prf.is_ready(src) => return CoprocActivity::Active,
-                    _ => continue,
-                }
-            } else {
-                if ctx.lsu.load_blocked(idx) {
-                    continue;
-                }
-                return CoprocActivity::Active;
-            }
-        }
-
         // Stage 3 (rename / EM-SIMD path): only the pool head can act.
-        let mut reg_stall = false;
-        match ctx.pool.front() {
-            None => {}
-            Some(PoolEntry::Vector { inst, .. }) => {
-                let structural_full = ctx.rob.len() >= self.cfg.rob_entries
-                    || (inst.is_mem() && ctx.lsu.is_full())
-                    || (!inst.is_mem() && ctx.iq.len() >= self.cfg.iq_entries);
-                if !structural_full {
-                    if ctx.cur_vl.lanes() == 0 {
-                        // Would trip InvalidVl.
-                        return CoprocActivity::Active;
-                    }
-                    if inst.vector_dst().is_some() {
-                        if self.blocks.can_reserve(&ctx.spans) {
-                            return CoprocActivity::Active;
-                        }
-                        reg_stall = true;
-                    } else if inst.pred_dst().is_some() {
-                        if self.blocks.can_reserve_pred(&ctx.spans) {
-                            return CoprocActivity::Active;
-                        }
-                        reg_stall = true;
-                    } else {
-                        // Stores rename without reserving a destination.
-                        return CoprocActivity::Active;
-                    }
-                }
-            }
+        let reg_stall = match ctx.pool.front() {
+            None => false,
+            Some(PoolEntry::Vector { inst, .. }) => match self.rename_gate(core, inst) {
+                RenameGate::Full => false,
+                RenameGate::RegStall => true,
+                RenameGate::InvalidVl | RenameGate::Go => return CoprocActivity::Active,
+            },
+            // A zero `em_width` would also block the head, but then no
+            // cycle can drain it — treating it as active just forgoes
+            // the skip, conservatively. `exec_em` stamps `drain_start`
+            // on the first waiting cycle when events are on.
             Some(PoolEntry::Em { inst, .. }) => {
-                // Mirrors `exec_em`: only `MSR <VL>` over a non-drained
-                // pipeline waits; every other EM-SIMD instruction
-                // executes. (A zero `em_width` would also block the head,
-                // but then no cycle can drain it — treating it as active
-                // just forgoes the skip, conservatively.)
-                let waiting = matches!(inst, EmSimdInst::Msr { reg: DedicatedReg::Vl, .. })
-                    && !ctx.rob.is_empty();
-                if !waiting {
+                if !self.em_must_wait(core, inst)
+                    || (self.events.is_enabled() && ctx.drain_start.is_none())
+                {
                     return CoprocActivity::Active;
                 }
-                if self.events.is_enabled() && ctx.drain_start.is_none() {
-                    // exec_em would stamp drain_start this cycle.
-                    return CoprocActivity::Active;
-                }
+                false
             }
-        }
-
+        };
         // Event-log edges: `rename` records RenameStallBegin/End whenever
         // the stall flag flips, so a flip cycle is not inert.
         if self.events.is_enabled() && (ctx.stall_since.is_some() != reg_stall) {
@@ -716,6 +679,16 @@ impl CoProcessor {
         }
     }
 
+    /// Compute issue's gate: the issue-queue position of `core`'s oldest
+    /// ready instruction, if any.
+    fn oldest_ready(&self, core: usize) -> Option<usize> {
+        let iq = &self.cores[core].iq;
+        // Rename pushes in `seq` order and issue removes in place, so the
+        // first ready entry is the oldest ready one.
+        debug_assert!(iq.windows(2).all(|w| w[0].seq < w[1].seq), "issue queue out of age order");
+        iq.iter().position(|e| e.ready(&self.prf, &self.ppf))
+    }
+
     /// Issues the oldest ready compute instruction of `core`, if any.
     /// The result is computed into the destination register's own value
     /// buffer, which travels with the in-flight entry until writeback.
@@ -725,11 +698,7 @@ impl CoProcessor {
         now: Cycle,
         faults: &mut Option<FaultState>,
     ) -> bool {
-        let iq = &self.cores[core].iq;
-        // Rename pushes in `seq` order and issue removes in place, so the
-        // first ready entry is the oldest ready one.
-        debug_assert!(iq.windows(2).all(|w| w[0].seq < w[1].seq), "issue queue out of age order");
-        let Some(pos) = iq.iter().position(|e| e.ready(&self.prf, &self.ppf)) else {
+        let Some(pos) = self.oldest_ready(core) else {
             return false;
         };
         let e = self.cores[core].iq.remove(pos);
@@ -829,6 +798,34 @@ impl CoProcessor {
         true
     }
 
+    /// Memory issue's gate: the first LSU entry of `core` that can act
+    /// this cycle, in issue order. Unissued entries whose governing
+    /// predicate is not ready are skipped; an entry whose access leaves
+    /// the `capacity`-byte arena is a fault (checked before the ordering
+    /// rules); a store waits for its ordering and its data, a load for
+    /// its ordering.
+    fn pick_mem(&self, core: usize, capacity: u64) -> Option<MemPick> {
+        let lsu = &self.cores[core].lsu;
+        lsu.entries().iter().enumerate().find_map(|(idx, e)| {
+            if e.issued || e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
+                return None;
+            }
+            // Predicated accesses only touch active lanes (SVE fault
+            // suppression), so the checked span ends at the last active
+            // lane.
+            let span = e.pred.map_or(e.bytes, |p| exec::active_span(self.ppf.read(p)));
+            if span > 0 && e.addr.checked_add(span).is_none_or(|end| end > capacity) {
+                return Some(MemPick::Fault { addr: e.addr, bytes: span });
+            }
+            let ready = if e.store {
+                !lsu.store_blocked(idx) && e.src.is_some_and(|src| self.prf.is_ready(src))
+            } else {
+                !lsu.load_blocked(idx)
+            };
+            ready.then_some(MemPick::Issue(idx))
+        })
+    }
+
     /// Issues one eligible memory operation of `core`, if any. Load data
     /// is read into the destination register's own value buffer.
     fn try_issue_mem(
@@ -839,71 +836,43 @@ impl CoProcessor {
         memsys: &mut MemorySystem,
         faults: &mut Option<FaultState>,
     ) -> bool {
-        let n = self.cores[core].lsu.len();
-        for idx in 0..n {
-            let (store, issued, addr, bytes, lanes, dst, src, pred) = {
-                let e = &self.cores[core].lsu.entries()[idx];
-                (e.store, e.issued, e.addr, e.bytes, e.lanes, e.dst, e.src, e.pred)
-            };
-            if issued {
-                continue;
-            }
-            if pred.is_some_and(|p| !self.ppf.is_ready(p)) {
-                continue;
-            }
-            // Bounds check against the functional arena before touching
-            // it: an out-of-range vector access is a typed fault, not a
-            // crash. Predicated accesses only touch active lanes (SVE
-            // fault suppression), so the checked span ends at the last
-            // active lane.
-            let span = pred.map_or(bytes, |p| exec::active_span(self.ppf.read(p)));
-            if span > 0
-                && addr.checked_add(span).is_none_or(|end| end > mem.capacity() as u64)
-            {
-                self.trip(SimError::MemoryFault {
-                    core,
-                    addr,
-                    bytes: span,
-                    capacity: mem.capacity() as u64,
-                });
+        let capacity = mem.capacity() as u64;
+        let idx = match self.pick_mem(core, capacity) {
+            None => return false,
+            // An out-of-range vector access is a typed fault, not a crash.
+            Some(MemPick::Fault { addr, bytes }) => {
+                self.trip(SimError::MemoryFault { core, addr, bytes, capacity });
                 return false;
             }
-            let data = if store {
-                if self.cores[core].lsu.store_blocked(idx) {
-                    continue;
-                }
-                let Some(src) = src else {
-                    debug_assert!(false, "store has a data source");
-                    continue;
-                };
-                if !self.prf.is_ready(src) {
-                    continue;
-                }
-                let mask = pred.map(|p| self.ppf.read(p));
-                exec::store(mem, addr, self.prf.read(src), mask);
-                None
-            } else {
-                if self.cores[core].lsu.load_blocked(idx) {
-                    continue;
-                }
-                let mut data = dst.map_or_else(Vec::new, |d| self.prf.take_buffer(d));
-                exec::load(mem, addr, lanes, pred.map(|p| self.ppf.read(p)), &mut data);
-                Some(data)
-            };
-            let (served, level) = memsys.vector_access_traced(now, core, addr, bytes, store);
-            let done = served + faults.as_mut().map_or(0, FaultState::spike_mem);
-            if level != mem_sim::ServiceLevel::FirstLevel {
-                self.event(now, Track::Memory, EventKind::CacheMiss { core, level });
+            Some(MemPick::Issue(idx)) => idx,
+        };
+        let (store, addr, bytes, lanes, dst, src, pred) = {
+            let e = &self.cores[core].lsu.entries()[idx];
+            (e.store, e.addr, e.bytes, e.lanes, e.dst, e.src, e.pred)
+        };
+        let data = if store {
+            // `pick_mem` only picks a store whose data source is ready.
+            if let Some(src) = src {
+                exec::store(mem, addr, self.prf.read(src), pred.map(|p| self.ppf.read(p)));
             }
-            let e = &mut self.cores[core].lsu.entries_mut()[idx];
-            e.issued = true;
-            e.complete_at = Some(done);
-            e.data = data;
-            let seq = e.seq;
-            self.trace_event(now, core, seq, TraceStage::Issue, String::new());
-            return true;
+            None
+        } else {
+            let mut data = dst.map_or_else(Vec::new, |d| self.prf.take_buffer(d));
+            exec::load(mem, addr, lanes, pred.map(|p| self.ppf.read(p)), &mut data);
+            Some(data)
+        };
+        let (served, level) = memsys.vector_access_traced(now, core, addr, bytes, store);
+        let done = served + faults.as_mut().map_or(0, FaultState::spike_mem);
+        if level != mem_sim::ServiceLevel::FirstLevel {
+            self.event(now, Track::Memory, EventKind::CacheMiss { core, level });
         }
-        false
+        let e = &mut self.cores[core].lsu.entries_mut()[idx];
+        e.issued = true;
+        e.complete_at = Some(done);
+        e.data = data;
+        let seq = e.seq;
+        self.trace_event(now, core, seq, TraceStage::Issue, String::new());
+        true
     }
 
     /// Stage 3: rename + the EM-SIMD data path. Updates rename-stall and
@@ -970,6 +939,37 @@ impl CoProcessor {
         }
     }
 
+    /// Rename's gate for the vector instruction `inst` at the head of
+    /// `core`'s pool: structural space first, then a valid `<VL>`, then a
+    /// free register entry in every block the destination spans.
+    fn rename_gate(&self, core: usize, inst: &VectorInst) -> RenameGate {
+        let ctx = &self.cores[core];
+        let full = if inst.is_mem() {
+            ctx.lsu.is_full()
+        } else {
+            ctx.iq.len() >= self.cfg.iq_entries
+        };
+        if full || ctx.rob.len() >= self.cfg.rob_entries {
+            return RenameGate::Full;
+        }
+        if ctx.cur_vl.lanes() == 0 {
+            return RenameGate::InvalidVl;
+        }
+        let regs_free = if inst.vector_dst().is_some() {
+            self.blocks.can_reserve(&ctx.spans)
+        } else if inst.pred_dst().is_some() {
+            self.blocks.can_reserve_pred(&ctx.spans)
+        } else {
+            // Stores rename without reserving a destination.
+            true
+        };
+        if regs_free {
+            RenameGate::Go
+        } else {
+            RenameGate::RegStall
+        }
+    }
+
     /// Renames one vector instruction (`inst` governed by `pred`).
     /// Returns `false` when a structural or register-file stall blocks
     /// the pool head.
@@ -982,26 +982,23 @@ impl CoProcessor {
         now: Cycle,
         stalled_on_regs: &mut bool,
     ) -> bool {
-        let (rob_full, lsu_full, iq_full, lanes) = {
-            let ctx = &self.cores[core];
-            (
-                ctx.rob.len() >= self.cfg.rob_entries,
-                ctx.lsu.is_full(),
-                ctx.iq.len() >= self.cfg.iq_entries,
-                ctx.cur_vl.lanes(),
-            )
-        };
-        if rob_full || (inst.is_mem() && lsu_full) || (!inst.is_mem() && iq_full) {
-            return false;
+        match self.rename_gate(core, &inst) {
+            RenameGate::Full => return false,
+            RenameGate::InvalidVl => {
+                self.trip(SimError::InvalidVl {
+                    core,
+                    granules: 0,
+                    detail: "vector instruction executed with <VL> = 0".into(),
+                });
+                return false;
+            }
+            RenameGate::RegStall => {
+                *stalled_on_regs = true;
+                return false;
+            }
+            RenameGate::Go => {}
         }
-        if lanes == 0 {
-            self.trip(SimError::InvalidVl {
-                core,
-                granules: 0,
-                detail: "vector instruction executed with <VL> = 0".into(),
-            });
-            return false;
-        }
+        let lanes = self.cores[core].cur_vl.lanes();
 
         // Read source mappings before redefining the destination (FMLA
         // reads its accumulator; merging predication reads the old
@@ -1024,20 +1021,16 @@ impl CoProcessor {
         let mut dst_class = RegClass::Vector;
         if let Some(d) = inst.vector_dst() {
             let ctx = &mut self.cores[core];
-            if !self.blocks.try_reserve(&ctx.spans) {
-                *stalled_on_regs = true;
-                return false;
-            }
+            let reserved = self.blocks.try_reserve(&ctx.spans);
+            debug_assert!(reserved, "the rename gate checked the free entries");
             let id = self.prf.alloc(&ctx.spans, self.cfg.total_granules);
             prev_phys = Some((ctx.rename_map[d.index()], RegClass::Vector));
             ctx.rename_map[d.index()] = id;
             dst_phys = Some(id);
         } else if let Some(p) = inst.pred_dst() {
             let ctx = &mut self.cores[core];
-            if !self.blocks.try_reserve_pred(&ctx.spans) {
-                *stalled_on_regs = true;
-                return false;
-            }
+            let reserved = self.blocks.try_reserve_pred(&ctx.spans);
+            debug_assert!(reserved, "the rename gate checked the free entries");
             let id = self.ppf.alloc(&ctx.spans, self.cfg.total_granules);
             prev_phys = Some((ctx.pred_rename[p.index()], RegClass::Pred));
             ctx.pred_rename[p.index()] = id;
@@ -1101,6 +1094,14 @@ impl CoProcessor {
         true
     }
 
+    /// The EM-SIMD data path's gate: whether `inst` must wait this cycle.
+    /// Only `MSR <VL>` waits, for `core`'s SIMD pipeline to drain — the
+    /// vector length only changes once the pipeline is empty (§4.2.2).
+    fn em_must_wait(&self, core: usize, inst: &EmSimdInst) -> bool {
+        matches!(inst, EmSimdInst::Msr { reg: DedicatedReg::Vl, .. })
+            && !self.cores[core].rob.is_empty()
+    }
+
     /// Executes one EM-SIMD instruction on the in-order EM-SIMD data
     /// path. Returns `None` when the instruction must wait (pipeline not
     /// drained for `MSR <VL>`). Also the EM-SIMD semantic core of the
@@ -1115,21 +1116,17 @@ impl CoProcessor {
         stats: &mut [CoreStats],
         faults: &mut Option<FaultState>,
     ) -> Option<EmResponse> {
+        if self.em_must_wait(core, &inst) {
+            if self.events.is_enabled() && self.cores[core].drain_start.is_none() {
+                self.cores[core].drain_start = Some(now);
+            }
+            return None;
+        }
         match inst {
             EmSimdInst::Msr { reg, .. } => {
                 match reg {
                     DedicatedReg::Oi => self.write_oi(core, operand, now, stats, faults),
                     DedicatedReg::Vl => {
-                        // §4.2.2: the vector length only changes once the
-                        // core's SIMD pipeline is drained.
-                        if !self.cores[core].rob.is_empty() {
-                            if self.events.is_enabled()
-                                && self.cores[core].drain_start.is_none()
-                            {
-                                self.cores[core].drain_start = Some(now);
-                            }
-                            return None;
-                        }
                         debug_assert!(self.cores[core].lsu.is_empty());
                         let from_granules = self.cores[core].cur_vl.granules();
                         let granules = (operand as usize).min(64);

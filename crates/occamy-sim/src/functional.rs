@@ -31,12 +31,12 @@
 //! refuses to enter a functional mode while either is active
 //! ([`SimError::Config`]), so the engine never sees them.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, ScalarInst, VectorInst};
+use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, VectorInst};
 
 use crate::error::SimError;
 use crate::exec;
 use crate::machine::Machine;
-use crate::scalar::Wait;
+use crate::scalar::{ScalarAccess, Wait};
 
 /// Instructions a core executes per round-robin turn. Multi-core
 /// functional execution interleaves cores in bounded slices so the
@@ -169,12 +169,14 @@ impl<'m> FunctionalEngine<'m> {
                 }
                 Ok(Step::Halted)
             }
-            Inst::Scalar(s) if s.is_mem() => self.exec_scalar_mem(c, s),
-            Inst::Scalar(s) => {
-                self.m.scalar[c].exec_pure_in(s, program);
-                self.m.core_stats[c].scalar_executed += 1;
-                Ok(Step::Retired)
-            }
+            Inst::Scalar(s) => match self.m.scalar[c].mem_access(s) {
+                Some(access) => self.exec_scalar_mem(c, access),
+                None => {
+                    self.m.scalar[c].exec_pure_in(s, program);
+                    self.m.core_stats[c].scalar_executed += 1;
+                    Ok(Step::Retired)
+                }
+            },
             Inst::Vector(v) => self.exec_vector(c, v),
             Inst::EmSimd(e) => self.exec_em(c, *e),
         }
@@ -183,33 +185,16 @@ impl<'m> FunctionalEngine<'m> {
     /// A scalar load or store, immediately against the functional
     /// memory image (same address arithmetic and bounds check as the
     /// timing path; no MLP or latency modelling).
-    fn exec_scalar_mem(&mut self, c: usize, s: &ScalarInst) -> Result<Step, SimError> {
-        let (base, index) = match s {
-            ScalarInst::Ldr { base, index, .. } | ScalarInst::Str { base, index, .. } => {
-                (*base, *index)
-            }
-            _ => return Ok(Step::Retired),
-        };
-        let addr = self.m.scalar[c].x[base.index()]
-            .wrapping_add(self.m.scalar[c].x[index.index()].wrapping_mul(4));
-        if addr.checked_add(4).is_none_or(|end| end > self.m.mem.capacity() as u64) {
-            return Err(self.trip(SimError::MemoryFault {
-                core: c,
-                addr,
-                bytes: 4,
-                capacity: self.m.mem.capacity() as u64,
-            }));
+    fn exec_scalar_mem(&mut self, c: usize, access: ScalarAccess) -> Result<Step, SimError> {
+        if let Some(e) = access.bounds_fault(c, self.m.mem.capacity() as u64) {
+            return Err(self.trip(e));
         }
-        match s {
-            ScalarInst::Ldr { dst, .. } => {
-                let v = self.m.mem.read_u32(addr);
-                self.m.scalar[c].x[dst.index()] = u64::from(v);
-            }
-            ScalarInst::Str { src, .. } => {
-                let v = self.m.scalar[c].x[src.index()] as u32;
-                self.m.mem.write_u32(addr, v);
-            }
-            _ => {}
+        if access.store {
+            let v = self.m.scalar[c].x[access.reg.index()] as u32;
+            self.m.mem.write_u32(access.addr, v);
+        } else {
+            let v = self.m.mem.read_u32(access.addr);
+            self.m.scalar[c].x[access.reg.index()] = u64::from(v);
         }
         self.m.scalar[c].pc += 1;
         self.m.core_stats[c].scalar_executed += 1;

@@ -1,6 +1,6 @@
 //! The top-level machine: scalar cores + co-processor + memory.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program, ScalarInst, VectorInst};
+use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program, VectorInst};
 use mem_sim::{Cycle, MemStats, Memory, MemorySystem};
 
 use crate::config::{Architecture, SimConfig};
@@ -186,15 +186,6 @@ struct InertCore {
     /// Whether the core's pool head stalls on register-block exhaustion
     /// (charging `rename_stall_cycles` every cycle).
     reg_stall: bool,
-}
-
-/// Outcome of the machine-level scalar-core inertness probe.
-#[derive(Debug, Clone, Copy)]
-enum ScalarActivity {
-    /// The core would execute, trip a fault, or otherwise change state.
-    Active,
-    /// The core is blocked; `overhead` as in [`InertCore`].
-    Inert { overhead: Option<InstTag> },
 }
 
 /// The machine's execution mode (the gem5 Atomic-vs-O3 split): the
@@ -939,6 +930,8 @@ impl Machine {
     /// Proves — without mutating anything — that a `tick` at the current
     /// cycle would change no machine state, and captures each core's
     /// per-cycle statistics side-effects into `cores` for bulk replay.
+    /// Built from the stages' own gates (the same functions the stages
+    /// call before acting), so it holds no copy of any stage rule.
     /// Returns `false` as soon as any component would act; a
     /// conservative `false` merely forgoes the skip.
     fn probe_inert(&self, cores: &mut Vec<InertCore>) -> bool {
@@ -949,94 +942,33 @@ impl Machine {
         }
         let mem_capacity = self.mem.capacity() as u64;
         for c in 0..self.cfg.cores {
-            if self.scalar[c].pending_loads.iter().any(|&(done, _)| done <= now) {
-                return false;
-            }
-            // `tick` records a finish marker the first cycle a halted
-            // core's co-processor context drains.
-            if self.scalar[c].halted
-                && self.core_stats[c].finish_cycle.is_none()
-                && self.coproc.is_drained(c)
-                && self.scalar[c].program.is_some()
+            if self.scalar[c].pending_loads.iter().any(|&(done, _)| done <= now)
+                || self.finish_due(c)
             {
                 return false;
             }
-            let reg_stall = match self.coproc.core_activity(c, now, mem_capacity) {
-                CoprocActivity::Active => return false,
-                CoprocActivity::Inert { reg_stall } => reg_stall,
+            let CoprocActivity::Inert { reg_stall } =
+                self.coproc.core_activity(c, now, mem_capacity)
+            else {
+                return false;
             };
-            let overhead = match self.probe_scalar(c) {
-                ScalarActivity::Active => return false,
-                ScalarActivity::Inert { overhead } => overhead,
+            // Scalar dispatch: a parked core acts only through its
+            // overhead charge; otherwise only the first fetched
+            // instruction matters — if it blocks, nothing after it runs.
+            let overhead = match self.scalar_parked(c) {
+                Some(charge) => charge,
+                None => {
+                    let s = &self.scalar[c];
+                    match s.program.as_ref().and_then(|p| fetch(p, s.pc)) {
+                        Some(inst) if self.dispatch_blocked(c, inst) => None,
+                        // Executes, or trips a decode fault off the end.
+                        _ => return false,
+                    }
+                }
             };
             cores.push(InertCore { overhead, reg_stall });
         }
         true
-    }
-
-    /// The scalar half of the inertness probe: decides whether
-    /// [`step_scalar`](Machine::step_scalar) would make progress on core
-    /// `c` this cycle, mirroring its dispatch on the first fetched
-    /// instruction (only the first matters — if it blocks, nothing after
-    /// it runs; if it acts, the cycle is not inert).
-    fn probe_scalar(&self, c: usize) -> ScalarActivity {
-        let s = &self.scalar[c];
-        if s.frozen {
-            // Frozen precedes the EmAck attribution in `step_scalar`:
-            // a frozen waiting core charges nothing.
-            return ScalarActivity::Inert { overhead: None };
-        }
-        if s.wait == Wait::EmAck {
-            return ScalarActivity::Inert { overhead: Some(s.wait_tag) };
-        }
-        if s.halted {
-            return ScalarActivity::Inert { overhead: None };
-        }
-        let pc = s.pc;
-        let Some(inst) = s.program.as_ref().and_then(|p| (pc < p.len()).then(|| p.fetch(pc)))
-        else {
-            // Would trip a Decode fault (PC off the end).
-            return ScalarActivity::Active;
-        };
-        let blocked = match inst {
-            Inst::Halt => false,
-            Inst::Scalar(sc) if sc.is_mem() => {
-                s.blocked_on_pending(sc)
-                    || s.pending_loads.len() >= 8
-                    || {
-                        let (base, index) = match sc {
-                            ScalarInst::Ldr { base, index, .. }
-                            | ScalarInst::Str { base, index, .. } => (base, index),
-                            _ => return ScalarActivity::Active,
-                        };
-                        let addr = s.x[base.index()]
-                            .wrapping_add(s.x[index.index()].wrapping_mul(4));
-                        // An overlap parks the access; anything else —
-                        // including an out-of-bounds trip — acts.
-                        self.coproc.any_mem_overlap(c, addr, 4)
-                    }
-            }
-            Inst::Scalar(sc) => s.blocked_on_pending(sc),
-            Inst::Vector(v) => {
-                v.scalar_srcs().iter().any(|r| s.pending_x[r.index()])
-                    || !self.coproc.pool_has_space(c)
-            }
-            Inst::EmSimd(e) => match e {
-                // MRS <decision> executes speculatively, always.
-                EmSimdInst::Mrs { reg: DedicatedReg::Decision, .. } => false,
-                EmSimdInst::Msr { src: Operand::Reg(r), .. }
-                    if s.pending_x[r.index()] =>
-                {
-                    true
-                }
-                _ => !self.coproc.pool_has_space(c),
-            },
-        };
-        if blocked {
-            ScalarActivity::Inert { overhead: None }
-        } else {
-            ScalarActivity::Active
-        }
     }
 
     /// Replays `span` inert cycles' worth of per-cycle accounting in one
@@ -1052,6 +984,7 @@ impl Machine {
         let start = self.cycle;
         let mut alloc = std::mem::take(&mut self.kernel.scratch.alloc);
         alloc.clear();
+        let mut prof = self.profile.take();
         for c in 0..self.cfg.cores {
             let lanes = self.coproc.cur_vl(c).lanes();
             alloc.push(lanes);
@@ -1059,38 +992,16 @@ impl Machine {
             if inert[c].reg_stall {
                 self.core_stats[c].rename_stall_cycles += span;
             }
+            let base = self.overhead_base(c);
             if let Some(tag) = inert[c].overhead {
                 self.attribute_overhead(c, tag, span as f64);
             }
-        }
-        if let Some(mut prof) = self.profile.take() {
-            for c in 0..self.cfg.cores {
-                // The per-tick classifier, restricted to what an inert
-                // cycle can be: no issue and no scalar retirement, so
-                // Compute is unreachable.
-                let class = match inert[c].overhead {
-                    Some(InstTag::Monitor) => CycleClass::Monitor,
-                    Some(
-                        InstTag::Reconfigure
-                        | InstTag::PhasePrologue
-                        | InstTag::PhaseEpilogue,
-                    ) => CycleClass::DrainReconfig,
-                    _ => {
-                        if self.coproc.lsu_outstanding(c) + self.scalar[c].pending_loads.len()
-                            > 0
-                        {
-                            CycleClass::MemoryBound
-                        } else if self.scalar[c].halted && self.coproc.is_drained(c) {
-                            CycleClass::Idle
-                        } else {
-                            CycleClass::Other
-                        }
-                    }
-                };
+            if let Some(prof) = prof.as_mut() {
+                let class = self.cycle_class(c, base, IssueCounts::default());
                 prof.attribute_span(c, self.coproc.open_phase(c), class, span);
             }
-            self.profile = Some(prof);
         }
+        self.profile = prof;
         self.timeline.record_idle_span(start, &alloc, span);
         self.kernel.scratch.alloc = alloc;
         // Inert cycles are stagnant by definition; `check_watchdog`
@@ -1687,11 +1598,7 @@ impl Machine {
         // this cycle by what actually moved during it.
         if self.profile.is_some() {
             s.prof_base.clear();
-            s.prof_base.extend(
-                self.core_stats
-                    .iter()
-                    .map(|st| (st.monitor_cycles, st.reconfig_cycles, st.scalar_executed)),
-            );
+            s.prof_base.extend((0..cores).map(|c| self.overhead_base(c)));
         }
 
         // Stage 3: rename + EM-SIMD data path.
@@ -1712,11 +1619,7 @@ impl Machine {
         // A workload is finished once its core halted *and* its last
         // vector instructions drained from the co-processor.
         for c in 0..cores {
-            if self.scalar[c].halted
-                && self.core_stats[c].finish_cycle.is_none()
-                && self.coproc.is_drained(c)
-                && self.scalar[c].program.is_some()
-            {
+            if self.finish_due(c) {
                 self.core_stats[c].finish_cycle = Some(now);
             }
         }
@@ -1726,25 +1629,7 @@ impl Machine {
         // total simulated cycles (checked by `render_profile`).
         if let Some(mut prof) = self.profile.take() {
             for c in 0..cores {
-                let (mon0, rec0, sc0) = s.prof_base[c];
-                let issued = s.issued[c];
-                let class = if self.core_stats[c].monitor_cycles > mon0 {
-                    CycleClass::Monitor
-                } else if self.core_stats[c].reconfig_cycles > rec0 {
-                    CycleClass::DrainReconfig
-                } else if issued.compute > 0 {
-                    CycleClass::Compute
-                } else if issued.mem > 0
-                    || self.coproc.lsu_outstanding(c) + self.scalar[c].pending_loads.len() > 0
-                {
-                    CycleClass::MemoryBound
-                } else if self.core_stats[c].scalar_executed > sc0 {
-                    CycleClass::Compute
-                } else if self.scalar[c].halted && self.coproc.is_drained(c) {
-                    CycleClass::Idle
-                } else {
-                    CycleClass::Other
-                };
+                let class = self.cycle_class(c, s.prof_base[c], s.issued[c]);
                 prof.attribute(c, self.coproc.open_phase(c), class);
             }
             self.profile = Some(prof);
@@ -1753,6 +1638,50 @@ impl Machine {
         self.timeline.record(now, &s.busy, &s.alloc);
         self.kernel.scratch = s;
         self.cycle += 1;
+    }
+
+    /// Whether `tick` records core `c`'s finish marker this cycle: the
+    /// first cycle its halted workload's co-processor context drains.
+    fn finish_due(&self, c: usize) -> bool {
+        self.scalar[c].halted
+            && self.core_stats[c].finish_cycle.is_none()
+            && self.coproc.is_drained(c)
+            && self.scalar[c].program.is_some()
+    }
+
+    /// Core `c`'s monitor, reconfiguration and scalar-retirement counters,
+    /// snapshotted before a cycle so [`cycle_class`](Machine::cycle_class)
+    /// can tell what moved during it.
+    fn overhead_base(&self, c: usize) -> (f64, f64, u64) {
+        let st = &self.core_stats[c];
+        (st.monitor_cycles, st.reconfig_cycles, st.scalar_executed)
+    }
+
+    /// The profiler's classification of core `c`'s cycle, given the
+    /// counters before it (`base`, from
+    /// [`overhead_base`](Machine::overhead_base)) and its issue counts.
+    /// Shared by `tick` and `apply_skip`, so a jumped cycle lands in the
+    /// class a ticked one would.
+    fn cycle_class(&self, c: usize, base: (f64, f64, u64), issued: IssueCounts) -> CycleClass {
+        let (mon0, rec0, sc0) = base;
+        let st = &self.core_stats[c];
+        if st.monitor_cycles > mon0 {
+            CycleClass::Monitor
+        } else if st.reconfig_cycles > rec0 {
+            CycleClass::DrainReconfig
+        } else if issued.compute > 0 {
+            CycleClass::Compute
+        } else if issued.mem > 0
+            || self.coproc.lsu_outstanding(c) + self.scalar[c].pending_loads.len() > 0
+        {
+            CycleClass::MemoryBound
+        } else if st.scalar_executed > sc0 {
+            CycleClass::Compute
+        } else if self.scalar[c].halted && self.coproc.is_drained(c) {
+            CycleClass::Idle
+        } else {
+            CycleClass::Other
+        }
     }
 
     fn attribute_overhead(&mut self, core: usize, tag: InstTag, amount: f64) {
@@ -1768,20 +1697,10 @@ impl Machine {
     /// Executes up to `scalar_width` instructions on core `c`.
     /// `deferred` is scratch for the cycle's overhead-instruction tags.
     fn step_scalar(&mut self, c: usize, now: Cycle, deferred: &mut Vec<InstTag>) {
-        if self.scalar[c].frozen {
-            return;
-        }
-        match self.scalar[c].wait {
-            Wait::EmAck => {
-                // Still blocked on the EM-SIMD data path (e.g. a pipeline
-                // drain for MSR <VL>): attribute the stall cycle.
-                let tag = self.scalar[c].wait_tag;
+        if let Some(charge) = self.scalar_parked(c) {
+            if let Some(tag) = charge {
                 self.attribute_overhead(c, tag, 1.0);
-                return;
             }
-            Wait::Ready => {}
-        }
-        if self.scalar[c].halted {
             return;
         }
         // Borrow the program for the cycle, as the functional engine
@@ -1794,6 +1713,55 @@ impl Machine {
         };
         self.step_scalar_in(c, now, &program, deferred);
         self.scalar[c].program = Some(program);
+    }
+
+    /// The preamble of scalar dispatch: `Some(charge)` when core `c`
+    /// fetches nothing this cycle. A frozen core charges nothing; a core
+    /// parked on an EM-SIMD acknowledgement (e.g. a pipeline drain for
+    /// `MSR <VL>`) charges its wait tag to the overhead counters; a
+    /// halted core charges nothing.
+    fn scalar_parked(&self, c: usize) -> Option<Option<InstTag>> {
+        let s = &self.scalar[c];
+        if s.frozen {
+            Some(None)
+        } else if s.wait == Wait::EmAck {
+            Some(Some(s.wait_tag))
+        } else if s.halted {
+            Some(None)
+        } else {
+            None
+        }
+    }
+
+    /// Scalar dispatch's gate: whether core `c` must hold `inst` (and
+    /// everything after it) this cycle. The Table 2 ordering rules that
+    /// involve a scalar instruction live here: the pending-register
+    /// interlock, the bound on in-flight scalar loads, address overlap
+    /// with in-flight vector memory operations, instruction-pool space,
+    /// and the pending source of an `MSR`. `MRS <decision>` executes
+    /// speculatively, always (§4.1.1).
+    fn dispatch_blocked(&self, c: usize, inst: &Inst) -> bool {
+        let s = &self.scalar[c];
+        match inst {
+            Inst::Halt => false,
+            Inst::Scalar(sc) => {
+                s.blocked_on_pending(sc)
+                    || s.mem_access(sc).is_some_and(|access| {
+                        // Bound scalar memory-level parallelism.
+                        s.pending_loads.len() >= 8
+                            || self.coproc.any_mem_overlap(c, access.addr, 4)
+                    })
+            }
+            Inst::Vector(v) => {
+                v.scalar_srcs().iter().any(|r| s.pending_x[r.index()])
+                    || !self.coproc.pool_has_space(c)
+            }
+            Inst::EmSimd(e) => match e {
+                EmSimdInst::Mrs { reg: DedicatedReg::Decision, .. } => false,
+                EmSimdInst::Msr { src: Operand::Reg(r), .. } if s.pending_x[r.index()] => true,
+                _ => !self.coproc.pool_has_space(c),
+            },
+        }
     }
 
     /// Latches the decode fault of a core whose PC left its program.
@@ -1823,83 +1791,50 @@ impl Machine {
         deferred.clear();
         while budget > 0 && !self.scalar[c].halted {
             let pc = self.scalar[c].pc;
-            if pc >= program.len() {
+            let Some(inst) = fetch(program, pc) else {
                 self.trip_off_the_end(c);
                 return;
+            };
+            if self.dispatch_blocked(c, inst) {
+                break;
             }
             let tag = program.tag(pc);
-            match program.fetch(pc) {
+            match inst {
                 Inst::Halt => {
                     self.scalar[c].halted = true;
                 }
-                Inst::Scalar(s) if s.is_mem() => {
-                    if self.scalar[c].blocked_on_pending(s) {
-                        break;
-                    }
-                    // Bound scalar memory-level parallelism.
-                    if self.scalar[c].pending_loads.len() >= 8 {
-                        break;
-                    }
-                    let (base, index, store) = match *s {
-                        ScalarInst::Ldr { base, index, .. } => (base, index, false),
-                        ScalarInst::Str { base, index, .. } => (base, index, true),
-                        _ => unreachable!(),
+                Inst::Scalar(s) => {
+                    let Some(access) = self.scalar[c].mem_access(s) else {
+                        self.scalar[c].exec_pure_in(s, program);
+                        self.core_stats[c].scalar_executed += 1;
+                        deferred.push(tag);
+                        budget -= 1;
+                        continue;
                     };
-                    let addr = self.scalar[c].x[base.index()]
-                        .wrapping_add(self.scalar[c].x[index.index()].wrapping_mul(4));
-                    // Table 2 address-overlap ordering: wait for in-flight
-                    // vector memory ops covering this address.
-                    if self.coproc.any_mem_overlap(c, addr, 4) {
-                        break;
-                    }
-                    if addr.checked_add(4).is_none_or(|end| end > self.mem.capacity() as u64) {
-                        self.trip(SimError::MemoryFault {
-                            core: c,
-                            addr,
-                            bytes: 4,
-                            capacity: self.mem.capacity() as u64,
-                        });
+                    let capacity = self.mem.capacity() as u64;
+                    if let Some(e) = access.bounds_fault(c, capacity) {
+                        self.trip(e);
                         return;
                     }
-                    let done = self.memsys.scalar_access(now, c, addr, store)
+                    let done = self.memsys.scalar_access(now, c, access.addr, access.store)
                         + self.faults.as_mut().map_or(0, FaultState::spike_mem);
-                    match *s {
-                        ScalarInst::Ldr { dst, .. } => {
-                            // Non-blocking: dependents interlock on the
-                            // pending flag until the data arrives.
-                            let v = self.mem.read_u32(addr);
-                            self.scalar[c].x[dst.index()] = u64::from(v);
-                            self.scalar[c].pending_x[dst.index()] = true;
-                            self.scalar[c].pending_loads.push((done, dst));
-                        }
-                        ScalarInst::Str { src, .. } => {
-                            let v = self.scalar[c].x[src.index()] as u32;
-                            self.mem.write_u32(addr, v);
-                        }
-                        _ => unreachable!(),
+                    let reg = access.reg.index();
+                    if access.store {
+                        let v = self.scalar[c].x[reg] as u32;
+                        self.mem.write_u32(access.addr, v);
+                    } else {
+                        // Non-blocking: dependents interlock on the
+                        // pending flag until the data arrives.
+                        self.scalar[c].x[reg] = u64::from(self.mem.read_u32(access.addr));
+                        self.scalar[c].pending_x[reg] = true;
+                        self.scalar[c].pending_loads.push((done, access.reg));
                     }
                     self.scalar[c].pc += 1;
                     self.core_stats[c].scalar_executed += 1;
                     self.attribute_overhead(c, tag, weight);
                     budget -= 1;
                 }
-                Inst::Scalar(s) => {
-                    if self.scalar[c].blocked_on_pending(s) {
-                        break;
-                    }
-                    self.scalar[c].exec_pure_in(s, program);
-                    self.core_stats[c].scalar_executed += 1;
-                    deferred.push(tag);
-                    budget -= 1;
-                }
                 Inst::Vector(v) => {
-                    let pending = v
-                        .scalar_srcs()
-                        .iter()
-                        .any(|r| self.scalar[c].pending_x[r.index()]);
-                    if pending || !self.coproc.pool_has_space(c) {
-                        break;
-                    }
                     // Capture the scalar payload at transmit time
                     // (Table 2: scalar operands are ready here).
                     let aux = match v.inner() {
@@ -1934,18 +1869,10 @@ impl Machine {
                         continue;
                     }
                     let operand = match e {
-                        EmSimdInst::Msr { src: Operand::Reg(r), .. } => {
-                            if self.scalar[c].pending_x[r.index()] {
-                                break;
-                            }
-                            self.scalar[c].x[r.index()]
-                        }
+                        EmSimdInst::Msr { src: Operand::Reg(r), .. } => self.scalar[c].x[r.index()],
                         EmSimdInst::Msr { src: Operand::Imm(i), .. } => i as u64,
                         EmSimdInst::Mrs { .. } => 0,
                     };
-                    if !self.coproc.pool_has_space(c) {
-                        break;
-                    }
                     self.coproc.push_em(c, e, operand);
                     self.scalar[c].pc += 1;
                     self.scalar[c].wait = Wait::EmAck;
@@ -1961,6 +1888,11 @@ impl Machine {
             }
         }
     }
+}
+
+/// The instruction at `pc`, or `None` when the PC has left the program.
+fn fetch(program: &Program, pc: usize) -> Option<&Inst> {
+    (pc < program.len()).then(|| program.fetch(pc))
 }
 
 #[cfg(test)]

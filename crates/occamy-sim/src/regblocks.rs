@@ -207,18 +207,17 @@ impl RegBlocks {
         );
     }
 
-    /// Whether [`try_reserve`](Self::try_reserve) would succeed — the
-    /// non-mutating mirror the event kernel's inertness probe uses to
-    /// predict a rename stall without perturbing the free counts.
+    /// Whether one physical-register entry is free in each of `blocks`;
+    /// the renamer stalls when one is exhausted.
     pub fn can_reserve(&self, blocks: &[usize]) -> bool {
         !blocks.iter().any(|&b| self.free[b] == 0)
     }
 
-    /// Tries to reserve one physical-register entry in each of `blocks`.
-    /// Returns `false` (reserving nothing) if any block is exhausted —
-    /// the renamer stalls in that case.
+    /// Reserves one physical-register entry in each of `blocks` if
+    /// [`can_reserve`](Self::can_reserve) allows; returns whether it did
+    /// (reserving nothing otherwise).
     pub fn try_reserve(&mut self, blocks: &[usize]) -> bool {
-        if blocks.iter().any(|&b| self.free[b] == 0) {
+        if !self.can_reserve(blocks) {
             return false;
         }
         for &b in blocks {
@@ -245,16 +244,16 @@ impl RegBlocks {
         self.pred_free[block]
     }
 
-    /// Whether [`try_reserve_pred`](Self::try_reserve_pred) would
-    /// succeed, without reserving anything.
+    /// Whether one predicate-register entry is free in each of `blocks`.
     pub fn can_reserve_pred(&self, blocks: &[usize]) -> bool {
         !blocks.iter().any(|&b| self.pred_free[b] == 0)
     }
 
-    /// Tries to reserve one predicate-register entry in each of `blocks`;
-    /// reserves nothing on failure.
+    /// Reserves one predicate-register entry in each of `blocks` if
+    /// [`can_reserve_pred`](Self::can_reserve_pred) allows; returns
+    /// whether it did (reserving nothing otherwise).
     pub fn try_reserve_pred(&mut self, blocks: &[usize]) -> bool {
-        if blocks.iter().any(|&b| self.pred_free[b] == 0) {
+        if !self.can_reserve_pred(blocks) {
             return false;
         }
         for &b in blocks {

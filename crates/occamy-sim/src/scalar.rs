@@ -20,6 +20,8 @@
 use em_simd::{InstTag, Operand, Program, RegList, ScalarInst, XReg, NUM_XREGS};
 use mem_sim::Cycle;
 
+use crate::error::SimError;
+
 /// What a scalar core is currently blocked on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Wait {
@@ -28,6 +30,26 @@ pub(crate) enum Wait {
     Ready,
     /// Blocked on the EM-SIMD data path's response.
     EmAck,
+}
+
+/// A decoded scalar memory access (`Ldr`/`Str`): the effective address
+/// and the register the access loads into or stores from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScalarAccess {
+    pub addr: u64,
+    pub reg: XReg,
+    pub store: bool,
+}
+
+impl ScalarAccess {
+    /// The typed fault of an access that leaves a `capacity`-byte
+    /// memory image, if it does.
+    pub fn bounds_fault(&self, core: usize, capacity: u64) -> Option<SimError> {
+        self.addr
+            .checked_add(4)
+            .is_none_or(|end| end > capacity)
+            .then_some(SimError::MemoryFault { core, addr: self.addr, bytes: 4, capacity })
+    }
 }
 
 /// One simple in-order scalar core.
@@ -160,6 +182,18 @@ impl ScalarCore {
     pub fn blocked_on_pending(&self, inst: &ScalarInst) -> bool {
         Self::scalar_reads(inst).iter().any(|r| self.pending_x[r.index()])
             || Self::scalar_write(inst).is_some_and(|r| self.pending_x[r.index()])
+    }
+
+    /// Decodes `inst` as a scalar memory access against the current
+    /// registers; `None` for every non-memory instruction.
+    pub fn mem_access(&self, inst: &ScalarInst) -> Option<ScalarAccess> {
+        let (reg, base, index, store) = match *inst {
+            ScalarInst::Ldr { dst, base, index } => (dst, base, index, false),
+            ScalarInst::Str { src, base, index } => (src, base, index, true),
+            _ => return None,
+        };
+        let addr = self.x[base.index()].wrapping_add(self.x[index.index()].wrapping_mul(4));
+        Some(ScalarAccess { addr, reg, store })
     }
 
     /// Retires scalar loads whose data has arrived.

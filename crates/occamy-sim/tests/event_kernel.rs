@@ -21,7 +21,7 @@
 //!   no jump when a completion is already due.
 
 use em_simd::{
-    DedicatedReg, EmSimdInst, Operand, OperationalIntensity, Program, ProgramBuilder,
+    DedicatedReg, EmSimdInst, InstTag, Operand, OperationalIntensity, Program, ProgramBuilder,
     ScalarInst, VBinOp, VReg, VectorInst, XReg,
 };
 use mem_sim::Memory;
@@ -61,6 +61,7 @@ fn plausible_program(seed: u64) -> Program {
     let mut b = ProgramBuilder::new();
 
     if rng.gen_bool(0.8) {
+        b.set_tag(InstTag::PhasePrologue);
         b.em_simd(EmSimdInst::Msr {
             reg: DedicatedReg::Oi,
             src: Operand::Imm(
@@ -71,6 +72,7 @@ fn plausible_program(seed: u64) -> Program {
             reg: DedicatedReg::Vl,
             src: Operand::Imm(rng.gen_range(0..12)),
         });
+        b.set_tag(InstTag::Body);
     }
     for r in 0..4 {
         let imm = if rng.gen_bool(0.85) {
@@ -120,13 +122,16 @@ fn plausible_program(seed: u64) -> Program {
                 }
             }
             4 => {
+                b.set_tag(InstTag::Reconfigure);
                 b.em_simd(EmSimdInst::Msr {
                     reg: [DedicatedReg::Oi, DedicatedReg::Vl, DedicatedReg::Status]
                         [rng.gen_range(0..3usize)],
                     src: Operand::Imm(rng.gen_range(-8..1_000_000)),
                 });
+                b.set_tag(InstTag::Body);
             }
             5 => {
+                b.set_tag(InstTag::Monitor);
                 b.em_simd(EmSimdInst::Mrs {
                     dst: xreg(&mut rng),
                     reg: [
@@ -137,6 +142,7 @@ fn plausible_program(seed: u64) -> Program {
                         DedicatedReg::Al,
                     ][rng.gen_range(0..5usize)],
                 });
+                b.set_tag(InstTag::Body);
             }
             6 => {
                 b.vector(VectorInst::Load {
@@ -202,12 +208,31 @@ fn seeded_memory(seed: u64) -> Memory {
     mem
 }
 
-fn build_machine(seed: u64, cores: usize) -> Machine {
+/// The four architectures, by index. `SimConfig::paper(1)` has four
+/// granules, so the static partition is `[3]` on one core and `[3, 5]`
+/// on two.
+fn architecture(index: usize, cores: usize) -> Architecture {
+    match index {
+        0 => Architecture::Private,
+        1 => Architecture::TemporalSharing,
+        2 => Architecture::StaticSpatialSharing {
+            partition: if cores == 1 { vec![3] } else { vec![3, 5] },
+        },
+        _ => Architecture::Occamy,
+    }
+}
+
+/// `observe` turns on the event log and the cycle-attribution profiler,
+/// whose jumped spans the skip path must classify as ticks would.
+fn build_machine(seed: u64, cores: usize, arch: usize, observe: bool) -> Machine {
     let cfg = if cores == 1 { SimConfig::paper(1) } else { SimConfig::paper_2core() };
-    let mut m = Machine::new(cfg, Architecture::Occamy, seeded_memory(seed))
+    let mut m = Machine::new(cfg, architecture(arch, cores), seeded_memory(seed))
         .expect("paper config is valid");
     m.set_watchdog(WATCHDOG);
-    m.enable_events(1 << 14);
+    if observe {
+        m.enable_events(1 << 14);
+        m.enable_profile();
+    }
     for c in 0..cores {
         m.load_program(c, plausible_program(seed.wrapping_add(c as u64 * 0x9e37)));
     }
@@ -270,16 +295,20 @@ fn cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(300)))]
 
-    /// Arbitrary single-core programs: the event kernel is
-    /// observationally identical to per-cycle stepping — completions,
-    /// faults and watchdog trips all land on the same cycle with the
-    /// same state.
+    /// Arbitrary single-core programs on every architecture, with the
+    /// event log and profiler on or off: the event kernel is observationally
+    /// identical to per-cycle stepping — completions, faults and
+    /// watchdog trips all land on the same cycle with the same state.
     #[test]
-    fn event_kernel_matches_reference_on_arbitrary_programs(seed in 0u64..1u64 << 48) {
+    fn event_kernel_matches_reference_on_arbitrary_programs(
+        seed in 0u64..1u64 << 48,
+        arch in 0usize..4,
+        observe in any::<bool>(),
+    ) {
         assert_kernels_agree(
-            build_machine(seed, 1),
-            build_machine(seed, 1),
-            &format!("seed {seed}"),
+            build_machine(seed, 1, arch, observe),
+            build_machine(seed, 1, arch, observe),
+            &format!("seed {seed}, arch {arch}, observe {observe}"),
         );
     }
 }
@@ -287,15 +316,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(100)))]
 
-    /// Two co-running cores: cross-core EM-SIMD negotiation and
-    /// lane-manager repartitions must serialize identically when idle
-    /// spans of one core are skipped while the other is mid-flight.
+    /// Two co-running cores on every architecture, with the event log
+    /// and profiler on or off: cross-core EM-SIMD negotiation, lane-manager
+    /// repartitions and shared issue slots must serialize identically
+    /// when idle spans of one core are skipped while the other is
+    /// mid-flight.
     #[test]
-    fn event_kernel_matches_reference_on_two_cores(seed in 0u64..1u64 << 48) {
+    fn event_kernel_matches_reference_on_two_cores(
+        seed in 0u64..1u64 << 48,
+        arch in 0usize..4,
+        observe in any::<bool>(),
+    ) {
         assert_kernels_agree(
-            build_machine(seed, 2),
-            build_machine(seed, 2),
-            &format!("seed {seed} (2-core)"),
+            build_machine(seed, 2, arch, observe),
+            build_machine(seed, 2, arch, observe),
+            &format!("seed {seed}, arch {arch}, observe {observe} (2-core)"),
         );
     }
 }

@@ -5,9 +5,10 @@
 //! register-block exhaustion, cache misconfiguration and wild addresses
 //! through typed [`occamy_sim::SimError`]s; internal invariants use
 //! `debug_assert!`. This test greps the modules on that untrusted path
-//! for `unwrap()` / `expect(` / `panic!` outside `#[cfg(test)]` and
-//! comments, so a new panic site fails CI with a pointer to the error
-//! taxonomy instead of surfacing as a crash in a fuzz run.
+//! for `unwrap()` / `expect(` / `panic!` / `unreachable!` / `todo!` /
+//! `unimplemented!` outside `#[cfg(test)]` and comments, so a new panic
+//! site fails CI with a pointer to the error taxonomy instead of
+//! surfacing as a crash in a fuzz run.
 
 use std::path::Path;
 
@@ -71,7 +72,8 @@ const ALLOWLIST: &[&str] = &[
     "crates/occamyd/src/service.rs:panic!(\"chaos: deliberate panic probe\");",
 ];
 
-const TOKENS: &[&str] = &["unwrap()", "expect(", "panic!"];
+const TOKENS: &[&str] =
+    &["unwrap()", "expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
 
 fn workspace_root() -> &'static Path {
     // occamy-sim/tests → crates/occamy-sim → crates → root.

@@ -16,12 +16,11 @@
 //! determinism contract is broken and cached replies cannot be trusted.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bench::json::{self, Limits, Value};
-use statecodec::crc32;
+use bench::json::Value;
 
+use crate::journal;
 use crate::protocol::fnv1a;
 
 /// Cache sizing and verification policy.
@@ -85,44 +84,26 @@ impl DiskStore {
         self.dir.join(format!("{}.json", short_address(key)))
     }
 
-    /// Renders the persisted form: the CRC guard covers the compact
-    /// rendering of `{"key":...,"payload":...}` — the same line
-    /// discipline as the journal.
+    /// Renders the persisted form: `{"key":...,"payload":...}` under the
+    /// journal's CRC-guarded record framing.
     fn render(key: &str, payload: &Value) -> String {
         let mut body = Value::obj();
         body.push("key", Value::Str(key.to_owned())).push("payload", payload.clone());
-        let crc = crc32(body.render_compact().as_bytes());
-        let mut outer = Value::obj();
-        outer.push("crc", Value::Str(format!("{crc:08x}"))).push("body", body);
-        outer.render_compact()
+        journal::frame(body)
     }
 
     /// Parses one persisted entry, validating the CRC guard.
     fn parse(bytes: &[u8]) -> Option<(String, Value)> {
         let text = std::str::from_utf8(bytes).ok()?;
-        let limits = Limits { max_bytes: crate::protocol::MAX_LINE_BYTES, max_depth: 32 };
-        let outer = json::parse_limited(text.trim_end(), &limits).ok()?;
-        let stored = outer.get("crc").and_then(Value::as_str)?;
-        let body = outer.get("body")?;
-        if stored != format!("{:08x}", crc32(body.render_compact().as_bytes())) {
-            return None;
-        }
+        let body = journal::unframe(text.trim_end(), 32)?;
         let key = body.get("key").and_then(Value::as_str)?.to_owned();
         Some((key, body.get("payload")?.clone()))
     }
 
     /// Writes one entry; returns its file size, or `None` on failure.
     fn write(&mut self, key: &str, payload: &Value) -> Option<u64> {
-        let path = self.file_path(key);
-        let tmp = path.with_extension("tmp");
         let content = Self::render(key, payload);
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(content.as_bytes())?;
-            f.sync_data()?;
-            std::fs::rename(&tmp, &path)
-        };
-        if write().is_err() {
+        if journal::write_atomically(&self.file_path(key), content.as_bytes()).is_err() {
             return None;
         }
         let size = content.len() as u64;

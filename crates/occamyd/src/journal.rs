@@ -132,24 +132,12 @@ impl JournalRecord {
     /// Renders the record as one CRC-guarded journal line (no trailing
     /// newline).
     pub fn to_line(&self) -> String {
-        let body = self.body();
-        let crc = crc32(body.render_compact().as_bytes());
-        let mut outer = Value::obj();
-        outer.push("crc", Value::Str(format!("{crc:08x}"))).push("body", body);
-        outer.render_compact()
+        frame(self.body())
     }
 
     /// Validates one journal line's CRC guard and returns its body.
     fn parse_line(line: &str) -> Option<Value> {
-        let limits = Limits { max_bytes: crate::protocol::MAX_LINE_BYTES, max_depth: 16 };
-        let outer = json::parse_limited(line, &limits).ok()?;
-        let stored = outer.get("crc").and_then(Value::as_str)?;
-        let body = outer.get("body")?;
-        let computed = format!("{:08x}", crc32(body.render_compact().as_bytes()));
-        if stored != computed {
-            return None;
-        }
-        Some(body.clone())
+        unframe(line, 16)
     }
 
     /// Decodes a CRC-checked record body.
@@ -346,8 +334,31 @@ impl Journal {
     }
 }
 
+/// Renders `body` as one CRC-guarded record, `{"crc":"<8 hex>","body":...}`,
+/// where the CRC-32 covers the compact rendering of `body`: the framing
+/// of journal lines and of the result cache's disk files.
+pub(crate) fn frame(body: Value) -> String {
+    let crc = crc32(body.render_compact().as_bytes());
+    let mut outer = Value::obj();
+    outer.push("crc", Value::Str(format!("{crc:08x}"))).push("body", body);
+    outer.render_compact()
+}
+
+/// Parses one [`frame`]d record (nested at most `max_depth` deep) and
+/// returns its body if the CRC guard holds.
+pub(crate) fn unframe(text: &str, max_depth: usize) -> Option<Value> {
+    let limits = Limits { max_bytes: crate::protocol::MAX_LINE_BYTES, max_depth };
+    let outer = json::parse_limited(text, &limits).ok()?;
+    let stored = outer.get("crc").and_then(Value::as_str)?;
+    let body = outer.get("body")?;
+    if stored != format!("{:08x}", crc32(body.render_compact().as_bytes())) {
+        return None;
+    }
+    Some(body.clone())
+}
+
 /// Writes `bytes` to `path` via a temp file, fsync, and atomic rename.
-fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;

@@ -660,7 +660,9 @@ impl Service {
         }) else {
             return false;
         };
-        let flight = st.inflight.get_mut(&key).unwrap_or_else(|| unreachable!());
+        let Some(flight) = st.inflight.get_mut(&key) else {
+            return false;
+        };
         let requester = flight.requesters.remove(idx);
         let orphaned = flight.requesters.is_empty();
         let queued = matches!(flight.state, RunState::Queued);
