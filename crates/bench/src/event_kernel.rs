@@ -1,88 +1,16 @@
-//! The event-kernel comparison campaign behind `speedup --event-kernel`:
-//! the per-cycle reference stepper against the event-driven timing
-//! kernel (`Machine::step_bounded`), on two workload populations chosen
-//! to bracket its behaviour:
-//!
-//! - **idle-heavy**: serial pointer-chase-shaped loops whose every
-//!   iteration waits out a DRAM round trip — the kernel's best case,
-//!   where almost every cycle is provably inert and jumped in O(1);
-//! - **compute-bound**: Table-3 co-run pairs on the Occamy
-//!   architecture — the kernel's worst case, where the pipelines are
-//!   busy nearly every cycle and the probe mostly declines to skip.
-//!
-//! Every point runs under both kernels and the campaign *asserts* the
-//! two `MachineStats` are identical — the benchmark doubles as a
-//! byte-identity check, so a reported speedup can never come from a
-//! simulation that quietly diverged.
-//!
-//! Two documents, mirroring `two_speed`:
-//!
-//! - [`campaign_to_json`] — deterministic: per-point cycle totals, the
-//!   skip counters (`cycles_skipped` is a pure function of the
-//!   simulation) and the stats-identical verdicts. No wall-clock.
-//! - [`bench_to_json`] — the `BENCH_event_kernel.json` document: the
-//!   campaign plus host wall-clock readings and per-point/per-section
-//!   speedups. Machine-dependent; regenerated with
-//!   `speedup --event-kernel <path>`.
-
-use std::time::{Duration, Instant};
+//! The idle-heavy workload for the event-driven timing kernel
+//! (`Machine::step_bounded`): a serial pointer-chase-shaped loop whose
+//! every iteration waits out a DRAM round trip. It is the kernel's best
+//! case, where almost every cycle is provably inert and jumped in O(1).
+//! The repository benchmark (`perfbench`, workload `dram-chase`) times
+//! it; the tier-1 purity suite checks both kernels agree on it.
 
 use em_simd::{
     DedicatedReg, EmSimdInst, Operand, OperationalIntensity, Program, ProgramBuilder, ScalarInst,
     VReg, VectorInst, XReg,
 };
 use mem_sim::Memory;
-use occamy_sim::{Architecture, Machine, MachineStats, SimConfig};
-use workloads::{corun, table3};
-
-use crate::geomean;
-use crate::json::Value;
-
-/// Cycle budget for every point (both kernels, both sections).
-const BUDGET: u64 = 50_000_000;
-
-/// One (workload, kernel-pair) measurement.
-#[derive(Debug, Clone)]
-pub struct KernelPoint {
-    /// Point label (e.g. `"chase-2000"` or `"table3 1+13/Occamy"`).
-    pub label: String,
-    /// `"idle_heavy"` or `"compute_bound"`.
-    pub section: &'static str,
-    /// Stats from the per-cycle reference run.
-    pub reference: MachineStats,
-    /// Stats from the event-kernel run (asserted identical).
-    pub event: MachineStats,
-    /// Idle cycles the event kernel jumped (deterministic).
-    pub cycles_skipped: u64,
-    /// Number of jumps taken (deterministic).
-    pub skips: u64,
-    /// Host wall-clock of the reference run (simulation only, summed
-    /// over repeats). Never part of the deterministic document.
-    pub reference_wall: Duration,
-    /// Host wall-clock of the event-kernel run, same protocol.
-    pub event_wall: Duration,
-}
-
-impl KernelPoint {
-    /// Fraction of simulated cycles the event kernel jumped.
-    pub fn skipped_fraction(&self) -> f64 {
-        if self.event.cycles == 0 {
-            0.0
-        } else {
-            self.cycles_skipped as f64 / self.event.cycles as f64
-        }
-    }
-
-    /// Wall-clock speedup of the event kernel over the reference.
-    pub fn wall_speedup(&self) -> f64 {
-        let e = self.event_wall.as_secs_f64();
-        if e > 0.0 {
-            self.reference_wall.as_secs_f64() / e
-        } else {
-            1.0
-        }
-    }
-}
+use occamy_sim::{Architecture, Machine, SimConfig};
 
 /// The serial DRAM-latency chase: each iteration vector-loads with a
 /// cache-hostile stride, reduces into a scalar register and immediately
@@ -116,8 +44,8 @@ fn chase_program(iters: i64, stride_elems: i64) -> Program {
 
 /// Builds the chase machine: `iters` dependent DRAM round trips on a
 /// single-core paper config with the given DRAM latency. Public so the
-/// tier-1 purity suite can assert the skip path engages on a real
-/// idle-heavy workload.
+/// benchmark can time it and the tier-1 tests can assert the skip path
+/// engages on a real idle-heavy workload.
 ///
 /// # Errors
 ///
@@ -134,162 +62,11 @@ pub fn chase_machine(iters: i64, stride_elems: i64, dram_latency: u64) -> Result
     Ok(m)
 }
 
-/// The idle-heavy sweep: the chase under increasingly slow memory
-/// (paper DRAM round trip of 120 cycles, then 4x and 16x that — the
-/// event kernel's advantage scales with the length of the inert spans),
-/// all with a 128-element (512-byte) stride that defeats every cache
-/// level, plus one longer chase at paper latency.
-fn idle_points() -> Vec<(String, i64, i64, u64)> {
-    vec![
-        ("chase-2000/dram-120".to_owned(), 2_000, 128, 120),
-        ("chase-2000/dram-480".to_owned(), 2_000, 128, 480),
-        ("chase-2000/dram-1920".to_owned(), 2_000, 128, 1_920),
-        ("chase-8000/dram-120".to_owned(), 8_000, 128, 120),
-    ]
-}
-
-/// How many Table-3 pairs the compute-bound section samples.
-const COMPUTE_PAIRS: usize = 4;
-
-/// Runs `build()`'s machine under one kernel, timing simulation only
-/// (build cost excluded — both kernels pay it identically).
-fn run_one(
-    build: &dyn Fn() -> Result<Machine, String>,
-    reference: bool,
-) -> Result<(MachineStats, u64, u64, Duration), String> {
-    let mut m = build()?;
-    m.set_reference_kernel(reference);
-    let started = Instant::now();
-    let stats = m.run(BUDGET).map_err(|e| format!("simulation fault: {e}"))?;
-    let wall = started.elapsed();
-    if !stats.completed {
-        return Err(format!("run exceeded {BUDGET} cycles"));
-    }
-    Ok((stats, m.cycles_skipped(), m.skip_count(), wall))
-}
-
-/// Measures one point under both kernels and asserts identical stats.
-fn run_point(
-    label: String,
-    section: &'static str,
-    build: &dyn Fn() -> Result<Machine, String>,
-) -> Result<KernelPoint, String> {
-    let (reference, ref_skipped, _, reference_wall) =
-        run_one(build, true).map_err(|e| format!("{label} (reference): {e}"))?;
-    let (event, cycles_skipped, skips, event_wall) =
-        run_one(build, false).map_err(|e| format!("{label} (event): {e}"))?;
-    assert!(ref_skipped == 0, "{label}: reference kernel must never skip");
-    assert!(
-        reference == event,
-        "{label}: event kernel diverged from the per-cycle reference"
-    );
-    Ok(KernelPoint {
-        label,
-        section,
-        reference,
-        event,
-        cycles_skipped,
-        skips,
-        reference_wall,
-        event_wall,
-    })
-}
-
-/// Runs the full campaign: the idle-heavy chase sweep, then the
-/// compute-bound Table-3 subset (Occamy architecture, `scale`-sized
-/// trips). Serial by design — wall-clock comparisons on a shared worker
-/// pool would measure scheduling, not the kernel.
-///
-/// # Errors
-///
-/// Returns a message naming the failing point if any machine fails to
-/// build or complete.
-pub fn run_campaign(scale: f64) -> Result<Vec<KernelPoint>, String> {
-    let mut points = Vec::new();
-    for (label, iters, stride, dram) in idle_points() {
-        points
-            .push(run_point(label, "idle_heavy", &move || chase_machine(iters, stride, dram))?);
-    }
-    let cfg = SimConfig::paper_2core();
-    for pair in table3::all_pairs(scale).into_iter().take(COMPUTE_PAIRS) {
-        let label = format!("table3 {}/Occamy", pair.label);
-        let build = {
-            let cfg = cfg.clone();
-            move || {
-                corun::build_machine(&pair.workloads, &cfg, &Architecture::Occamy, 1.0)
-                    .map_err(|e| format!("build: {e}"))
-            }
-        };
-        points.push(run_point(label, "compute_bound", &build)?);
-    }
-    Ok(points)
-}
-
-/// Geometric-mean wall-clock speedup over the points of `section`.
-pub fn section_speedup(points: &[KernelPoint], section: &str) -> f64 {
-    geomean(points.iter().filter(|p| p.section == section).map(KernelPoint::wall_speedup))
-}
-
-fn point_row(p: &KernelPoint) -> Value {
-    let mut row = Value::obj();
-    row.push("label", Value::Str(p.label.clone()))
-        .push("cycles", Value::UInt(p.event.cycles))
-        .push("cycles_skipped", Value::UInt(p.cycles_skipped))
-        .push("skips", Value::UInt(p.skips))
-        .push("skipped_fraction", Value::Num(p.skipped_fraction()))
-        .push("stats_identical", Value::Bool(p.reference == p.event));
-    row
-}
-
-/// The deterministic campaign document: per-point cycle totals and skip
-/// counters, grouped by section. Free of wall-clock readings.
-pub fn campaign_to_json(scale: f64, points: &[KernelPoint]) -> Value {
-    let mut doc = Value::obj();
-    doc.push("experiment", Value::Str("event_kernel".to_owned()))
-        .push("scale", Value::Num(scale));
-    let sections = ["idle_heavy", "compute_bound"]
-        .into_iter()
-        .map(|section| {
-            let mut obj = Value::obj();
-            obj.push("section", Value::Str(section.to_owned())).push(
-                "points",
-                Value::Arr(
-                    points.iter().filter(|p| p.section == section).map(point_row).collect(),
-                ),
-            );
-            obj
-        })
-        .collect();
-    doc.push("sections", Value::Arr(sections));
-    doc
-}
-
-/// The `BENCH_event_kernel.json` document: the deterministic campaign
-/// plus host wall-clock readings and speedups. Machine-dependent.
-pub fn bench_to_json(scale: f64, points: &[KernelPoint]) -> Value {
-    let mut doc = campaign_to_json(scale, points);
-    let walls = points
-        .iter()
-        .map(|p| {
-            let mut row = Value::obj();
-            row.push("label", Value::Str(p.label.clone()))
-                .push("reference_wall_seconds", Value::Num(p.reference_wall.as_secs_f64()))
-                .push("event_wall_seconds", Value::Num(p.event_wall.as_secs_f64()))
-                .push("speedup", Value::Num(p.wall_speedup()));
-            row
-        })
-        .collect();
-    doc.push("wall_clock", Value::Arr(walls));
-    let mut sect = Value::obj();
-    sect.push("idle_heavy", Value::Num(section_speedup(points, "idle_heavy")))
-        .push("compute_bound", Value::Num(section_speedup(points, "compute_bound")));
-    doc.push("geomean_speedup", sect);
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const BUDGET: u64 = 50_000_000;
 
     #[test]
     fn chase_machine_is_idle_heavy_and_exact() {
@@ -307,40 +84,5 @@ mod tests {
             event.cycles_skipped(),
             got.cycles
         );
-    }
-
-    fn empty_stats() -> MachineStats {
-        MachineStats {
-            cycles: 10,
-            cores: Vec::new(),
-            timeline: vec![],
-            total_lanes: 32,
-            completed: true,
-            timed_out: false,
-            estimated: false,
-            estimated_cycles: 10,
-            functional_insts: 0,
-            metrics: occamy_sim::MetricsRegistry::new(),
-        }
-    }
-
-    #[test]
-    fn campaign_documents_are_well_formed() {
-        let points = vec![KernelPoint {
-            label: "chase-1".to_owned(),
-            section: "idle_heavy",
-            reference: empty_stats(),
-            event: empty_stats(),
-            cycles_skipped: 5,
-            skips: 2,
-            reference_wall: Duration::from_millis(10),
-            event_wall: Duration::from_millis(2),
-        }];
-        let campaign = campaign_to_json(0.05, &points).render();
-        assert!(campaign.contains("\"cycles_skipped\": 5"), "{campaign}");
-        assert!(!campaign.contains("wall"), "deterministic doc must omit wall-clock");
-        let bench = bench_to_json(0.05, &points).render();
-        assert!(bench.contains("reference_wall_seconds"), "{bench}");
-        assert!(bench.contains("geomean_speedup"), "{bench}");
     }
 }

@@ -37,12 +37,11 @@ use crate::trace::{Trace, TraceEvent, TraceStage};
 /// An entry of a core's in-order instruction pool.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum PoolEntry {
-    /// A vector instruction with its pre-resolved scalar payload: the
-    /// effective address for memory ops, the broadcast value's bits for
-    /// `Dup` (scalar operands are captured at transmit time, Table 2).
-    /// The instruction is held unwrapped ([`VectorInst::inner`]) next to
-    /// its governing predicate, so moving it down the pipeline never
-    /// clones a boxed `Predicated` wrapper.
+    /// A vector instruction with its scalar payload, captured at
+    /// transmit ([`exec::scalar_payload`]). The instruction is held
+    /// unwrapped ([`VectorInst::inner`]) next to its governing predicate,
+    /// so moving it down the pipeline never clones a boxed `Predicated`
+    /// wrapper.
     Vector { inst: VectorInst, pred: Option<PReg>, aux: Option<u64> },
     /// An EM-SIMD instruction with its pre-resolved write operand.
     Em { inst: EmSimdInst, operand: u64 },
@@ -149,7 +148,7 @@ struct IqEntry {
     psrcs: RegList<PhysId>,
     /// Old destination value for merging predication.
     merge: Option<PhysId>,
-    /// Scalar payload (WHILELO bounds packed as two u32).
+    /// Scalar payload captured at transmit ([`exec::scalar_payload`]).
     aux: Option<u64>,
     lanes: usize,
 }
@@ -714,47 +713,15 @@ impl CoProcessor {
             (None, _) => Vec::new(),
         };
         let (prf, ppf) = (&self.prf, &self.ppf);
-        let src = |i: usize| prf.read(e.srcs[i]);
-        let mask: Option<&[f32]> = e.pred.map(|p| ppf.read(p));
-        let mut scalar_wb = None;
-        match &e.inst {
-            VectorInst::Unary { op, .. } => exec::exec_unary(*op, src(0), &mut value),
-            VectorInst::Binary { op, .. } => exec::exec_binary(*op, src(0), src(1), &mut value),
-            VectorInst::Fma { .. } => exec::exec_fma(src(0), src(1), src(2), &mut value),
-            VectorInst::DupImm { imm, .. } => exec::broadcast(*imm, e.lanes, &mut value),
-            VectorInst::Dup { .. } => {
-                // Rename rewrites Dup into DupImm when the broadcast value
-                // was captured; fall back to the raw payload bits.
-                debug_assert!(false, "Dup should have been rewritten to DupImm at rename");
-                exec::broadcast(f32::from_bits(e.aux.unwrap_or(0) as u32), e.lanes, &mut value);
-            }
-            VectorInst::ReduceAdd { dst, .. } => {
-                let sum = match mask {
-                    Some(m) => exec::reduce_add_masked(m, src(0)),
-                    None => exec::reduce_add(src(0)),
-                };
-                scalar_wb = Some((*dst, sum));
-            }
-            VectorInst::Whilelo { .. } => {
-                debug_assert!(e.aux.is_some(), "whilelo bounds captured at transmit");
-                let bounds = e.aux.unwrap_or(0);
-                exec::whilelo(bounds >> 32, bounds & 0xffff_ffff, e.lanes, &mut value);
-            }
-            VectorInst::Fcm { op, .. } => exec::compare(*op, src(0), src(1), &mut value),
-            VectorInst::Sel { .. } => {
-                exec::blend(ppf.read(e.psrcs[0]), src(0), src(1), &mut value);
-            }
-            VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
-                // Memory ops live in the LSU and rename unwraps
-                // predication; neither can reach the issue queue.
-                debug_assert!(false, "non-compute instruction in the issue queue");
-                exec::broadcast(0.0, e.lanes, &mut value);
-            }
-        }
-        // Merging predication: inactive lanes keep the old destination.
-        if let (Some(m), Some(old)) = (mask, e.merge) {
-            exec::merge(m, &mut value, prf.read(old));
-        }
+        let ops = exec::Operands {
+            src: |i| prf.read(e.srcs[i]),
+            sel: e.psrcs.first().map(|&p| ppf.read(p)),
+            mask: e.pred.map(|p| ppf.read(p)),
+            old: e.merge.map(|m| prf.read(m)),
+            payload: e.aux,
+            lanes: e.lanes,
+        };
+        let mut scalar_wb = exec::compute(&e.inst, &ops, &mut value);
         // Lane-fault injection (§ detection & recovery): a transient or
         // permanent ExeBU fault flips a bit in the lanes one granule of
         // this core computes. A hit on an already-quarantined granule is
@@ -810,12 +777,9 @@ impl CoProcessor {
             if e.issued || e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
                 return None;
             }
-            // Predicated accesses only touch active lanes (SVE fault
-            // suppression), so the checked span ends at the last active
-            // lane.
-            let span = e.pred.map_or(e.bytes, |p| exec::active_span(self.ppf.read(p)));
-            if span > 0 && e.addr.checked_add(span).is_none_or(|end| end > capacity) {
-                return Some(MemPick::Fault { addr: e.addr, bytes: span });
+            let mask = e.pred.map(|p| self.ppf.read(p));
+            if let Some(bytes) = exec::out_of_bounds(e.addr, e.bytes, mask, capacity) {
+                return Some(MemPick::Fault { addr: e.addr, bytes });
             }
             let ready = if e.store {
                 !lsu.store_blocked(idx) && e.src.is_some_and(|src| self.prf.is_ready(src))
@@ -1068,15 +1032,6 @@ impl CoProcessor {
                 pred: pred_phys,
             });
         } else {
-            // Rewrite scalar broadcasts into immediate broadcasts: the
-            // scalar value was captured by the scalar core at transmit
-            // time (Table 2: scalar operands are ready by then).
-            let inst = match (inst, aux) {
-                (VectorInst::Dup { dst, .. }, Some(bits)) => {
-                    VectorInst::DupImm { dst, imm: f32::from_bits(bits as u32) }
-                }
-                (i, _) => i,
-            };
             self.cores[core].iq.push(IqEntry {
                 seq,
                 inst,
@@ -1568,12 +1523,6 @@ impl CoProcessor {
     /// Debug/test hook: the number of free entries in each block.
     pub(crate) fn block_free_entries(&self) -> Vec<usize> {
         (0..self.blocks.num_blocks()).map(|b| self.blocks.free_entries(b)).collect()
-    }
-
-    /// Debug/test hook: the current architectural value of a vector
-    /// register.
-    pub(crate) fn read_vreg(&self, core: usize, v: VReg) -> Vec<f32> {
-        self.prf.read(self.cores[core].rename_map[v.index()]).to_vec()
     }
 
     /// Borrows the current architectural value of a vector register —

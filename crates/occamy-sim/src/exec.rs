@@ -2,12 +2,109 @@
 //! model's issue stage and the functional engine. Every kernel that
 //! produces a vector writes it into a caller-supplied buffer (cleared
 //! first), so the caller decides where results live and recycles their
-//! storage.
+//! storage. Both also share [`scalar_payload`], [`compute`] and
+//! [`out_of_bounds`], so each rule above the kernels is written once.
+//! The lane kernels [`compute`] dispatches to stay out of line: inlined
+//! into its match they lost their loop optimizations, and perfbench's
+//! `fig10-functional` ran ~10% slower (2-vCPU Xeon VM).
 
-use em_simd::{VBinOp, VCmpOp, VUnOp};
+use em_simd::{VBinOp, VCmpOp, VUnOp, VectorInst, XReg};
 use mem_sim::Memory;
 
+/// The scalar payload the unwrapped vector instruction `inst` captures
+/// from the scalar register file `x` when it leaves the scalar core
+/// (Table 2: scalar operands are ready at transmit): the effective
+/// address of a `Load` or `Store`, the bits a `Dup` broadcasts, and the
+/// `Whilelo` bounds packed as two u32 (`lo << 32 | hi`). `None` for
+/// every other instruction.
+#[inline]
+pub fn scalar_payload(inst: &VectorInst, x: &[u64]) -> Option<u64> {
+    match inst {
+        VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => {
+            Some(x[base.index()].wrapping_add(x[index.index()].wrapping_mul(4)))
+        }
+        VectorInst::Dup { src, .. } => Some(x[src.index()]),
+        VectorInst::Whilelo { a, b, .. } => {
+            let lo = x[a.index()] as u32;
+            let hi = x[b.index()] as u32;
+            Some((u64::from(lo) << 32) | u64::from(hi))
+        }
+        _ => None,
+    }
+}
+
+/// The operands of one vector compute instruction, read by the caller
+/// from the register file it models (physical in the timing model,
+/// architectural in the functional engine).
+pub struct Operands<'a, S: Fn(usize) -> &'a [f32]> {
+    /// The `i`th vector source, in [`VectorInst::vector_srcs`] order.
+    pub src: S,
+    /// `Sel`'s selector predicate.
+    pub sel: Option<&'a [f32]>,
+    /// The governing predicate, if predicated.
+    pub mask: Option<&'a [f32]>,
+    /// The old destination value that merging predication keeps.
+    pub old: Option<&'a [f32]>,
+    /// The [`scalar_payload`] captured at transmit.
+    pub payload: Option<u64>,
+    /// Lanes at the configured `<VL>`.
+    pub lanes: usize,
+}
+
+/// Executes the compute instruction `inst` (unwrapped; its predicate is
+/// [`Operands::mask`]) into `out`: the lane operation, then merging
+/// predication (inactive lanes keep the old destination). Returns the
+/// scalar write-back of a `ReduceAdd`.
+pub fn compute<'a, S: Fn(usize) -> &'a [f32]>(
+    inst: &VectorInst,
+    ops: &Operands<'a, S>,
+    out: &mut Vec<f32>,
+) -> Option<(XReg, f32)> {
+    let needs_payload = matches!(inst, VectorInst::Dup { .. } | VectorInst::Whilelo { .. });
+    debug_assert!(!needs_payload || ops.payload.is_some(), "scalar payload captured at transmit");
+    let (src, payload) = (&ops.src, ops.payload.unwrap_or(0));
+    let mut scalar_wb = None;
+    match inst {
+        VectorInst::Unary { op, .. } => exec_unary(*op, src(0), out),
+        VectorInst::Binary { op, .. } => exec_binary(*op, src(0), src(1), out),
+        VectorInst::Fma { .. } => exec_fma(src(0), src(1), src(2), out),
+        VectorInst::DupImm { imm, .. } => broadcast(*imm, ops.lanes, out),
+        VectorInst::Dup { .. } => broadcast(f32::from_bits(payload as u32), ops.lanes, out),
+        VectorInst::ReduceAdd { dst, .. } => {
+            let sum = match ops.mask {
+                Some(m) => reduce_add_masked(m, src(0)),
+                None => reduce_add(src(0)),
+            };
+            scalar_wb = Some((*dst, sum));
+        }
+        VectorInst::Whilelo { .. } => whilelo(payload >> 32, payload & 0xffff_ffff, ops.lanes, out),
+        VectorInst::Fcm { op, .. } => compare(*op, src(0), src(1), out),
+        VectorInst::Sel { .. } => blend(ops.sel.unwrap_or_default(), src(0), src(1), out),
+        VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
+            // Memory ops take the memory path and callers unwrap
+            // predication; neither reaches here.
+            debug_assert!(false, "non-compute instruction in the compute path");
+            broadcast(0.0, ops.lanes, out);
+        }
+    }
+    if let (Some(m), Some(old)) = (ops.mask, ops.old) {
+        merge(m, out, old);
+    }
+    scalar_wb
+}
+
+/// The bounds check of a vector access of `bytes` at `addr` under the
+/// governing predicate `mask`: predicated accesses only touch active
+/// lanes (SVE fault suppression), so the checked span ends at the last
+/// active lane. Returns the span of an access that leaves the
+/// `capacity`-byte arena.
+pub fn out_of_bounds(addr: u64, bytes: u64, mask: Option<&[f32]>, capacity: u64) -> Option<u64> {
+    let span = mask.map_or(bytes, active_span);
+    (span > 0 && addr.checked_add(span).is_none_or(|end| end > capacity)).then_some(span)
+}
+
 /// Applies a unary lane-wise operation.
+#[inline(never)]
 pub fn exec_unary(op: VUnOp, src: &[f32], out: &mut Vec<f32>) {
     out.clear();
     out.extend(src.iter().map(|&x| match op {
@@ -22,6 +119,7 @@ pub fn exec_unary(op: VUnOp, src: &[f32], out: &mut Vec<f32>) {
 /// # Panics
 ///
 /// Panics if the operand widths differ (a renamer invariant violation).
+#[inline(never)]
 pub fn exec_binary(op: VBinOp, a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     assert_eq!(a.len(), b.len(), "vector width mismatch");
     out.clear();
@@ -40,6 +138,7 @@ pub fn exec_binary(op: VBinOp, a: &[f32], b: &[f32], out: &mut Vec<f32>) {
 /// # Panics
 ///
 /// Panics if the operand widths differ.
+#[inline(never)]
 pub fn exec_fma(acc: &[f32], a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     assert!(acc.len() == a.len() && a.len() == b.len(), "vector width mismatch");
     out.clear();
@@ -47,6 +146,7 @@ pub fn exec_fma(acc: &[f32], a: &[f32], b: &[f32], out: &mut Vec<f32>) {
 }
 
 /// Broadcasts `value` to `lanes` lanes.
+#[inline(never)]
 pub fn broadcast(value: f32, lanes: usize, out: &mut Vec<f32>) {
     out.clear();
     out.resize(lanes, value);
@@ -54,6 +154,7 @@ pub fn broadcast(value: f32, lanes: usize, out: &mut Vec<f32>) {
 
 /// Horizontal sum over all lanes (SVE `FADDV` semantics: strict
 /// left-to-right order, so results are deterministic for any lane count).
+#[inline(never)]
 pub fn reduce_add(src: &[f32]) -> f32 {
     src.iter().fold(0.0, |acc, &x| acc + x)
 }
@@ -63,6 +164,7 @@ pub fn reduce_add(src: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if the widths differ.
+#[inline(never)]
 pub fn blend(mask: &[f32], a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     assert!(mask.len() == a.len() && a.len() == b.len(), "vector width mismatch");
     out.clear();
@@ -75,6 +177,7 @@ pub fn blend(mask: &[f32], a: &[f32], b: &[f32], out: &mut Vec<f32>) {
 /// # Panics
 ///
 /// Panics if the widths differ.
+#[inline(never)]
 pub fn merge(mask: &[f32], value: &mut [f32], old: &[f32]) {
     assert!(mask.len() == value.len() && value.len() == old.len(), "vector width mismatch");
     for ((v, &m), &o) in value.iter_mut().zip(mask).zip(old) {
@@ -89,6 +192,7 @@ pub fn merge(mask: &[f32], value: &mut [f32], old: &[f32]) {
 /// # Panics
 ///
 /// Panics if the widths differ.
+#[inline(never)]
 pub fn reduce_add_masked(mask: &[f32], src: &[f32]) -> f32 {
     assert_eq!(mask.len(), src.len(), "vector width mismatch");
     mask.iter().zip(src).fold(0.0, |acc, (&m, &x)| if m != 0.0 { acc + x } else { acc })
@@ -96,6 +200,7 @@ pub fn reduce_add_masked(mask: &[f32], src: &[f32]) -> f32 {
 
 /// The WHILELO predicate: lane `i` is active iff `a + i < b`
 /// (represented as 1.0/0.0 per lane).
+#[inline(never)]
 pub fn whilelo(a: u64, b: u64, lanes: usize, out: &mut Vec<f32>) {
     out.clear();
     out.extend((0..lanes as u64).map(|i| if a + i < b { 1.0 } else { 0.0 }));
@@ -106,6 +211,7 @@ pub fn whilelo(a: u64, b: u64, lanes: usize, out: &mut Vec<f32>) {
 /// # Panics
 ///
 /// Panics if the widths differ.
+#[inline(never)]
 pub fn compare(op: VCmpOp, a: &[f32], b: &[f32], out: &mut Vec<f32>) {
     assert_eq!(a.len(), b.len(), "vector width mismatch");
     out.clear();
@@ -115,7 +221,7 @@ pub fn compare(op: VCmpOp, a: &[f32], b: &[f32], out: &mut Vec<f32>) {
 /// Bytes a predicated access touches: up to and including the last
 /// active lane (SVE fault suppression — inactive trailing lanes are
 /// neither bounds-checked nor accessed).
-pub fn active_span(mask: &[f32]) -> u64 {
+fn active_span(mask: &[f32]) -> u64 {
     mask.iter().rposition(|&a| a != 0.0).map_or(0, |i| (i as u64 + 1) * 4)
 }
 

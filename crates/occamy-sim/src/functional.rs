@@ -31,7 +31,7 @@
 //! refuses to enter a functional mode while either is active
 //! ([`SimError::Config`]), so the engine never sees them.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, VectorInst};
+use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, PReg, VectorInst};
 
 use crate::error::SimError;
 use crate::exec;
@@ -213,59 +213,30 @@ impl<'m> FunctionalEngine<'m> {
                 detail: "vector instruction executed with <VL> = 0".into(),
             }));
         }
+        let (inst, pred) = (v.inner(), v.governing_pred());
+        let payload = exec::scalar_payload(inst, &self.m.scalar[c].x);
         if v.is_mem() {
-            return self.exec_vector_mem(c, v, lanes);
+            return self.exec_vector_mem(c, inst, pred, lanes, payload.unwrap_or(0));
         }
 
         // Register reads borrow the physical register file directly, and
         // the result is computed into the engine's recycled buffer.
         let m = &mut *self.m;
-        let value = &mut self.value;
         let coproc = &m.coproc;
-        let mask: Option<&[f32]> = v.governing_pred().map(|p| coproc.preg(c, p));
         let srcs = v.vector_srcs();
-        let src = |i: usize| coproc.vreg(c, srcs[i]);
-        let x = &m.scalar[c].x;
-        let mut scalar_wb = None;
-        match v.inner() {
-            VectorInst::Unary { op, .. } => exec::exec_unary(*op, src(0), value),
-            VectorInst::Binary { op, .. } => exec::exec_binary(*op, src(0), src(1), value),
-            VectorInst::Fma { .. } => exec::exec_fma(src(0), src(1), src(2), value),
-            VectorInst::DupImm { imm, .. } => exec::broadcast(*imm, lanes, value),
-            VectorInst::Dup { src, .. } => {
-                exec::broadcast(f32::from_bits(x[src.index()] as u32), lanes, value);
-            }
-            VectorInst::ReduceAdd { dst, .. } => {
-                let sum = match mask {
-                    Some(mk) => exec::reduce_add_masked(mk, src(0)),
-                    None => exec::reduce_add(src(0)),
-                };
-                scalar_wb = Some((*dst, sum));
-            }
-            VectorInst::Whilelo { a, b, .. } => {
-                let lo = x[a.index()] as u32;
-                let hi = x[b.index()] as u32;
-                exec::whilelo(u64::from(lo), u64::from(hi), lanes, value);
-            }
-            VectorInst::Fcm { op, .. } => exec::compare(*op, src(0), src(1), value),
-            VectorInst::Sel { sel, .. } => {
-                exec::blend(coproc.preg(c, *sel), src(0), src(1), value);
-            }
-            VectorInst::Load { .. } | VectorInst::Store { .. } | VectorInst::Predicated { .. } => {
-                // inner() strips predication and memory ops were routed
-                // above; nothing reaches here.
-                debug_assert!(false, "non-compute instruction in the compute path");
-                exec::broadcast(0.0, lanes, value);
-            }
-        }
-        // Merging predication: inactive lanes keep the old destination.
-        if let (Some(mk), Some(d)) = (mask, v.vector_dst()) {
-            exec::merge(mk, value, coproc.vreg(c, d));
-        }
+        let ops = exec::Operands {
+            src: |i| coproc.vreg(c, srcs[i]),
+            sel: v.pred_srcs().first().map(|&p| coproc.preg(c, p)),
+            mask: pred.map(|p| coproc.preg(c, p)),
+            old: pred.and_then(|_| v.vector_dst()).map(|d| coproc.vreg(c, d)),
+            payload,
+            lanes,
+        };
+        let scalar_wb = exec::compute(inst, &ops, &mut self.value);
         if let Some(d) = v.vector_dst() {
-            m.coproc.write_vreg(c, d, value);
+            m.coproc.write_vreg(c, d, &mut self.value);
         } else if let Some(p) = v.pred_dst() {
-            m.coproc.write_preg(c, p, value);
+            m.coproc.write_preg(c, p, &mut self.value);
         }
         if let Some((reg, sum)) = scalar_wb {
             m.scalar[c].write_f32(reg, sum);
@@ -276,39 +247,25 @@ impl<'m> FunctionalEngine<'m> {
         Ok(Step::Retired)
     }
 
-    /// A vector load or store, immediately against the functional
-    /// memory image: same span arithmetic, bounds check, zeroing-load
-    /// and active-lane-store semantics as the timing LSU path.
-    fn exec_vector_mem(&mut self, c: usize, v: &VectorInst, lanes: usize) -> Result<Step, SimError> {
-        let m = &mut *self.m;
-        let (base, index) = match v.inner() {
-            VectorInst::Load { base, index, .. } | VectorInst::Store { base, index, .. } => {
-                (*base, *index)
-            }
-            _ => return Ok(Step::Retired),
-        };
-        let addr = m.scalar[c].x[base.index()]
-            .wrapping_add(m.scalar[c].x[index.index()].wrapping_mul(4));
-        let bytes = (lanes * 4) as u64;
-        let mask: Option<&[f32]> = v.governing_pred().map(|p| m.coproc.preg(c, p));
-        // Predicated accesses only touch active lanes (SVE fault
-        // suppression): the checked span ends at the last active lane.
-        let span = mask.map_or(bytes, exec::active_span);
-        if span > 0 && addr.checked_add(span).is_none_or(|end| end > m.mem.capacity() as u64) {
-            let e = SimError::MemoryFault {
-                core: c,
-                addr,
-                bytes: span,
-                capacity: m.mem.capacity() as u64,
-            };
-            // First fault wins, mirroring `trip` (which can't be called
-            // while the predicate mask borrows the register file).
-            if m.fault.is_none() {
-                m.fault = Some(e.clone());
-            }
-            return Err(e);
+    /// A vector load or store of `addr`, immediately against the
+    /// functional memory image: same bounds check, zeroing-load and
+    /// active-lane-store semantics as the timing LSU path.
+    fn exec_vector_mem(
+        &mut self,
+        c: usize,
+        inst: &VectorInst,
+        pred: Option<PReg>,
+        lanes: usize,
+        addr: u64,
+    ) -> Result<Step, SimError> {
+        let capacity = self.m.mem.capacity() as u64;
+        let mask = pred.map(|p| self.m.coproc.preg(c, p));
+        if let Some(bytes) = exec::out_of_bounds(addr, (lanes * 4) as u64, mask, capacity) {
+            return Err(self.trip(SimError::MemoryFault { core: c, addr, bytes, capacity }));
         }
-        match v.inner() {
+        let m = &mut *self.m;
+        let mask = pred.map(|p| m.coproc.preg(c, p));
+        match inst {
             VectorInst::Load { dst, .. } => {
                 exec::load(&m.mem, addr, lanes, mask, &mut self.value);
                 m.coproc.write_vreg(c, *dst, &mut self.value);

@@ -1,6 +1,6 @@
 //! The top-level machine: scalar cores + co-processor + memory.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program, VectorInst};
+use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program};
 use mem_sim::{Cycle, MemStats, Memory, MemorySystem};
 
 use crate::config::{Architecture, SimConfig};
@@ -9,6 +9,7 @@ use crate::coproc::{
 };
 use crate::error::{CoreDump, SimError, WatchdogDump};
 use crate::events::{EventKind, EventLog, Track};
+use crate::exec;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::profile::{CycleClass, ProfileState};
@@ -638,7 +639,7 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn vreg(&self, core: usize, v: em_simd::VReg) -> Vec<f32> {
-        self.coproc.read_vreg(core, v)
+        self.coproc.vreg(core, v).to_vec()
     }
 
     /// Diagnostic: the architectural value of a predicate register.
@@ -1835,22 +1836,7 @@ impl Machine {
                     budget -= 1;
                 }
                 Inst::Vector(v) => {
-                    // Capture the scalar payload at transmit time
-                    // (Table 2: scalar operands are ready here).
-                    let aux = match v.inner() {
-                        VectorInst::Load { base, index, .. }
-                        | VectorInst::Store { base, index, .. } => Some(
-                            self.scalar[c].x[base.index()]
-                                .wrapping_add(self.scalar[c].x[index.index()].wrapping_mul(4)),
-                        ),
-                        VectorInst::Dup { src, .. } => Some(self.scalar[c].x[src.index()]),
-                        VectorInst::Whilelo { a, b, .. } => {
-                            let lo = self.scalar[c].x[a.index()] as u32;
-                            let hi = self.scalar[c].x[b.index()] as u32;
-                            Some((u64::from(lo) << 32) | u64::from(hi))
-                        }
-                        _ => None,
-                    };
+                    let aux = exec::scalar_payload(v.inner(), &self.scalar[c].x);
                     if let Some(d) = v.scalar_dst() {
                         self.scalar[c].pending_x[d.index()] = true;
                     }

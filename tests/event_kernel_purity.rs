@@ -81,30 +81,36 @@ fn reference_kernel_renders_the_same_document() {
 
 /// Invariant 3: the kernel engages. An idle-heavy chase must report
 /// `cycles_skipped > 0` (surfaced as the opt-in `sim.cycles_skipped`
-/// metric) while matching the reference statistics exactly.
+/// metric) while matching the reference statistics exactly, at the
+/// paper's DRAM latency and at 4x and 16x it (the inert spans grow with
+/// the latency). The reference kernel never skips.
 #[test]
 fn idle_heavy_case_skips_cycles_and_stays_exact() {
-    let mut reference = chase_machine(300, 128, 120).expect("chase machine builds");
-    reference.set_reference_kernel(true);
-    let want = reference.run(10_000_000).expect("reference run completes");
-    assert!(want.completed);
+    for dram in [120, 480, 1920] {
+        let mut reference = chase_machine(300, 128, dram).expect("chase machine builds");
+        reference.set_reference_kernel(true);
+        let want = reference.run(10_000_000).expect("reference run completes");
+        assert!(want.completed);
+        assert_eq!(reference.cycles_skipped(), 0, "dram {dram}: the reference kernel skipped");
 
-    let mut event = chase_machine(300, 128, 120).expect("chase machine builds");
-    event.expose_kernel_metric(true);
-    let got = event.run(10_000_000).expect("event-kernel run completes");
+        let mut event = chase_machine(300, 128, dram).expect("chase machine builds");
+        event.expose_kernel_metric(true);
+        let got = event.run(10_000_000).expect("event-kernel run completes");
 
-    assert!(event.cycles_skipped() > 0, "no cycles skipped on an idle-heavy chase");
-    assert_eq!(want.cycles, got.cycles, "cycle totals diverged");
-    // The exposed metric accounts for the jumped span; the totals above
-    // prove it is included in (not added to) the simulated cycles.
-    let metric = got
-        .metrics
-        .iter()
-        .find(|m| m.name == "sim.cycles_skipped")
-        .expect("opt-in metric registered");
-    assert_eq!(metric.value, MetricValue::Counter(event.cycles_skipped()));
-    // Apart from that one opt-in metric, the runs are identical.
-    let mut want_like = got.clone();
-    want_like.metrics = want.metrics.clone();
-    assert_eq!(want, want_like, "stats diverged beyond the opt-in metric");
+        assert!(event.cycles_skipped() > 0, "dram {dram}: no cycles skipped on the chase");
+        assert_eq!(want.cycles, got.cycles, "dram {dram}: cycle totals diverged");
+        // The exposed metric accounts for the jumped span; the totals
+        // above prove it is included in (not added to) the simulated
+        // cycles.
+        let metric = got
+            .metrics
+            .iter()
+            .find(|m| m.name == "sim.cycles_skipped")
+            .expect("opt-in metric registered");
+        assert_eq!(metric.value, MetricValue::Counter(event.cycles_skipped()));
+        // Apart from that one opt-in metric, the runs are identical.
+        let mut want_like = got.clone();
+        want_like.metrics = want.metrics.clone();
+        assert_eq!(want, want_like, "dram {dram}: stats diverged beyond the opt-in metric");
+    }
 }
