@@ -18,11 +18,12 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero ways/line, capacity not
-    /// divisible into whole power-of-two sets). Untrusted geometries
-    /// should be checked with [`validate`](CacheConfig::validate) first.
+    /// Panics if the geometry is degenerate (zero ways, a line size that
+    /// is not a power of two, capacity not divisible into whole
+    /// power-of-two sets). Untrusted geometries should be checked with
+    /// [`validate`](CacheConfig::validate) first.
     pub fn num_sets(&self) -> usize {
-        assert!(self.ways > 0 && self.line_bytes > 0, "degenerate cache geometry");
+        assert!(self.ways > 0 && self.line_bytes.is_power_of_two(), "degenerate cache geometry");
         let sets = self.size_bytes / (self.ways * self.line_bytes);
         assert!(sets > 0 && sets.is_power_of_two(), "sets ({sets}) must be a power of two");
         sets
@@ -33,12 +34,15 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when the geometry is degenerate (zero
-    /// ways/line bytes, or a set count that is zero or not a power of
-    /// two).
+    /// Returns a message when the geometry is degenerate (zero ways, a
+    /// line size that is not a power of two, or a set count that is zero
+    /// or not a power of two).
     pub fn validate(&self) -> Result<(), String> {
         if self.ways == 0 || self.line_bytes == 0 {
             return Err("degenerate cache geometry: zero ways or line bytes".to_owned());
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!("cache line size ({}) must be a power of two", self.line_bytes));
         }
         let sets = self.size_bytes / (self.ways * self.line_bytes);
         if sets == 0 || !sets.is_power_of_two() {
@@ -145,9 +149,13 @@ impl Cache {
     }
 
     fn index_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
+        // Line size and set count are powers of two (`num_sets` and
+        // decode enforce it), so the line number and the tag are shifts
+        // and the set index a mask.
+        let line = addr >> self.cfg.line_bytes.trailing_zeros();
+        let sets = self.sets.len() as u64;
+        let set = (line & (sets - 1)) as usize;
+        let tag = line >> sets.trailing_zeros();
         (set, tag)
     }
 
@@ -304,6 +312,19 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn degenerate_geometry_is_rejected() {
         let _ = Cache::new(CacheConfig { size_bytes: 192, ways: 1, line_bytes: 64 });
+    }
+
+    #[test]
+    fn lines_must_be_a_power_of_two() {
+        let cfg = CacheConfig { size_bytes: 96 * 8, ways: 1, line_bytes: 96 };
+        assert!(cfg.validate().unwrap_err().contains("line size"));
+    }
+
+    #[test]
+    fn set_index_and_tag_split_the_line_number() {
+        // 4 sets of 64-byte lines: line 13 is set 1, tag 3.
+        let c = Cache::new(CacheConfig { size_bytes: 512, ways: 2, line_bytes: 64 });
+        assert_eq!(c.index_tag(13 * 64 + 5), (1, 3));
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl MemorySystem {
         };
         // Stream prefetch into the L1.
         for p in 1..=self.cfg.l1_prefetch_lines {
-            let pf = (addr / line + p) * line;
+            let pf = ((addr >> line.trailing_zeros()) + p) * line;
             if !self.l1[core].probe(pf) {
                 let ready = self.fetch_from_l2(now, pf);
                 if self.l1[core].fill(pf, false, ready) {
@@ -279,8 +279,9 @@ impl MemorySystem {
         let mut slowest = port_done;
         let mut level = ServiceLevel::FirstLevel;
 
-        let first_line = addr / line;
-        let last_line = (addr + bytes - 1) / line;
+        // Line sizes are powers of two (`CacheConfig::validate`).
+        let first_line = addr >> line.trailing_zeros();
+        let last_line = (addr + bytes - 1) >> line.trailing_zeros();
         for l in first_line..=last_line {
             let line_addr = l * line;
             match self.veccache.access(line_addr, write) {

@@ -64,6 +64,11 @@ impl fmt::Display for Architecture {
     }
 }
 
+/// The largest reorder buffer [`SimConfig::validate`] accepts. The
+/// co-processor sizes its issue-queue and LSU rings by the ROB, which
+/// bounds how far apart two live entries can be.
+pub(crate) const MAX_ROB_ENTRIES: usize = 4096;
+
 /// Micro-architectural parameters of the simulated machine (Table 4 plus
 /// the pipeline depths of Fig. 5).
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +87,7 @@ pub struct SimConfig {
     pub pool_entries: usize,
     /// Issue-queue entries per core (compute window).
     pub iq_entries: usize,
-    /// Reorder-buffer entries per core.
+    /// Reorder-buffer entries per core (at most 4096).
     pub rob_entries: usize,
     /// LSU queue entries per core (bounds in-flight vector memory ops).
     pub lsu_entries: usize,
@@ -208,6 +213,12 @@ impl SimConfig {
             if v == 0 {
                 return Err(format!("{name} must be at least 1"));
             }
+        }
+        if self.rob_entries > MAX_ROB_ENTRIES {
+            return Err(format!(
+                "rob_entries must be at most {MAX_ROB_ENTRIES} (configured: {})",
+                self.rob_entries
+            ));
         }
         if self.exe_latency == 0 || self.exe_latency_long == 0 {
             return Err("execution latencies must be at least 1 cycle".to_owned());
@@ -349,6 +360,8 @@ mod tests {
         let mut cfg = SimConfig::paper_2core();
         cfg.rob_entries = 0;
         assert!(cfg.validate().is_err());
+        cfg.rob_entries = MAX_ROB_ENTRIES + 1;
+        assert!(cfg.validate().unwrap_err().contains("rob_entries"));
         let mut cfg = SimConfig::paper_2core();
         cfg.mem.cores = 7;
         assert!(cfg.validate().is_err());

@@ -14,7 +14,8 @@
 //!    and processes EM-SIMD instructions on the in-order EM-SIMD data
 //!    path, including the pipeline-drain rule for `MSR <VL>` (§4.2.2).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use em_simd::{
     DedicatedReg, EmSimdInst, OperationalIntensity, PReg, RegList, VReg, VectorInst,
@@ -30,7 +31,8 @@ use crate::events::{Event, EventKind, EventLog, Track};
 use crate::exec;
 use crate::fault::FaultState;
 use crate::lsu::{Lsu, LsuEntry};
-use crate::regblocks::{BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks};
+use crate::regblocks::{BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks, NO_WAITER};
+use crate::slotset::SlotSet;
 use crate::stats::{CoreStats, PhaseStats};
 use crate::trace::{Trace, TraceEvent, TraceStage};
 
@@ -151,6 +153,10 @@ struct IqEntry {
     /// Scalar payload captured at transmit ([`exec::scalar_payload`]).
     aux: Option<u64>,
     lanes: usize,
+    /// The entry's ROB position (derived; see [`Rob`]).
+    rob: u64,
+    /// Operands not yet written back (derived; see [`IssueQueue`]).
+    unready: u8,
 }
 
 impl IqEntry {
@@ -181,11 +187,229 @@ fn ungoverned(inst: VectorInst) -> (VectorInst, Option<PReg>) {
     }
 }
 
+/// Operand occurrences an IQ entry can wait on: its vector sources, the
+/// merge source, the governing predicate and its predicate sources.
+const WAITS_PER_ENTRY: usize = 2 * RegList::<PhysId>::CAPACITY + 2;
+
+/// One core's issue queue, kept so that compute issue never scans it.
+///
+/// Entries live in a ring: the `n`-th entry enqueued takes slot
+/// `n % span`.
+/// Every live entry holds a ROB entry that cannot retire before it, so
+/// with a ROB-sized span no two live entries share a slot, and the walk
+/// from the slot the next entry will take visits live entries oldest
+/// first. Each entry counts its operands not yet written back
+/// (`IqEntry::unready`) and is subscribed to each such register's
+/// waiter list (the head lives in the [`PhysRegFile`] slot, the links
+/// here); a writeback walks the list and decrements the counts. Entries
+/// at zero sit in `ready`, so the oldest ready entry is one bitset walk
+/// away. All of this is derived from the entries and the register
+/// files' readiness: snapshots encode only the entries.
+#[derive(Debug, Clone, PartialEq)]
+struct IssueQueue {
+    slots: Vec<Option<IqEntry>>,
+    /// Next-links of the waiter nodes, [`WAITS_PER_ENTRY`] per slot.
+    links: Vec<u32>,
+    ready: SlotSet,
+    /// The slot the next entry takes, where the age-order walk starts.
+    next: usize,
+    len: usize,
+}
+
+impl IssueQueue {
+    fn new(span: usize) -> Self {
+        let span = span.max(1);
+        IssueQueue {
+            slots: vec![None; span],
+            links: vec![NO_WAITER; span * WAITS_PER_ENTRY],
+            ready: SlotSet::new(span),
+            next: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn span(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Stores `e` in the next slot, ready if none of its operands is
+    /// outstanding.
+    fn insert(&mut self, e: IqEntry) {
+        let slot = self.next;
+        debug_assert!(self.slots[slot].is_none(), "issue-queue ring overrun");
+        if e.unready == 0 {
+            self.ready.insert(slot);
+        }
+        self.slots[slot] = Some(e);
+        self.next = if slot + 1 == self.span() { 0 } else { slot + 1 };
+        self.len += 1;
+    }
+
+    /// One outstanding operand of the entry in `slot` was written back.
+    fn operand_ready(&mut self, slot: usize) {
+        if let Some(e) = &mut self.slots[slot] {
+            debug_assert!(e.unready > 0, "wake-up of a ready entry");
+            e.unready = e.unready.saturating_sub(1);
+            if e.unready == 0 {
+                self.ready.insert(slot);
+            }
+        }
+    }
+
+    /// The slot of the oldest entry whose operands are all ready.
+    fn oldest_ready(&self) -> Option<usize> {
+        self.ready.first_from(self.next)
+    }
+
+    /// Removes the entry in `slot` (it issues).
+    fn take(&mut self, slot: usize) -> Option<IqEntry> {
+        let e = self.slots[slot].take()?;
+        self.ready.remove(slot);
+        self.len -= 1;
+        Some(e)
+    }
+
+    /// The live entries in age order, with their slots.
+    fn entries(&self) -> impl Iterator<Item = (usize, &IqEntry)> + '_ {
+        let (start, span) = (self.next, self.span());
+        (0..span).filter_map(move |i| {
+            let slot = (start + i) % span;
+            Some((slot, self.slots[slot].as_ref()?))
+        })
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RobEntry {
     seq: u64,
     done: bool,
     prev_phys: Option<(PhysId, RegClass)>,
+}
+
+/// A core's reorder buffer. Entries are addressed by position — the
+/// number of entries pushed before them — so a completion marks its
+/// entry done by index instead of searching for its `seq`.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Rob {
+    entries: VecDeque<RobEntry>,
+    /// Entries retired so far: the position of the head.
+    retired: u64,
+}
+
+impl Rob {
+    /// Appends `e` and returns its position.
+    fn push(&mut self, e: RobEntry) -> u64 {
+        self.entries.push_back(e);
+        self.retired + self.entries.len() as u64 - 1
+    }
+
+    fn front(&self) -> Option<&RobEntry> {
+        self.entries.front()
+    }
+
+    fn pop_front(&mut self) -> Option<RobEntry> {
+        let e = self.entries.pop_front()?;
+        self.retired += 1;
+        Some(e)
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Marks the entry at position `pos` (instruction `seq`) done.
+    fn mark_done(&mut self, pos: u64, seq: u64) {
+        let entry = pos
+            .checked_sub(self.retired)
+            .and_then(|i| self.entries.get_mut(usize::try_from(i).ok()?));
+        let Some(e) = entry else {
+            debug_assert!(false, "ROB entry {seq} vanished");
+            return;
+        };
+        debug_assert!(e.seq == seq && !e.done, "ROB position {pos} is not pending {seq}");
+        e.done = true;
+    }
+
+    /// The position of the pending (not done) entry for `seq`: how
+    /// snapshot decode re-derives the positions it does not encode.
+    fn position(&self, seq: u64) -> Option<u64> {
+        let i = self.entries.binary_search_by_key(&seq, |e| e.seq).ok()?;
+        (!self.entries[i].done).then_some(self.retired + i as u64)
+    }
+}
+
+/// The writeback schedule: a min-heap of `(cycle, completion)`, each
+/// completion packed into one `u64` that sorts like [`Completion`].
+#[derive(Debug, Clone, Default)]
+struct Completions(BinaryHeap<Reverse<(Cycle, u64)>>);
+
+/// The packed [`Completion::Memory`] tag: above every compute index.
+const MEMORY: u64 = 1 << 63;
+/// A packed memory completion holds the core (below 64, per
+/// `SimConfig::validate`) above its LSU position's low `POS_BITS` bits.
+const POS_BITS: u32 = 57;
+const POS_MASK: u64 = (1 << POS_BITS) - 1;
+
+impl Completions {
+    fn with_capacity(n: usize) -> Self {
+        Completions(BinaryHeap::with_capacity(n))
+    }
+
+    fn push(&mut self, at: Cycle, c: Completion) {
+        let packed = match c {
+            Completion::Compute(n) => n & !MEMORY,
+            Completion::Memory { core, pos } => {
+                MEMORY | ((core as u64) << POS_BITS) | (pos & POS_MASK)
+            }
+        };
+        self.0.push(Reverse((at, packed)));
+    }
+
+    /// The earliest scheduled cycle.
+    fn next(&self) -> Option<Cycle> {
+        self.0.peek().map(|&Reverse((at, _))| at)
+    }
+
+    /// Removes and returns the first completion due by `now`.
+    fn pop_due(&mut self, now: Cycle) -> Option<Completion> {
+        if self.next()? > now {
+            return None;
+        }
+        let Reverse((_, packed)) = self.0.pop()?;
+        Some(if packed & MEMORY == 0 {
+            Completion::Compute(packed)
+        } else {
+            let core = ((packed & !MEMORY) >> POS_BITS) as usize;
+            Completion::Memory { core, pos: packed & POS_MASK }
+        })
+    }
+}
+
+// Heaps built by the same pushes and pops have the same layout.
+impl PartialEq for Completions {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.as_slice() == other.0.as_slice()
+    }
+}
+
+/// A scheduled writeback. Within a cycle, completions order the way
+/// `complete` has always processed one: compute results in issue order,
+/// then each core's memory accesses in age order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Completion {
+    /// The in-flight compute result issued `n`-th (see
+    /// `CoProcessor::inflight`).
+    Compute(u64),
+    /// The access at LSU position `pos` of `core`.
+    Memory { core: usize, pos: u64 },
 }
 
 /// Extra cycles charged when a corrupted result on an already-quarantined
@@ -210,14 +434,16 @@ struct InflightCompute {
     /// the injection cycle. The residue check at writeback turns the tag
     /// into a [`SimError::LaneFault`].
     faulted: Option<(usize, Cycle)>,
+    /// The ROB position of `rob_seq` (derived; see [`Rob`]).
+    rob: u64,
 }
 
 #[derive(Debug, Clone, PartialEq)]
 struct CoreCtx {
     pool: VecDeque<PoolEntry>,
-    iq: Vec<IqEntry>,
+    iq: IssueQueue,
     lsu: Lsu,
-    rob: VecDeque<RobEntry>,
+    rob: Rob,
     rename_map: [PhysId; NUM_VREGS],
     pred_rename: [PhysId; NUM_PREGS],
     cur_vl: VectorLength,
@@ -249,7 +475,15 @@ pub(crate) struct CoProcessor {
     cores: Vec<CoreCtx>,
     table: ResourceTable,
     mgr: Option<LaneManager>,
-    inflight: Vec<InflightCompute>,
+    /// In-flight compute results in issue order: slot `n - inflight_base`
+    /// holds the `n`-th issued, emptied when it completes and dropped
+    /// once every older one has completed too.
+    inflight: VecDeque<Option<InflightCompute>>,
+    inflight_base: u64,
+    /// Every scheduled writeback — in-flight compute and issued LSU
+    /// accesses — by cycle: the earliest is the co-processor's term of
+    /// the skip horizon, and `complete` touches only what is due.
+    completions: Completions,
     next_seq: u64,
     /// Total instructions retired from the ROBs (forward-progress
     /// signal for the machine's watchdog).
@@ -287,9 +521,9 @@ impl CoProcessor {
         let cores = (0..cfg.cores)
             .map(|_| CoreCtx {
                 pool: VecDeque::new(),
-                iq: Vec::new(),
-                lsu: Lsu::new(cfg.lsu_entries),
-                rob: VecDeque::new(),
+                iq: IssueQueue::new(cfg.rob_entries),
+                lsu: Lsu::new(cfg.lsu_entries, cfg.rob_entries),
+                rob: Rob::default(),
                 rename_map: std::array::from_fn(|_| {
                     prf.alloc_zeroed(&[], 0, cfg.total_granules)
                 }),
@@ -320,6 +554,7 @@ impl CoProcessor {
             None
         };
         let table = ResourceTable::new(cfg.cores, cfg.total_granules);
+        let completions = Completions::with_capacity(cfg.cores * cfg.rob_entries);
         CoProcessor {
             cfg,
             arch,
@@ -329,7 +564,9 @@ impl CoProcessor {
             cores,
             table,
             mgr,
-            inflight: Vec::new(),
+            inflight: VecDeque::new(),
+            inflight_base: 0,
+            completions,
             next_seq: 0,
             retired: 0,
             fault: None,
@@ -448,43 +685,36 @@ impl CoProcessor {
         })
     }
 
-    /// Whether any in-flight compute result is due at `now` — a machine-
-    /// wide activity signal the event kernel checks before probing cores.
-    pub(crate) fn inflight_due(&self, now: Cycle) -> bool {
-        self.inflight.iter().any(|f| f.complete_at <= now)
+    /// Whether any writeback — an in-flight compute result or an issued
+    /// LSU access — is due at `now`: a machine-wide activity signal the
+    /// event kernel checks before probing cores.
+    pub(crate) fn completion_due(&self, now: Cycle) -> bool {
+        self.next_completion().is_some_and(|at| at <= now)
     }
 
-    /// The earliest pending completion — an in-flight compute writeback
-    /// or an issued LSU access — if any: the co-processor's term of the
-    /// event kernel's skip horizon.
+    /// The earliest pending writeback, if any: the co-processor's term
+    /// of the event kernel's skip horizon.
     pub(crate) fn next_completion(&self) -> Option<Cycle> {
-        let compute = self.inflight.iter().map(|f| f.complete_at);
-        let memory = self.cores.iter().flat_map(|ctx| ctx.lsu.issued_completions());
-        compute.chain(memory).min()
+        self.completions.next()
     }
 
     /// The event kernel's inertness probe for one core: decides — without
-    /// mutating anything — whether a `tick` at cycle `now` would change
-    /// co-processor state for `core`. Built from the stages' own gates
-    /// ([`oldest_ready`](Self::oldest_ready),
+    /// mutating anything — whether a `tick` at the current cycle would
+    /// change co-processor state for `core`, given no writeback is due
+    /// ([`completion_due`](Self::completion_due)). Built from the
+    /// stages' own gates ([`oldest_ready`](Self::oldest_ready),
     /// [`pick_mem`](Self::pick_mem), [`rename_gate`](Self::rename_gate),
     /// [`em_must_wait`](Self::em_must_wait)); only the event-log edges
     /// are checked here. When in doubt the probe answers
     /// [`CoprocActivity::Active`], which merely forgoes a skip and can
     /// never change results.
-    pub(crate) fn core_activity(
-        &self,
-        core: usize,
-        now: Cycle,
-        mem_capacity: u64,
-    ) -> CoprocActivity {
+    pub(crate) fn core_activity(&self, core: usize, mem_capacity: u64) -> CoprocActivity {
         let ctx = &self.cores[core];
-        // Stage 1 (complete): a retirement-ready ROB head or a due LSU
-        // completion. (Due in-flight compute results are ruled out
-        // machine-wide by `inflight_due` before cores are probed.)
+        // Stage 1 (complete): a retirement-ready ROB head. (Due
+        // writebacks are ruled out machine-wide by `completion_due`
+        // before cores are probed.)
         // Stage 2: an issuable compute or memory operation.
         if ctx.rob.front().is_some_and(|h| h.done)
-            || ctx.lsu.issued_completions().any(|at| at <= now)
             || self.oldest_ready(core).is_some()
             || self.pick_mem(core, mem_capacity).is_some()
         {
@@ -519,73 +749,34 @@ impl CoProcessor {
         CoprocActivity::Inert { reg_stall }
     }
 
-    fn mark_rob_done(rob: &mut VecDeque<RobEntry>, seq: u64) {
-        let Some(e) = rob.iter_mut().find(|e| e.seq == seq) else {
-            debug_assert!(false, "ROB entry {seq} vanished");
-            return;
+    /// Writes back a result, waking the issue-queue entries waiting on
+    /// it.
+    fn writeback(&mut self, class: RegClass, dst: PhysId, value: Vec<f32>) {
+        let file = match class {
+            RegClass::Vector => &mut self.prf,
+            RegClass::Pred => &mut self.ppf,
         };
-        debug_assert!(!e.done);
-        e.done = true;
+        file.write(dst, value);
+        let mut node = file.take_waiters(dst);
+        // Waiter node `n` is operand `n % WAITS_PER_ENTRY` of issue-queue
+        // slot `n / WAITS_PER_ENTRY`, counting across the cores' rings.
+        let per_core = self.cfg.rob_entries.max(1) * WAITS_PER_ENTRY;
+        while node != NO_WAITER {
+            let (core, local) = (node as usize / per_core, node as usize % per_core);
+            let iq = &mut self.cores[core].iq;
+            node = iq.links[local];
+            iq.operand_ready(local / WAITS_PER_ENTRY);
+        }
     }
 
     /// Stage 1: writebacks, load/store completion, retirement. Scalar
     /// results bound for the cores (reductions) are appended to `wbs`.
     pub(crate) fn complete(&mut self, now: Cycle, wbs: &mut Vec<ScalarWriteback>) {
-        // Compute writebacks, in place: due entries hand their value
-        // buffer to the destination register and leave the list.
-        let mut inflight = std::mem::take(&mut self.inflight);
-        inflight.retain_mut(|f| {
-            if f.complete_at > now {
-                return true;
+        while let Some(due) = self.completions.pop_due(now) {
+            match due {
+                Completion::Compute(n) => self.complete_compute(n, now, wbs),
+                Completion::Memory { core, pos } => self.complete_mem(core, pos, now),
             }
-            // Residue check at writeback (§ detection & recovery): a
-            // corrupted result is *detected* here, not corrected — the
-            // value still lands, and the machine's recovery layer decides
-            // whether to roll back to the last checkpoint.
-            if let Some((granule, injected_at)) = f.faulted {
-                self.trip(SimError::LaneFault {
-                    core: f.core,
-                    granule,
-                    injected_at,
-                    detected_at: now,
-                });
-            }
-            if let Some(dst) = f.dst {
-                let value = std::mem::take(&mut f.value);
-                match f.dst_class {
-                    RegClass::Vector => self.prf.write(dst, value),
-                    RegClass::Pred => self.ppf.write(dst, value),
-                }
-            }
-            if let Some((reg, value)) = f.scalar_wb {
-                wbs.push(ScalarWriteback { core: f.core, reg, value });
-            }
-            self.trace_event(now, f.core, f.rob_seq, TraceStage::Complete, String::new());
-            Self::mark_rob_done(&mut self.cores[f.core].rob, f.rob_seq);
-            false
-        });
-        self.inflight = inflight;
-
-        // Memory completions: load data moves into its register.
-        for core in 0..self.cores.len() {
-            let ctx = &mut self.cores[core];
-            let (prf, trace) = (&mut self.prf, &mut self.trace);
-            ctx.lsu.drain_completed(now, |e| {
-                if let Some(dst) = e.dst {
-                    debug_assert!(e.data.is_some(), "load data captured at issue");
-                    prf.write(dst, e.data.unwrap_or_default());
-                }
-                if trace.is_enabled() {
-                    trace.record(TraceEvent {
-                        cycle: now,
-                        core,
-                        seq: e.seq,
-                        stage: TraceStage::Complete,
-                        disasm: String::new(),
-                    });
-                }
-                Self::mark_rob_done(&mut ctx.rob, e.seq);
-            });
         }
 
         // Retirement: free previous physical registers in order.
@@ -612,6 +803,46 @@ impl CoProcessor {
                 }
             }
         }
+    }
+
+    /// Writes back the `n`-th issued compute result.
+    fn complete_compute(&mut self, n: u64, now: Cycle, wbs: &mut Vec<ScalarWriteback>) {
+        let slot = n.checked_sub(self.inflight_base).and_then(|i| usize::try_from(i).ok());
+        let Some(mut f) = slot.and_then(|i| self.inflight.get_mut(i)).and_then(Option::take) else {
+            debug_assert!(false, "in-flight result {n} vanished");
+            return;
+        };
+        while self.inflight.front().is_some_and(Option::is_none) {
+            self.inflight.pop_front();
+            self.inflight_base += 1;
+        }
+        // Residue check at writeback (§ detection & recovery): a
+        // corrupted result is *detected* here, not corrected — the value
+        // still lands, and the machine's recovery layer decides whether
+        // to roll back to the last checkpoint.
+        if let Some((granule, injected_at)) = f.faulted {
+            self.trip(SimError::LaneFault { core: f.core, granule, injected_at, detected_at: now });
+        }
+        if let Some(dst) = f.dst {
+            self.writeback(f.dst_class, dst, std::mem::take(&mut f.value));
+        }
+        if let Some((reg, value)) = f.scalar_wb {
+            wbs.push(ScalarWriteback { core: f.core, reg, value });
+        }
+        self.trace_event(now, f.core, f.rob_seq, TraceStage::Complete, String::new());
+        self.cores[f.core].rob.mark_done(f.rob, f.rob_seq);
+    }
+
+    /// Completes the access at LSU position `pos` of `core`: load data
+    /// moves into its register.
+    fn complete_mem(&mut self, core: usize, pos: u64, now: Cycle) {
+        let Some((e, rob)) = self.cores[core].lsu.complete(pos) else { return };
+        if let Some(dst) = e.dst {
+            debug_assert!(e.data.is_some(), "load data captured at issue");
+            self.writeback(RegClass::Vector, dst, e.data.unwrap_or_default());
+        }
+        self.trace_event(now, core, e.seq, TraceStage::Complete, String::new());
+        self.cores[core].rob.mark_done(rob, e.seq);
     }
 
     /// Stage 2: compute and memory issue. Adds the per-core issue counts
@@ -682,10 +913,41 @@ impl CoProcessor {
     /// ready instruction, if any.
     fn oldest_ready(&self, core: usize) -> Option<usize> {
         let iq = &self.cores[core].iq;
-        // Rename pushes in `seq` order and issue removes in place, so the
-        // first ready entry is the oldest ready one.
-        debug_assert!(iq.windows(2).all(|w| w[0].seq < w[1].seq), "issue queue out of age order");
-        iq.iter().position(|e| e.ready(&self.prf, &self.ppf))
+        let slot = iq.oldest_ready();
+        debug_assert_eq!(
+            slot,
+            iq.entries().find(|(_, e)| e.ready(&self.prf, &self.ppf)).map(|(s, _)| s),
+            "the ready set disagrees with IqEntry::ready"
+        );
+        slot
+    }
+
+    /// Enqueues a renamed compute instruction on `core`'s issue queue,
+    /// subscribing it to the writeback of every operand not yet ready.
+    fn enqueue_compute(&mut self, core: usize, mut e: IqEntry) {
+        let iq = &mut self.cores[core].iq;
+        // `writeback` decodes node numbers with the same span.
+        debug_assert_eq!(iq.span(), self.cfg.rob_entries.max(1));
+        let slot = iq.next;
+        let first = (core * iq.span() + slot) * WAITS_PER_ENTRY;
+        let links = &mut iq.links[slot * WAITS_PER_ENTRY..][..WAITS_PER_ENTRY];
+        let operands = e.srcs.iter().chain(&e.merge).map(|&id| (RegClass::Vector, id));
+        let operands =
+            operands.chain(e.pred.iter().chain(e.psrcs.iter()).map(|&id| (RegClass::Pred, id)));
+        let mut unready = 0;
+        for (class, id) in operands {
+            let file = match class {
+                RegClass::Vector => &mut self.prf,
+                RegClass::Pred => &mut self.ppf,
+            };
+            if !file.is_ready(id) {
+                links[unready] = file.add_waiter(id, (first + unready) as u32);
+                unready += 1;
+            }
+        }
+        e.unready = unready as u8;
+        debug_assert_eq!(unready == 0, e.ready(&self.prf, &self.ppf));
+        self.cores[core].iq.insert(e);
     }
 
     /// Issues the oldest ready compute instruction of `core`, if any.
@@ -697,10 +959,10 @@ impl CoProcessor {
         now: Cycle,
         faults: &mut Option<FaultState>,
     ) -> bool {
-        let Some(pos) = self.oldest_ready(core) else {
+        let Some(e) = self.oldest_ready(core).and_then(|slot| self.cores[core].iq.take(slot))
+        else {
             return false;
         };
-        let e = self.cores[core].iq.remove(pos);
         self.trace_event(now, core, e.seq, TraceStage::Issue, String::new());
         let latency = match e.inst {
             VectorInst::Binary { op: em_simd::VBinOp::Fdiv, .. }
@@ -752,7 +1014,8 @@ impl CoProcessor {
                 }
             }
         }
-        self.inflight.push(InflightCompute {
+        let n = self.inflight_base + self.inflight.len() as u64;
+        self.inflight.push_back(Some(InflightCompute {
             complete_at,
             core,
             dst: e.dst,
@@ -761,33 +1024,37 @@ impl CoProcessor {
             scalar_wb,
             rob_seq: e.seq,
             faulted,
-        });
+            rob: e.rob,
+        }));
+        self.completions.push(complete_at, Completion::Compute(n));
         true
     }
 
-    /// Memory issue's gate: the first LSU entry of `core` that can act
-    /// this cycle, in issue order. Unissued entries whose governing
-    /// predicate is not ready are skipped; an entry whose access leaves
-    /// the `capacity`-byte arena is a fault (checked before the ordering
+    /// Memory issue's gate: the first unissued LSU entry of `core` that
+    /// can act this cycle, in age order: the oldest, then the other
+    /// [`Lsu::candidates`](crate::lsu::Lsu::candidates) (the entries it
+    /// leaves out cannot act). Entries whose governing predicate is not
+    /// ready are skipped; an entry whose access leaves the
+    /// `capacity`-byte arena is a fault (checked before the ordering
     /// rules); a store waits for its ordering and its data, a load for
     /// its ordering.
     fn pick_mem(&self, core: usize, capacity: u64) -> Option<MemPick> {
         let lsu = &self.cores[core].lsu;
-        lsu.entries().iter().enumerate().find_map(|(idx, e)| {
-            if e.issued || e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
+        let oldest = lsu.oldest_unissued()?;
+        let act = |slot: usize| {
+            let e = lsu.get(slot)?;
+            if e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
                 return None;
             }
             let mask = e.pred.map(|p| self.ppf.read(p));
             if let Some(bytes) = exec::out_of_bounds(e.addr, e.bytes, mask, capacity) {
                 return Some(MemPick::Fault { addr: e.addr, bytes });
             }
-            let ready = if e.store {
-                !lsu.store_blocked(idx) && e.src.is_some_and(|src| self.prf.is_ready(src))
-            } else {
-                !lsu.load_blocked(idx)
-            };
-            ready.then_some(MemPick::Issue(idx))
-        })
+            let ready = !lsu.blocked(slot, oldest)
+                && (!e.store || e.src.is_some_and(|src| self.prf.is_ready(src)));
+            ready.then_some(MemPick::Issue(slot))
+        };
+        act(oldest).or_else(|| lsu.candidates(capacity).filter(|&s| s != oldest).find_map(act))
     }
 
     /// Issues one eligible memory operation of `core`, if any. Load data
@@ -801,19 +1068,18 @@ impl CoProcessor {
         faults: &mut Option<FaultState>,
     ) -> bool {
         let capacity = mem.capacity() as u64;
-        let idx = match self.pick_mem(core, capacity) {
+        let slot = match self.pick_mem(core, capacity) {
             None => return false,
             // An out-of-range vector access is a typed fault, not a crash.
             Some(MemPick::Fault { addr, bytes }) => {
                 self.trip(SimError::MemoryFault { core, addr, bytes, capacity });
                 return false;
             }
-            Some(MemPick::Issue(idx)) => idx,
+            Some(MemPick::Issue(slot)) => slot,
         };
-        let (store, addr, bytes, lanes, dst, src, pred) = {
-            let e = &self.cores[core].lsu.entries()[idx];
-            (e.store, e.addr, e.bytes, e.lanes, e.dst, e.src, e.pred)
-        };
+        let Some(e) = self.cores[core].lsu.get(slot) else { return false };
+        let (seq, store, addr, bytes, lanes, dst, src, pred) =
+            (e.seq, e.store, e.addr, e.bytes, e.lanes, e.dst, e.src, e.pred);
         let data = if store {
             // `pick_mem` only picks a store whose data source is ready.
             if let Some(src) = src {
@@ -830,11 +1096,10 @@ impl CoProcessor {
         if level != mem_sim::ServiceLevel::FirstLevel {
             self.event(now, Track::Memory, EventKind::CacheMiss { core, level });
         }
-        let e = &mut self.cores[core].lsu.entries_mut()[idx];
-        e.issued = true;
-        e.complete_at = Some(done);
-        e.data = data;
-        let seq = e.seq;
+        let pos = self.cores[core].lsu.issue(slot, done, data);
+        // `complete` runs before issue within a cycle, so an access
+        // already served by `now` writes back next cycle.
+        self.completions.push(done.max(now + 1), Completion::Memory { core, pos });
         self.trace_event(now, core, seq, TraceStage::Issue, String::new());
         true
     }
@@ -860,17 +1125,37 @@ impl CoProcessor {
             let core = (start + k) % ncores;
             let mut budget = self.cfg.transmit_width;
             let mut stalled_on_regs = false;
-            while budget > 0 && !self.cores[core].pool.is_empty() {
-                let Some(front) = self.cores[core].pool.front().cloned() else { break };
-                match front {
-                    PoolEntry::Vector { inst, pred, aux } => {
-                        if !self.rename_vector(core, inst, pred, aux, now, &mut stalled_on_regs) {
-                            break;
+            while budget > 0 {
+                // The head leaves the pool only once it can act, so a
+                // stalled head costs no copy per cycle.
+                match self.cores[core].pool.front() {
+                    None => break,
+                    Some(PoolEntry::Vector { inst, .. }) => {
+                        match self.rename_gate(core, inst) {
+                            RenameGate::Full => break,
+                            RenameGate::InvalidVl => {
+                                self.trip(SimError::InvalidVl {
+                                    core,
+                                    granules: 0,
+                                    detail: "vector instruction executed with <VL> = 0".into(),
+                                });
+                                break;
+                            }
+                            RenameGate::RegStall => {
+                                stalled_on_regs = true;
+                                break;
+                            }
+                            RenameGate::Go => {}
                         }
-                        self.cores[core].pool.pop_front();
+                        let Some(PoolEntry::Vector { inst, pred, aux }) =
+                            self.cores[core].pool.pop_front()
+                        else {
+                            break;
+                        };
+                        self.rename_vector(core, inst, pred, aux, now);
                         budget -= 1;
                     }
-                    PoolEntry::Em { inst, operand } => {
+                    Some(&PoolEntry::Em { inst, operand }) => {
                         if em_budget == 0 {
                             break;
                         }
@@ -934,9 +1219,8 @@ impl CoProcessor {
         }
     }
 
-    /// Renames one vector instruction (`inst` governed by `pred`).
-    /// Returns `false` when a structural or register-file stall blocks
-    /// the pool head.
+    /// Renames one vector instruction (`inst` governed by `pred`) that
+    /// [`rename_gate`](Self::rename_gate) let through.
     fn rename_vector(
         &mut self,
         core: usize,
@@ -944,24 +1228,8 @@ impl CoProcessor {
         pred: Option<PReg>,
         aux: Option<u64>,
         now: Cycle,
-        stalled_on_regs: &mut bool,
-    ) -> bool {
-        match self.rename_gate(core, &inst) {
-            RenameGate::Full => return false,
-            RenameGate::InvalidVl => {
-                self.trip(SimError::InvalidVl {
-                    core,
-                    granules: 0,
-                    detail: "vector instruction executed with <VL> = 0".into(),
-                });
-                return false;
-            }
-            RenameGate::RegStall => {
-                *stalled_on_regs = true;
-                return false;
-            }
-            RenameGate::Go => {}
-        }
+    ) {
+        debug_assert_eq!(self.rename_gate(core, &inst), RenameGate::Go);
         let lanes = self.cores[core].cur_vl.lanes();
 
         // Read source mappings before redefining the destination (FMLA
@@ -1004,7 +1272,7 @@ impl CoProcessor {
 
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.cores[core].rob.push_back(RobEntry { seq, done: false, prev_phys });
+        let rob = self.cores[core].rob.push(RobEntry { seq, done: false, prev_phys });
         if self.trace.is_enabled() {
             self.trace_event(now, core, seq, TraceStage::Rename, governed(&inst, pred).to_string());
         }
@@ -1015,7 +1283,7 @@ impl CoProcessor {
                 VectorInst::Store { src, .. } => Some(self.cores[core].rename_map[src.index()]),
                 _ => None,
             };
-            self.cores[core].lsu.push(LsuEntry {
+            let entry = LsuEntry {
                 seq,
                 store,
                 addr: {
@@ -1030,9 +1298,10 @@ impl CoProcessor {
                 complete_at: None,
                 data: None,
                 pred: pred_phys,
-            });
+            };
+            self.cores[core].lsu.push(entry, rob);
         } else {
-            self.cores[core].iq.push(IqEntry {
+            self.enqueue_compute(core, IqEntry {
                 seq,
                 inst,
                 gov: pred,
@@ -1044,9 +1313,10 @@ impl CoProcessor {
                 merge,
                 aux,
                 lanes,
+                rob,
+                unready: 0,
             });
         }
-        true
     }
 
     /// The EM-SIMD data path's gate: whether `inst` must wait this cycle.
@@ -1272,7 +1542,7 @@ impl CoProcessor {
     /// checkpoints must not be taken while one is, or the rollback would
     /// replay the corruption forever.
     pub(crate) fn inflight_tainted(&self) -> bool {
-        self.inflight.iter().any(|f| f.faulted.is_some())
+        self.inflight.iter().flatten().any(|f| f.faulted.is_some())
     }
 
     /// Starts quarantining `granule` (§ detection & recovery): the block
@@ -1566,8 +1836,11 @@ impl CoProcessor {
 // `trace`, `events` and the latched `fault` are NOT serialized: snapshot
 // I/O refuses machines with any of them active (see
 // `Machine::snapshot_io_refusal`), and decode reconstructs the disabled /
-// empty defaults. Everything else — including the out-of-order windows —
-// round-trips exactly.
+// empty defaults. Neither is the scheduling state derived from the
+// out-of-order windows (ring slots, waiter lists, ready sets, ROB
+// positions, the completion heap): decode rebuilds it
+// (`CoProcessor::rebuild`). Everything else — including the windows
+// themselves — round-trips exactly.
 
 // Hand-written so a pool entry encodes exactly like the instruction it
 // was transmitted as: the governing predicate is written as the
@@ -1639,20 +1912,77 @@ impl statecodec::Codec for IqEntry {
             merge: statecodec::Codec::decode(src)?,
             aux: statecodec::Codec::decode(src)?,
             lanes: statecodec::Codec::decode(src)?,
+            rob: 0,
+            unready: 0,
         })
     }
 }
+
+// Encodes as the entry list in age order, as the queue has always been
+// encoded. Decode stages the entries in a ring of their own length;
+// `CoProcessor::rebuild` re-enqueues them into the machine's span.
+impl statecodec::Codec for IssueQueue {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.len, sink);
+        for (_, e) in self.entries() {
+            statecodec::Codec::encode(e, sink);
+        }
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        let entries: Vec<IqEntry> = statecodec::Codec::decode(src)?;
+        if entries.windows(2).any(|w| w[0].seq >= w[1].seq) {
+            return Err(statecodec::DecodeError::at(src, "issue queue out of age order"));
+        }
+        let mut iq = IssueQueue::new(entries.len());
+        for e in entries {
+            iq.insert(e);
+        }
+        Ok(iq)
+    }
+}
+
 statecodec::impl_codec!(RobEntry { seq, done, prev_phys });
-statecodec::impl_codec!(InflightCompute {
-    complete_at,
-    core,
-    dst,
-    dst_class,
-    value,
-    scalar_wb,
-    rob_seq,
-    faulted,
-});
+
+// Encodes as the entry deque; positions restart at zero on decode.
+impl statecodec::Codec for Rob {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.entries, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        let entries: VecDeque<RobEntry> = statecodec::Codec::decode(src)?;
+        if entries.iter().zip(entries.iter().skip(1)).any(|(a, b)| a.seq >= b.seq) {
+            return Err(statecodec::DecodeError::at(src, "reorder buffer out of age order"));
+        }
+        Ok(Rob { entries, retired: 0 })
+    }
+}
+
+// Hand-written so the derived ROB position stays out of the encoding.
+impl statecodec::Codec for InflightCompute {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.complete_at, sink);
+        statecodec::Codec::encode(&self.core, sink);
+        statecodec::Codec::encode(&self.dst, sink);
+        statecodec::Codec::encode(&self.dst_class, sink);
+        statecodec::Codec::encode(&self.value, sink);
+        statecodec::Codec::encode(&self.scalar_wb, sink);
+        statecodec::Codec::encode(&self.rob_seq, sink);
+        statecodec::Codec::encode(&self.faulted, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        Ok(InflightCompute {
+            complete_at: statecodec::Codec::decode(src)?,
+            core: statecodec::Codec::decode(src)?,
+            dst: statecodec::Codec::decode(src)?,
+            dst_class: statecodec::Codec::decode(src)?,
+            value: statecodec::Codec::decode(src)?,
+            scalar_wb: statecodec::Codec::decode(src)?,
+            rob_seq: statecodec::Codec::decode(src)?,
+            faulted: statecodec::Codec::decode(src)?,
+            rob: 0,
+        })
+    }
+}
 statecodec::impl_codec!(CoreCtx {
     pool,
     iq,
@@ -1682,7 +2012,11 @@ impl statecodec::Codec for CoProcessor {
         statecodec::Codec::encode(&self.cores, sink);
         statecodec::Codec::encode(&self.table, sink);
         statecodec::Codec::encode(&self.mgr, sink);
-        statecodec::Codec::encode(&self.inflight, sink);
+        // The in-flight results encode as the list they always were.
+        statecodec::Codec::encode(&self.inflight.iter().flatten().count(), sink);
+        for f in self.inflight.iter().flatten() {
+            statecodec::Codec::encode(f, sink);
+        }
         statecodec::Codec::encode(&self.next_seq, sink);
         statecodec::Codec::encode(&self.retired, sink);
         statecodec::Codec::encode(&self.corrected_inline, sink);
@@ -1746,12 +2080,9 @@ impl statecodec::Codec for CoProcessor {
                     "core spanning set references a register block beyond the machine",
                 ));
             }
-            // Compute issue takes the first ready entry as the oldest.
-            if ctx.iq.windows(2).any(|w| w[0].seq >= w[1].seq) {
-                return Err(statecodec::DecodeError::at(src, "issue queue out of age order"));
-            }
         }
-        Ok(CoProcessor {
+        let completions = Completions::with_capacity(cfg.cores * cfg.rob_entries);
+        let mut co = CoProcessor {
             cfg,
             arch,
             blocks,
@@ -1760,7 +2091,9 @@ impl statecodec::Codec for CoProcessor {
             cores,
             table,
             mgr,
-            inflight,
+            inflight: VecDeque::new(),
+            inflight_base: 0,
+            completions,
             next_seq,
             retired,
             fault: None,
@@ -1769,6 +2102,168 @@ impl statecodec::Codec for CoProcessor {
             replan_epoch,
             trace: Trace::disabled(),
             events: EventLog::disabled(),
-        })
+        };
+        co.rebuild(inflight).map_err(|e| statecodec::DecodeError::at(src, e))?;
+        Ok(co)
+    }
+}
+
+impl CoProcessor {
+    /// Rebuilds the derived scheduling state a snapshot does not encode
+    /// — ROB positions, the issue-queue and LSU rings with their waiter
+    /// lists and ready sets, and the completion heap — from the decoded
+    /// entries, through the same enqueue paths rename uses. Rejects
+    /// entries that name no pending ROB entry or a register beyond the
+    /// files.
+    fn rebuild(&mut self, inflight: Vec<InflightCompute>) -> Result<(), String> {
+        let span = self.cfg.rob_entries;
+        let (nv, np) = (self.prf.slot_count(), self.ppf.slot_count());
+        let rob_of = |ctx: &CoreCtx, what: &str, seq: u64| {
+            ctx.rob.position(seq).ok_or_else(|| format!("{what} {seq} has no pending ROB entry"))
+        };
+        for core in 0..self.cores.len() {
+            let ctx = &mut self.cores[core];
+            let iq = std::mem::replace(&mut ctx.iq, IssueQueue::new(span));
+            let lsu = ctx.lsu.respan(span);
+            if iq.len() > span || lsu.len() > span {
+                return Err(format!("core {core}'s queues outgrow a {span}-entry ROB"));
+            }
+            for e in lsu {
+                let rob = rob_of(ctx, "LSU entry", e.seq)?;
+                let due = e.complete_at.filter(|_| e.issued);
+                if let (Some(pos), Some(at)) = (ctx.lsu.push(e, rob), due) {
+                    self.completions.push(at, Completion::Memory { core, pos });
+                }
+            }
+            for (_, e) in iq.entries() {
+                if e.srcs.iter().chain(&e.merge).any(|p| p.0 as usize >= nv)
+                    || e.pred.iter().chain(e.psrcs.iter()).any(|p| p.0 as usize >= np)
+                {
+                    let seq = e.seq;
+                    return Err(format!("issue-queue entry {seq} reads a register beyond the file"));
+                }
+                let rob = rob_of(&self.cores[core], "issue-queue entry", e.seq)?;
+                self.enqueue_compute(core, IqEntry { rob, ..e.clone() });
+            }
+        }
+        for mut f in inflight {
+            let ctx =
+                self.cores.get(f.core).ok_or("in-flight result of a core beyond the machine")?;
+            f.rob = rob_of(ctx, "in-flight result", f.rob_seq)?;
+            let n = self.inflight.len() as u64;
+            self.completions.push(f.complete_at, Completion::Compute(n));
+            self.inflight.push_back(Some(f));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use em_simd::VBinOp;
+
+    use super::*;
+
+    /// A one-core co-processor with all four granules configured.
+    fn coproc() -> CoProcessor {
+        let mut co = CoProcessor::new(SimConfig::paper(1), Architecture::Private);
+        assert!(co.try_set_vl(0, 4));
+        co
+    }
+
+    fn binary(op: VBinOp, dst: VReg, a: VReg, b: VReg) -> VectorInst {
+        VectorInst::Binary { op, dst, a, b }
+    }
+
+    /// Renames `inst` on core 0.
+    fn rename(co: &mut CoProcessor, inst: VectorInst, aux: Option<u64>) {
+        assert_eq!(co.rename_gate(0, &inst), RenameGate::Go);
+        co.rename_vector(0, inst, None, aux, 0);
+    }
+
+    /// The `seq` of core 0's oldest ready IQ entry.
+    fn oldest_ready_seq(co: &CoProcessor) -> Option<u64> {
+        let iq = &co.cores[0].iq;
+        co.oldest_ready(0).and_then(|slot| iq.slots[slot].as_ref()).map(|e| e.seq)
+    }
+
+    /// Issues core 0's oldest ready compute instruction at `now`.
+    fn issue_one(co: &mut CoProcessor, now: Cycle) {
+        assert!(co.try_issue_compute(0, now, &mut None), "nothing ready at {now}");
+    }
+
+    fn complete(co: &mut CoProcessor, now: Cycle) {
+        co.complete(now, &mut Vec::new());
+    }
+
+    #[test]
+    fn an_entry_wakes_only_on_its_last_operand() {
+        let mut co = coproc();
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z2, VReg::Z0, VReg::Z0), None); // seq 0
+        rename(&mut co, binary(VBinOp::Fdiv, VReg::Z3, VReg::Z0, VReg::Z0), None); // seq 1
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z1, VReg::Z2, VReg::Z3), None); // seq 2
+        issue_one(&mut co, 0);
+        issue_one(&mut co, 0);
+        assert_eq!(oldest_ready_seq(&co), None);
+        complete(&mut co, 4); // the FADD writes z2
+        assert_eq!(oldest_ready_seq(&co), None, "z3 is still outstanding");
+        complete(&mut co, 12); // the FDIV writes z3
+        assert_eq!(oldest_ready_seq(&co), Some(2));
+    }
+
+    #[test]
+    fn out_of_order_wake_ups_still_select_the_oldest_entry() {
+        let mut co = coproc();
+        rename(&mut co, binary(VBinOp::Fdiv, VReg::Z2, VReg::Z0, VReg::Z0), None); // seq 0
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z3, VReg::Z0, VReg::Z0), None); // seq 1
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z4, VReg::Z2, VReg::Z0), None); // seq 2
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z5, VReg::Z3, VReg::Z0), None); // seq 3
+        issue_one(&mut co, 0);
+        issue_one(&mut co, 0);
+        complete(&mut co, 4);
+        assert_eq!(oldest_ready_seq(&co), Some(3), "only the younger consumer is ready");
+        complete(&mut co, 12);
+        assert_eq!(oldest_ready_seq(&co), Some(2), "the older consumer woke later but goes first");
+        issue_one(&mut co, 12);
+        assert_eq!(oldest_ready_seq(&co), Some(3));
+    }
+
+    #[test]
+    fn a_source_named_twice_is_counted_twice() {
+        let mut co = coproc();
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z2, VReg::Z0, VReg::Z0), None); // seq 0
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z1, VReg::Z2, VReg::Z2), None); // seq 1
+        let unready = |co: &CoProcessor| {
+            co.cores[0].iq.entries().find(|(_, e)| e.seq == 1).map(|(_, e)| e.unready)
+        };
+        assert_eq!(unready(&co), Some(2));
+        issue_one(&mut co, 0);
+        complete(&mut co, 4);
+        assert_eq!(unready(&co), Some(0));
+        assert_eq!(oldest_ready_seq(&co), Some(1));
+    }
+
+    #[test]
+    fn a_dram_latency_access_stays_scheduled_behind_compute_writebacks() {
+        let mut co = coproc();
+        let mut mem = Memory::new(1 << 16);
+        let mut memsys = MemorySystem::new(co.cfg.mem);
+        let load = VectorInst::Load { dst: VReg::Z6, base: XReg::X0, index: XReg::X1 };
+        rename(&mut co, load, Some(0x4000)); // seq 0
+        assert!(co.try_issue_mem(0, 0, &mut mem, &mut memsys, &mut None));
+        let dram = co.next_completion().expect("the load is scheduled");
+        assert!(dram > 100, "a cold miss goes to DRAM (completes at {dram})");
+        rename(&mut co, binary(VBinOp::Fadd, VReg::Z2, VReg::Z0, VReg::Z0), None); // seq 1
+        issue_one(&mut co, 1);
+        assert_eq!(co.next_completion(), Some(5), "the compute result is due first");
+        assert!(!co.completion_due(4) && co.completion_due(5));
+        complete(&mut co, 5);
+        assert_eq!(co.next_completion(), Some(dram));
+        complete(&mut co, dram - 1);
+        assert!(co.cores[0].rob.front().is_some_and(|h| !h.done), "the load is still in flight");
+        complete(&mut co, dram);
+        assert_eq!(co.next_completion(), None);
+        assert!(co.is_drained(0), "both instructions retired");
+        assert_eq!(co.retired, 2);
     }
 }

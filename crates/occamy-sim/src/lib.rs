@@ -39,6 +39,7 @@ mod profile;
 mod recovery;
 mod regblocks;
 mod scalar;
+mod slotset;
 pub mod snapshot_io;
 mod stats;
 mod trace;

@@ -938,7 +938,7 @@ impl Machine {
     fn probe_inert(&self, cores: &mut Vec<InertCore>) -> bool {
         let now = self.cycle;
         cores.clear();
-        if self.coproc.inflight_due(now) {
+        if self.coproc.completion_due(now) {
             return false;
         }
         let mem_capacity = self.mem.capacity() as u64;
@@ -949,7 +949,7 @@ impl Machine {
                 return false;
             }
             let CoprocActivity::Inert { reg_stall } =
-                self.coproc.core_activity(c, now, mem_capacity)
+                self.coproc.core_activity(c, mem_capacity)
             else {
                 return false;
             };
@@ -1739,8 +1739,11 @@ impl Machine {
     /// involve a scalar instruction live here: the pending-register
     /// interlock, the bound on in-flight scalar loads, address overlap
     /// with in-flight vector memory operations, instruction-pool space,
-    /// and the pending source of an `MSR`. `MRS <decision>` executes
-    /// speculatively, always (§4.1.1).
+    /// and the pending source of an `MSR`. A scalar destination with a
+    /// write still pending (a reduction or a load in flight) holds every
+    /// writer — scalar, vector (`FADDV`) or `MRS` — so the older write
+    /// cannot land last. Otherwise `MRS <decision>` executes
+    /// speculatively (§4.1.1).
     fn dispatch_blocked(&self, c: usize, inst: &Inst) -> bool {
         let s = &self.scalar[c];
         match inst {
@@ -1755,9 +1758,11 @@ impl Machine {
             }
             Inst::Vector(v) => {
                 v.scalar_srcs().iter().any(|r| s.pending_x[r.index()])
+                    || v.scalar_dst().is_some_and(|d| s.pending_x[d.index()])
                     || !self.coproc.pool_has_space(c)
             }
             Inst::EmSimd(e) => match e {
+                EmSimdInst::Mrs { dst, .. } if s.pending_x[dst.index()] => true,
                 EmSimdInst::Mrs { reg: DedicatedReg::Decision, .. } => false,
                 EmSimdInst::Msr { src: Operand::Reg(r), .. } if s.pending_x[r.index()] => true,
                 _ => !self.coproc.pool_has_space(c),

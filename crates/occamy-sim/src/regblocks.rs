@@ -291,7 +291,14 @@ struct Slot {
     blocks: Vec<usize>,
     /// Slot-recycling generation guard.
     live: bool,
+    /// Head of the list of issue-queue operands waiting for this value
+    /// ([`NO_WAITER`] when none). The issue stage owns the list's links;
+    /// this is derived state, rebuilt rather than encoded.
+    waiters: u32,
 }
+
+/// The end of a waiter list (see [`PhysRegFile::add_waiter`]).
+pub(crate) const NO_WAITER: u32 = u32::MAX;
 
 /// The physical vector register file: value storage plus readiness
 /// scoreboard, keyed by [`PhysId`].
@@ -331,6 +338,7 @@ impl PhysRegFile {
                 value: Vec::with_capacity(max_granules * LANES_PER_GRANULE),
                 blocks: slot_blocks,
                 live: true,
+                waiters: NO_WAITER,
             });
             // Every slot may be free at once: size the recycle stack with
             // the file, so `free` never grows it.
@@ -399,6 +407,18 @@ impl PhysRegFile {
         std::mem::swap(&mut s.value, value);
     }
 
+    /// Subscribes waiter `node` to `id`'s writeback, returning the
+    /// previous head of the waiter list (the caller links `node` to it).
+    pub(crate) fn add_waiter(&mut self, id: PhysId, node: u32) -> u32 {
+        std::mem::replace(&mut self.slots[id.0 as usize].waiters, node)
+    }
+
+    /// Empties `id`'s waiter list, returning its head: the operands a
+    /// writeback of `id` wakes.
+    pub(crate) fn take_waiters(&mut self, id: PhysId) -> u32 {
+        std::mem::replace(&mut self.slots[id.0 as usize].waiters, NO_WAITER)
+    }
+
     /// Frees a slot, handing the blocks whose entries the caller must
     /// release back to [`RegBlocks`] to `release`. A double free releases
     /// no blocks (and trips a `debug_assert!` in debug builds) so block
@@ -409,6 +429,7 @@ impl PhysRegFile {
         if !s.live {
             return;
         }
+        debug_assert_eq!(s.waiters, NO_WAITER, "freed physical register {id:?} still has waiters");
         s.live = false;
         s.ready = false;
         self.recycled.push(id.0);
@@ -578,7 +599,24 @@ impl statecodec::Codec for PhysId {
     }
 }
 
-statecodec::impl_codec!(Slot { ready, value, blocks, live });
+// Hand-written so the derived waiter list stays out of the encoding.
+impl statecodec::Codec for Slot {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.ready, sink);
+        statecodec::Codec::encode(&self.value, sink);
+        statecodec::Codec::encode(&self.blocks, sink);
+        statecodec::Codec::encode(&self.live, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        Ok(Slot {
+            ready: statecodec::Codec::decode(src)?,
+            value: statecodec::Codec::decode(src)?,
+            blocks: statecodec::Codec::decode(src)?,
+            live: statecodec::Codec::decode(src)?,
+            waiters: NO_WAITER,
+        })
+    }
+}
 statecodec::impl_codec!(PhysRegFile { slots, recycled });
 
 // Hand-written so decode re-establishes the parallel-array invariant

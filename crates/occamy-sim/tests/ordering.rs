@@ -9,7 +9,7 @@ use em_simd::{
     VBinOp, VReg, VectorInst, XReg,
 };
 use mem_sim::Memory;
-use occamy_sim::{Architecture, Machine, SimConfig};
+use occamy_sim::{Architecture, Machine, SimConfig, SimMode};
 
 fn machine_with(mem: Memory, program: Program) -> Machine {
     let mut m =
@@ -269,4 +269,31 @@ fn scalar_waw_with_pending_writeback() {
     let mut m = machine_with(mem, b.build());
     assert!(m.run(100_000).expect("simulation fault").completed);
     assert_eq!(m.memory().read_f32(out), -1.0, "younger scalar write wins");
+}
+
+/// ⟨SVE, EM-SIMD⟩ write-after-write on a scalar register: an `MRS` must
+/// wait for an older reduction writing the same register, or the
+/// reduction's late writeback clobbers the `MRS` result. Timing must
+/// agree with functional execution, which retires in program order.
+#[test]
+fn mrs_after_reduction_to_the_same_register_keeps_program_order() {
+    for reg in [DedicatedReg::Status, DedicatedReg::Vl] {
+        let mut b = ProgramBuilder::new();
+        b.em_simd(EmSimdInst::Msr { reg: DedicatedReg::Vl, src: Operand::Imm(1) });
+        b.vector(VectorInst::ReduceAdd { dst: XReg::X1, src: VReg::Z5 });
+        b.em_simd(EmSimdInst::Mrs { dst: XReg::X1, reg });
+        b.scalar(ScalarInst::Add { dst: XReg::X5, a: XReg::X1, b: Operand::Imm(309) });
+        b.halt();
+        let program = b.build();
+        for mode in [SimMode::Timing, SimMode::Functional] {
+            let mem = Memory::new(1 << 12);
+            let mut m = Machine::new(SimConfig::paper(1), Architecture::Occamy, mem)
+                .expect("valid config");
+            m.set_mode(mode).expect("fresh machine accepts the mode");
+            m.load_program(0, program.clone());
+            assert!(m.run(100_000).expect("simulation fault").completed);
+            assert_eq!(m.xregs(0)[1], 1, "{reg:?} under {mode:?}: the MRS result lands last");
+            assert_eq!(m.xregs(0)[5], 310, "{reg:?} under {mode:?}: the add reads the MRS result");
+        }
+    }
 }

@@ -2,7 +2,9 @@
 //! round trip — encode, decode, re-encode is byte-identical, and a
 //! machine restored from the decoded snapshot finishes the run with
 //! bit-identical outputs and the exact cycle count of an undisturbed
-//! run. Exercised over arbitrary kernel shapes, trip counts, data
+//! run. Exercised over all four architectures (temporal sharing
+//! arbitrates shared issue slots, so the rebuilt scheduling state must
+//! resume exactly there too), arbitrary kernel shapes, trip counts, data
 //! seeds, and snapshot points (including cycle 0 and past completion).
 
 use em_simd::VectorLength;
@@ -31,7 +33,18 @@ fn corunner_kernel() -> Kernel {
     Kernel::new("corunner").assign("c", Expr::load("a") + Expr::load("b"))
 }
 
-fn build(shape: u8, trip: usize, seed: u64) -> (Machine, u64) {
+/// The four architectures of Fig. 1 on the two-core machine.
+fn architecture(pick: u8) -> Architecture {
+    match pick % 4 {
+        0 => Architecture::Private,
+        1 => Architecture::TemporalSharing,
+        2 => Architecture::StaticSpatialSharing { partition: vec![3, 5] },
+        _ => Architecture::Occamy,
+    }
+}
+
+fn build(arch: &Architecture, shape: u8, trip: usize, seed: u64) -> (Machine, u64) {
+    let cfg = SimConfig::paper_2core();
     let mut mem = Memory::new(1 << 20);
     let mut layout0 = ArrayLayout::new();
     let mut layout1 = ArrayLayout::new();
@@ -51,14 +64,17 @@ fn build(shape: u8, trip: usize, seed: u64) -> (Machine, u64) {
             layout.bind(name, addr);
         }
     }
-    let compiler = Compiler::new(CodeGenOptions {
-        mode: VlMode::Elastic { default: VectorLength::new(2) },
-        ..CodeGenOptions::default()
-    });
-    let p0 = compiler.compile(&[(victim_kernel(shape), trip)], &layout0).expect("compile victim");
-    let p1 = compiler.compile(&[(corunner_kernel(), trip)], &layout1).expect("compile corunner");
-    let mut m = Machine::new(SimConfig::paper_2core(), Architecture::Occamy, mem)
-        .expect("machine builds");
+    // Elastic code on Occamy, fixed-length code on the baselines.
+    let compiler = |core| {
+        let mode = arch
+            .fixed_vl(core, &cfg)
+            .map_or(VlMode::Elastic { default: VectorLength::new(2) }, VlMode::Fixed);
+        Compiler::new(CodeGenOptions { mode, ..CodeGenOptions::default() })
+    };
+    let p0 =
+        compiler(0).compile(&[(victim_kernel(shape), trip)], &layout0).expect("compile victim");
+    let p1 = compiler(1).compile(&[(corunner_kernel(), trip)], &layout1).expect("compile corunner");
+    let mut m = Machine::new(cfg, arch.clone(), mem).expect("machine builds");
     m.load_program(0, p0);
     m.load_program(1, p1);
     (m, y_addr)
@@ -73,13 +89,15 @@ proptest! {
 
     #[test]
     fn snapshot_roundtrip_is_byte_identical_and_replays_exactly(
+        arch in 0u8..4,
         shape in 0u8..4,
         seed in 0u64..32,
         trip in 256usize..1024,
         pre in 0u64..60_000,
     ) {
         // The undisturbed reference run.
-        let (mut golden, y) = build(shape, trip, seed);
+        let arch = architecture(arch);
+        let (mut golden, y) = build(&arch, shape, trip, seed);
         let stats = golden.run(40_000_000).expect("simulation fault");
         prop_assert!(stats.completed);
         let want = outputs(&golden, y, trip);
@@ -88,7 +106,7 @@ proptest! {
         // Run to an arbitrary point (possibly 0, possibly past the
         // end — `run` treats the budget as an absolute deadline), then
         // snapshot through the binary codec.
-        let (mut m, _) = build(shape, trip, seed);
+        let (mut m, _) = build(&arch, shape, trip, seed);
         let _ = m.run(pre).expect("pre-run fault");
         let bytes = snapshot_to_bytes(&m.snapshot()).expect("plain machine must snapshot");
         let decoded = snapshot_from_bytes(&bytes).expect("round trip decodes");

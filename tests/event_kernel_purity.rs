@@ -94,6 +94,10 @@ fn idle_heavy_case_skips_cycles_and_stays_exact() {
         assert_eq!(reference.cycles_skipped(), 0, "dram {dram}: the reference kernel skipped");
 
         let mut event = chase_machine(300, 128, dram).expect("chase machine builds");
+        // Pinned: the reference-kernel test in this binary sets
+        // `OCCAMY_REFERENCE_KERNEL` while it runs, and a machine built
+        // meanwhile would otherwise pick the reference kernel up.
+        event.set_reference_kernel(false);
         event.expose_kernel_metric(true);
         let got = event.run(10_000_000).expect("event-kernel run completes");
 
