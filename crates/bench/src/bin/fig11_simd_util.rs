@@ -19,7 +19,7 @@ fn main() {
     println!("Fig. 11: SIMD utilisation (%)");
     if args.mode != SimMode::Timing {
         println!(
-            "(mode {}: utilisation covers the cycle-accurate windows only)",
+            "(mode {}: utilisation is not modelled without timing)",
             args.mode
         );
     }

@@ -165,8 +165,8 @@ pub fn run_points(points: &[SweepPoint], workers: usize) -> Vec<PointResult> {
             point.build_scale,
         )
         .unwrap_or_else(|e| panic!("{}/{name}: {e}", point.label));
-        // Freshly built machines are quiesced at cycle 0, so the mode
-        // switch cannot be refused for pipeline reasons.
+        // The mode is set on the freshly built machine, before its first
+        // cycle, so it cannot be refused for having run.
         machine
             .set_mode(point.mode)
             .unwrap_or_else(|e| panic!("{}/{name}: {e}", point.label));

@@ -19,7 +19,6 @@ fn run_instrumented() -> (Machine, occamy_sim::MachineStats) {
     let pair = &table3::all_pairs(0.05)[0];
     let mut machine = corun::build_machine(&pair.workloads, &cfg, &Architecture::Occamy, 0.05)
         .expect("build first Table-3 pair");
-    machine.enable_trace(4096);
     machine.enable_events(1 << 16);
     let stats = machine.run(MAX_CYCLES).expect("co-run completes");
     assert!(stats.completed, "fixture workload must finish");

@@ -15,7 +15,7 @@
 //!   --param <name=v>    set a runtime parameter      (repeatable)
 //!   --mode <m>          timing|functional          (default timing)
 //!   --trace             print the instruction pipeview
-//!   --trace-buf <n>     trace/event ring capacity (default 4096)
+//!   --trace-buf <n>     event ring capacity (default 4096)
 //!   --events <f>        write Chrome trace_event JSON for Perfetto
 //!   --timeline          print the lane timeline
 //!   --opt, -O           run the optimizer before compiling
@@ -131,9 +131,9 @@ fn print_usage() {
          --opt, -O         run the optimizer before compiling\n  \
          --quantum <c>     sched: round-robin time slice in cycles (default 5000)\n  \
          --trace-out <f>   run: write a Kanata trace file (Konata viewer)\n  \
-         --trace-buf <n>   ring capacity for --trace/--trace-out/--events (default 4096);\n                    \
-         on overflow the OLDEST events are dropped, so views show the\n                    \
-         most recent <n> instruction events\n  \
+         --trace-buf <n>   event ring capacity for --trace/--trace-out/--events\n                    \
+         (default 4096); on overflow the OLDEST events are dropped, so\n                    \
+         views show the most recent <n> events and a warning says so\n  \
          --events <f>      run/corun: write cross-layer events as Chrome trace_event\n                    \
          JSON (open in Perfetto / chrome://tracing)\n  \
          --inject <spec>   deterministic fault injection, e.g.\n                    \
@@ -409,10 +409,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut machine =
         Machine::new(cfg, arch, mem).map_err(|e| CliError::Sim(e.to_string()))?;
     if opts.trace || opts.trace_out.is_some() || opts.events.is_some() {
-        machine.enable_trace(opts.trace_buf);
-    }
-    if opts.events.is_some() {
-        machine.enable_events(EVENT_BUF);
+        machine.enable_events(opts.trace_buf);
     }
     let mut program_faults = 0;
     if let Some(plan) = &opts.inject {
@@ -498,10 +495,10 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if opts.trace {
         println!();
-        print!("{}", render_pipeview(machine.trace()));
+        print!("{}", render_pipeview(machine.events()));
     }
     if let Some(path) = &opts.trace_out {
-        std::fs::write(path, to_kanata(machine.trace()))
+        std::fs::write(path, to_kanata(machine.events()))
             .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
         println!("wrote Kanata trace to {path} (open with the Konata viewer)");
     }
@@ -509,24 +506,22 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Ring capacity of the structured event log behind `--events`. On
-/// overflow the oldest events are evicted (the export then covers only
-/// the tail of the run); the export reports how many were dropped.
-const EVENT_BUF: usize = 65_536;
-
-/// Writes the Chrome `trace_event` export when `--events <f>` was given.
+/// Writes the Chrome `trace_event` export when `--events <f>` was given,
+/// then warns if the event ring overflowed: every trace output
+/// (`--trace`, `--trace-out`, `--events`) then covers only the end of
+/// the run.
 fn write_events(machine: &Machine, opts: &RunOpts) -> Result<(), CliError> {
-    let Some(path) = &opts.events else { return Ok(()) };
-    std::fs::write(path, machine.chrome_trace())
-        .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
+    if let Some(path) = &opts.events {
+        std::fs::write(path, machine.chrome_trace())
+            .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
+        println!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
+    }
     let dropped = machine.events().dropped();
     if dropped > 0 {
-        println!(
-            "wrote Chrome trace to {path} (open in Perfetto); ring overflowed, \
-             {dropped} oldest event(s) dropped — raise --trace-buf or shorten the run"
+        eprintln!(
+            "warning: event ring overflowed, {dropped} oldest event(s) dropped; the trace \
+             shows only the end of the run — raise --trace-buf or shorten the run"
         );
-    } else {
-        println!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
     }
     Ok(())
 }
@@ -541,8 +536,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let mut machine = Machine::new(cfg, arch, mem).map_err(|e| CliError::Sim(e.to_string()))?;
     machine.enable_profile();
     if opts.events.is_some() {
-        machine.enable_trace(opts.trace_buf);
-        machine.enable_events(EVENT_BUF);
+        machine.enable_events(opts.trace_buf);
     }
     machine.load_program(0, program);
     let stats = machine
@@ -605,8 +599,7 @@ fn cmd_corun(args: &[String]) -> Result<(), CliError> {
         ..CodeGenOptions::default()
     });
     if opts.events.is_some() {
-        machine.enable_trace(opts.trace_buf);
-        machine.enable_events(EVENT_BUF);
+        machine.enable_events(opts.trace_buf);
     }
     let mut program_faults = 0;
     if let Some(plan) = &opts.inject {

@@ -352,6 +352,27 @@ fn trace_buf_bounds_the_kanata_window() {
 }
 
 #[test]
+fn overflowing_the_event_ring_warns() {
+    let path = write_kernel("overflow", "c[i] = a[i] + b[i]\n");
+    let events = std::env::temp_dir().join("occamy_cli_test_overflow.json");
+    let run = |buf: &str| {
+        let events = events.to_str().unwrap();
+        let out = occamy()
+            .args(["run", path.to_str().unwrap(), "--trace-buf", buf, "--events", events])
+            .output()
+            .expect("run");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let small = run("64");
+    assert!(small.contains("warning: event ring overflowed"), "{small}");
+    assert!(small.contains("--trace-buf"), "{small}");
+    // A ring large enough for the whole run drops nothing and says nothing.
+    let large = run("1000000");
+    assert!(!large.contains("overflowed"), "{large}");
+}
+
+#[test]
 fn profile_subcommand_attributes_every_cycle() {
     let path = write_kernel("profile", "y[i] = x[i] * 2.0 + 1.0\n");
     let out = occamy()

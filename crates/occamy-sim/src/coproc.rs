@@ -27,14 +27,13 @@ use roofline::{MachineCeilings, MemLevel};
 
 use crate::config::{Architecture, SimConfig};
 use crate::error::SimError;
-use crate::events::{Event, EventKind, EventLog, Track};
+use crate::events::{Event, EventKind, EventLog, TraceStage, Track};
 use crate::exec;
 use crate::fault::FaultState;
 use crate::lsu::{Lsu, LsuEntry};
 use crate::regblocks::{BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks, NO_WAITER};
 use crate::slotset::SlotSet;
 use crate::stats::{CoreStats, PhaseStats};
-use crate::trace::{Trace, TraceEvent, TraceStage};
 
 /// An entry of a core's in-order instruction pool.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,6 +166,12 @@ impl IqEntry {
             && self.psrcs.iter().all(|&p| ppf.is_ready(p))
             && self.merge.is_none_or(|m| prf.is_ready(m))
     }
+}
+
+/// The event of an instruction reaching a stage after rename (only
+/// the rename event carries the disassembly).
+fn stage_kind(core: usize, seq: u64, stage: TraceStage) -> EventKind {
+    EventKind::Stage { core, seq, stage, disasm: String::new() }
 }
 
 /// Rewraps an unwrapped instruction under its governing predicate — the
@@ -503,9 +508,8 @@ pub(crate) struct CoProcessor {
     /// surviving granules (invisible otherwise). Also published as
     /// `sim.lanemgr.replans` in the metrics registry.
     pub(crate) replan_epoch: usize,
-    /// Instruction-lifecycle trace (disabled by default).
-    pub(crate) trace: Trace,
-    /// Cross-layer structured event log (disabled by default).
+    /// Structured event log: instruction stages and machine events
+    /// (disabled by default).
     pub(crate) events: EventLog,
 }
 
@@ -573,7 +577,6 @@ impl CoProcessor {
             corrected_inline: 0,
             hints_sanitized: 0,
             replan_epoch: 0,
-            trace: Trace::disabled(),
             events: EventLog::disabled(),
         }
     }
@@ -599,12 +602,6 @@ impl CoProcessor {
     /// Outstanding LSU requests (watchdog diagnostics).
     pub(crate) fn lsu_outstanding(&self, core: usize) -> usize {
         self.cores[core].lsu.len()
-    }
-
-    fn trace_event(&mut self, cycle: Cycle, core: usize, seq: u64, stage: TraceStage, disasm: String) {
-        if self.trace.is_enabled() {
-            self.trace.record(TraceEvent { cycle, core, seq, stage, disasm });
-        }
     }
 
     /// Records a structured event (no-op unless the event log is on).
@@ -787,7 +784,8 @@ impl CoProcessor {
                     Some(head) if head.done => {
                         let Some(head) = self.cores[core].rob.pop_front() else { break };
                         self.retired += 1;
-                        self.trace_event(now, core, head.seq, TraceStage::Retire, String::new());
+                        let kind = stage_kind(core, head.seq, TraceStage::Retire);
+                        self.event(now, Track::Coproc, kind);
                         match head.prev_phys {
                             Some((prev, RegClass::Vector)) => {
                                 self.prf.free(prev, |b| self.blocks.release(b));
@@ -829,7 +827,7 @@ impl CoProcessor {
         if let Some((reg, value)) = f.scalar_wb {
             wbs.push(ScalarWriteback { core: f.core, reg, value });
         }
-        self.trace_event(now, f.core, f.rob_seq, TraceStage::Complete, String::new());
+        self.event(now, Track::Coproc, stage_kind(f.core, f.rob_seq, TraceStage::Complete));
         self.cores[f.core].rob.mark_done(f.rob, f.rob_seq);
     }
 
@@ -841,7 +839,7 @@ impl CoProcessor {
             debug_assert!(e.data.is_some(), "load data captured at issue");
             self.writeback(RegClass::Vector, dst, e.data.unwrap_or_default());
         }
-        self.trace_event(now, core, e.seq, TraceStage::Complete, String::new());
+        self.event(now, Track::Coproc, stage_kind(core, e.seq, TraceStage::Complete));
         self.cores[core].rob.mark_done(rob, e.seq);
     }
 
@@ -963,7 +961,7 @@ impl CoProcessor {
         else {
             return false;
         };
-        self.trace_event(now, core, e.seq, TraceStage::Issue, String::new());
+        self.event(now, Track::Coproc, stage_kind(core, e.seq, TraceStage::Issue));
         let latency = match e.inst {
             VectorInst::Binary { op: em_simd::VBinOp::Fdiv, .. }
             | VectorInst::Unary { op: em_simd::VUnOp::Fsqrt, .. } => self.cfg.exe_latency_long,
@@ -1100,7 +1098,7 @@ impl CoProcessor {
         // `complete` runs before issue within a cycle, so an access
         // already served by `now` writes back next cycle.
         self.completions.push(done.max(now + 1), Completion::Memory { core, pos });
-        self.trace_event(now, core, seq, TraceStage::Issue, String::new());
+        self.event(now, Track::Coproc, stage_kind(core, seq, TraceStage::Issue));
         true
     }
 
@@ -1273,8 +1271,10 @@ impl CoProcessor {
         let seq = self.next_seq;
         self.next_seq += 1;
         let rob = self.cores[core].rob.push(RobEntry { seq, done: false, prev_phys });
-        if self.trace.is_enabled() {
-            self.trace_event(now, core, seq, TraceStage::Rename, governed(&inst, pred).to_string());
+        if self.events.is_enabled() {
+            let disasm = governed(&inst, pred).to_string();
+            let kind = EventKind::Stage { core, seq, stage: TraceStage::Rename, disasm };
+            self.event(now, Track::Coproc, kind);
         }
 
         if inst.is_mem() {
@@ -1833,7 +1833,7 @@ impl CoProcessor {
 
 // --- Checkpoint serialization --------------------------------------------
 //
-// `trace`, `events` and the latched `fault` are NOT serialized: snapshot
+// `events` and the latched `fault` are NOT serialized: snapshot
 // I/O refuses machines with any of them active (see
 // `Machine::snapshot_io_refusal`), and decode reconstructs the disabled /
 // empty defaults. Neither is the scheduling state derived from the
@@ -2100,7 +2100,6 @@ impl statecodec::Codec for CoProcessor {
             corrected_inline,
             hints_sanitized,
             replan_epoch,
-            trace: Trace::disabled(),
             events: EventLog::disabled(),
         };
         co.rebuild(inflight).map_err(|e| statecodec::DecodeError::at(src, e))?;

@@ -1,21 +1,22 @@
 //! Cross-layer structured event tracing and Chrome `trace_event` export.
 //!
-//! While the instruction trace ([`crate::trace`]) answers "why did this
-//! instruction wait?", the event log answers "what did the *machine* do?":
-//! phase boundaries with their declared `<OI>`, lane-manager repartition
+//! One bounded ring buffer records everything an observer can ask for:
+//! every instruction's pipeline stages (rename, issue, completion and
+//! retirement, a gem5-`O3PipeView`-style stream that answers "why did
+//! this instruction wait?") and what the *machine* did: phase
+//! boundaries with their declared `<OI>`, lane-manager repartition
 //! decisions, vector-length reconfigurations with their drain stalls,
-//! rename-stall streaks, memory-hierarchy misses, and every transition of
-//! the detection-and-recovery subsystem. Events are typed, cycle-stamped
-//! and recorded into a bounded ring buffer that is **zero-cost when
-//! disabled** (a single branch on [`EventLog::is_enabled`], exactly like
-//! the instruction trace).
+//! rename-stall streaks, memory-hierarchy misses, and every transition
+//! of the detection-and-recovery subsystem. Events are typed,
+//! cycle-stamped and **zero-cost when disabled** (a single branch on
+//! [`EventLog::is_enabled`]).
 //!
-//! [`to_chrome_trace`] exports the log (merged with the instruction
-//! trace, when one was recorded) as Chrome `trace_event` JSON — one track
-//! per core plus dedicated tracks for the co-processor pipeline, the lane
-//! manager, the memory hierarchy and the recovery subsystem — loadable
-//! directly in Perfetto (<https://ui.perfetto.dev>) or
-//! `chrome://tracing`.
+//! [`to_chrome_trace`] exports the log as Chrome `trace_event` JSON — one
+//! track per core plus dedicated tracks for the co-processor pipeline,
+//! the lane manager, the memory hierarchy and the recovery subsystem —
+//! loadable directly in Perfetto (<https://ui.perfetto.dev>) or
+//! `chrome://tracing`. The instruction stages also render as a text
+//! pipeview and a Kanata log ([`crate::trace`]).
 //!
 //! # Truncation
 //!
@@ -29,14 +30,14 @@ use std::fmt::Write as _;
 
 use mem_sim::{Cycle, ServiceLevel};
 
-use crate::trace::{Trace, TraceStage};
+use crate::trace::lifecycles;
 
 /// The timeline (Perfetto "thread") an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Track {
     /// Per-core events: phases, reconfigurations, rename stalls.
     Core(usize),
-    /// The shared co-processor pipeline (instruction spans).
+    /// The shared co-processor pipeline (instruction stages).
     Coproc,
     /// Lane-manager repartition decisions.
     LaneManager,
@@ -60,10 +61,50 @@ impl Track {
     }
 }
 
+/// A pipeline stage an instruction passes through in the co-processor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TraceStage {
+    /// Renamed: physical registers allocated, ROB/IQ/LSU entry taken.
+    Rename,
+    /// Issued to an ExeBU or the LSU.
+    Issue,
+    /// Result produced (writeback / memory completion).
+    Complete,
+    /// Retired from the ROB.
+    Retire,
+}
+
+impl std::fmt::Display for TraceStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            TraceStage::Rename => "rename",
+            TraceStage::Issue => "issue",
+            TraceStage::Complete => "complete",
+            TraceStage::Retire => "retire",
+        };
+        f.write_str(s)
+    }
+}
+
 /// What happened. `*Begin`/`*End` pairs render as duration spans in the
-/// Chrome export; everything else renders as an instant.
+/// Chrome export, and so does each instruction's run of
+/// [`Stage`](EventKind::Stage) events; everything else renders as an
+/// instant.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
+    /// An instruction reached a pipeline stage (recorded on
+    /// [`Track::Coproc`]).
+    Stage {
+        /// The issuing core.
+        core: usize,
+        /// The instruction's rename-order sequence number.
+        seq: u64,
+        /// The stage reached.
+        stage: TraceStage,
+        /// Disassembly of the instruction (recorded at rename only;
+        /// empty for the later stages).
+        disasm: String,
+    },
     /// A phase opened: its `<OI>` write executed (Fig. 9 prologue).
     PhaseBegin {
         /// Declared issue intensity (instructions/byte).
@@ -156,8 +197,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// A bounded ring buffer of [`Event`]s, mirroring [`Trace`]'s
-/// zero-cost-when-disabled contract.
+/// A bounded ring buffer of [`Event`]s, zero-cost when disabled.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventLog {
     events: VecDeque<Event>,
@@ -306,8 +346,9 @@ fn instant_row(e: &Event, cores: usize) -> Row {
         EventKind::WatchdogTrip { stagnant_for } => {
             ("watchdog-trip".to_owned(), format!("\"stagnant_for\":{stagnant_for}"))
         }
-        // Span kinds are paired by the caller; an unmatched End (its
-        // Begin was evicted from the ring) degrades to an instant.
+        // Span kinds are grouped or paired by the caller; an unmatched
+        // End (its Begin was evicted from the ring) degrades to an instant.
+        EventKind::Stage { stage, .. } => (stage.to_string(), String::new()),
         EventKind::PhaseBegin { .. } | EventKind::PhaseEnd => ("phase".to_owned(), String::new()),
         EventKind::RenameStallBegin | EventKind::RenameStallEnd => {
             ("rename-stall".to_owned(), String::new())
@@ -316,31 +357,30 @@ fn instant_row(e: &Event, cores: usize) -> Row {
     Row { tid, ts: e.cycle, dur: None, name, args }
 }
 
-/// Exports the event log — merged with the instruction trace, when one
-/// was recorded — as Chrome `trace_event` JSON (the "JSON Array Format"
-/// with thread-name metadata), loadable in Perfetto or
+/// Exports the event log as Chrome `trace_event` JSON (the "JSON Array
+/// Format" with thread-name metadata), loadable in Perfetto or
 /// `chrome://tracing`. One cycle maps to one microsecond of trace time.
 ///
 /// Tracks: one per core (`core0`, `core1`, …) carrying phase spans,
 /// rename-stall spans and `<VL>` reconfigurations; `coproc` carrying one
-/// span per traced instruction (rename → retire); `lane-manager`
+/// span per recorded instruction (rename → retire); `lane-manager`
 /// carrying repartition decisions; `memory` carrying cache misses; and
 /// `recovery` carrying fault/rollback/quarantine/watchdog events.
-pub fn to_chrome_trace(log: &EventLog, trace: &Trace, cores: usize) -> String {
+pub fn to_chrome_trace(log: &EventLog, cores: usize) -> String {
+    let lives = lifecycles(log);
     let mut rows: Vec<Row> = Vec::new();
 
     // Pair Begin/End kinds into spans. Per core there is at most one
     // open phase and one open rename-stall streak, so a single slot per
     // (core, kind) suffices.
-    let last_cycle = log
-        .events
-        .back()
-        .map(|e| e.cycle)
-        .max(trace.events().map(|t| t.cycle).max())
-        .unwrap_or(0);
+    let mut last_machine_event = None;
     let mut open_phase: Vec<Option<(Cycle, String)>> = vec![None; cores];
     let mut open_stall: Vec<Option<Cycle>> = vec![None; cores];
     for e in log.events() {
+        if matches!(e.kind, EventKind::Stage { .. }) {
+            continue; // instruction spans are rendered from `lives` below
+        }
+        last_machine_event = Some(e.cycle);
         match (&e.kind, e.track) {
             (EventKind::PhaseBegin { oi_issue, oi_mem }, Track::Core(c)) if c < cores => {
                 let args = format!("\"oi_issue\":{oi_issue},\"oi_mem\":{oi_mem}");
@@ -372,7 +412,9 @@ pub fn to_chrome_trace(log: &EventLog, trace: &Trace, cores: usize) -> String {
             _ => rows.push(instant_row(e, cores)),
         }
     }
-    // Spans still open at the end of the log extend to the last cycle.
+    // Spans still open at the end of the log extend to the last cycle:
+    // the later of the last machine event and the last instruction stage.
+    let last_cycle = last_machine_event.max(lives.iter().map(|l| l.last).max()).unwrap_or(0);
     for c in 0..cores {
         if let Some((start, args)) = open_phase[c].take() {
             rows.push(Row {
@@ -394,49 +436,20 @@ pub fn to_chrome_trace(log: &EventLog, trace: &Trace, cores: usize) -> String {
         }
     }
 
-    // Instruction spans from the pipeline trace, one per renamed
-    // instruction, on the co-processor track.
-    struct Span {
-        core: usize,
-        seq: u64,
-        first: Cycle,
-        last: Cycle,
-        disasm: String,
-    }
-    let mut spans: Vec<Span> = Vec::new();
-    for t in trace.events() {
-        if t.stage == TraceStage::Transmit {
-            continue;
-        }
-        match spans.iter_mut().find(|s| s.core == t.core && s.seq == t.seq) {
-            Some(s) => {
-                s.first = s.first.min(t.cycle);
-                s.last = s.last.max(t.cycle);
-                if s.disasm.is_empty() {
-                    s.disasm = t.disasm.clone();
-                }
-            }
-            None => spans.push(Span {
-                core: t.core,
-                seq: t.seq,
-                first: t.cycle,
-                last: t.cycle,
-                disasm: t.disasm.clone(),
-            }),
-        }
-    }
-    for s in spans {
-        // Instructions whose rename fell outside the trace window have
+    // One span per renamed instruction on the co-processor track, in
+    // order of first appearance.
+    for life in lives {
+        // Instructions whose rename fell outside the retained window have
         // no disassembly; skip them like the pipeview does.
-        if s.disasm.is_empty() {
+        if life.first_disasm.is_empty() {
             continue;
         }
         rows.push(Row {
             tid: Track::Coproc.tid(cores),
-            ts: s.first,
-            dur: Some(s.last.saturating_sub(s.first)),
-            name: s.disasm,
-            args: format!("\"core\":{},\"seq\":{}", s.core, s.seq),
+            ts: life.first,
+            dur: Some(life.last - life.first),
+            name: life.first_disasm.to_owned(),
+            args: format!("\"core\":{},\"seq\":{}", life.core, life.seq),
         });
     }
 
@@ -531,7 +544,7 @@ mod tests {
         let mut log = EventLog::with_capacity(16);
         log.record(ev(10, Track::Core(0), EventKind::PhaseBegin { oi_issue: 0.5, oi_mem: 0.25 }));
         log.record(ev(90, Track::Core(0), EventKind::PhaseEnd));
-        let json = to_chrome_trace(&log, &Trace::disabled(), 2);
+        let json = to_chrome_trace(&log, 2);
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"ts\":10,\"dur\":80"), "{json}");
         assert!(json.contains("\"oi_mem\":0.25"), "{json}");
@@ -543,7 +556,7 @@ mod tests {
         let mut log = EventLog::with_capacity(16);
         log.record(ev(5, Track::Core(1), EventKind::RenameStallBegin));
         log.record(ev(40, Track::Recovery, EventKind::WatchdogTrip { stagnant_for: 7 }));
-        let json = to_chrome_trace(&log, &Trace::disabled(), 2);
+        let json = to_chrome_trace(&log, 2);
         assert!(json.contains("\"ts\":5,\"dur\":35"), "{json}");
         assert!(json.contains("watchdog-trip"), "{json}");
     }
@@ -557,7 +570,7 @@ mod tests {
         log.record(
             ev(80, Track::Memory, EventKind::CacheMiss { core: 1, level: ServiceLevel::Dram }),
         );
-        let json = to_chrome_trace(&log, &Trace::disabled(), 2);
+        let json = to_chrome_trace(&log, 2);
         // Extract (tid, ts) pairs in output order and check monotonicity.
         let mut last: Vec<(u64, u64)> = Vec::new();
         for line in json.lines().filter(|l| l.contains("\"ts\":")) {
@@ -579,28 +592,46 @@ mod tests {
         assert!(!last.is_empty());
     }
 
+    fn stage(cycle: Cycle, seq: u64, stage: TraceStage, disasm: &str) -> Event {
+        let kind = EventKind::Stage { core: 0, seq, stage, disasm: disasm.into() };
+        ev(cycle, Track::Coproc, kind)
+    }
+
     #[test]
-    fn instruction_trace_merges_onto_coproc_track() {
-        use crate::trace::TraceEvent;
-        let mut trace = Trace::with_capacity(16);
-        trace.record(TraceEvent {
-            cycle: 3,
-            core: 0,
-            seq: 7,
-            stage: TraceStage::Rename,
-            disasm: "fadd z3, z1, z2".into(),
-        });
-        trace.record(TraceEvent {
-            cycle: 9,
-            core: 0,
-            seq: 7,
-            stage: TraceStage::Retire,
-            disasm: String::new(),
-        });
-        let json = to_chrome_trace(&EventLog::disabled(), &trace, 2);
+    fn instruction_stages_merge_onto_coproc_track() {
+        let mut log = EventLog::with_capacity(16);
+        log.record(stage(3, 7, TraceStage::Rename, "fadd z3, z1, z2"));
+        log.record(ev(5, Track::Core(0), EventKind::RenameStallBegin));
+        log.record(stage(9, 7, TraceStage::Retire, ""));
+        let json = to_chrome_trace(&log, 2);
         assert!(json.contains("fadd z3, z1, z2"), "{json}");
         assert!(json.contains("\"ts\":3,\"dur\":6"), "{json}");
         assert!(json.contains("\"name\":\"coproc\""), "{json}");
+        // The open stall extends to the last instruction stage.
+        assert!(json.contains("\"ts\":5,\"dur\":4"), "{json}");
+    }
+
+    #[test]
+    fn instruction_spans_with_equal_timestamps_keep_log_order() {
+        let mut log = EventLog::with_capacity(16);
+        log.record(stage(4, 9, TraceStage::Rename, "second-seq"));
+        log.record(stage(4, 2, TraceStage::Rename, "first-seq"));
+        let json = to_chrome_trace(&log, 1);
+        let (a, b) = (json.find("second-seq").unwrap(), json.find("first-seq").unwrap());
+        assert!(a < b, "spans must follow first appearance in the log: {json}");
+    }
+
+    #[test]
+    fn instruction_stages_count_toward_dropped() {
+        let mut log = EventLog::with_capacity(3);
+        log.record(ev(1, Track::Core(0), EventKind::PhaseEnd));
+        log.record(stage(2, 1, TraceStage::Rename, ""));
+        log.record(stage(3, 1, TraceStage::Issue, ""));
+        log.record(stage(4, 1, TraceStage::Complete, ""));
+        assert_eq!(log.dropped(), 1, "one ring: a stage event evicts a machine event");
+        log.record(stage(5, 1, TraceStage::Retire, ""));
+        assert_eq!(log.dropped(), 2);
+        assert!(log.events().all(|e| matches!(e.kind, EventKind::Stage { .. })));
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //! a time-skewed attribution that has no functional analogue).
 //! What is not modelled: cycles (extrapolated by the caller and marked
 //! `estimated`), cache/DRAM statistics, lane-occupancy timelines, and
-//! the observability streams (trace and event log are suppressed for
-//! the window — functional execution has no meaningful timestamps).
+//! the event log (suppressed during functional execution, which has no
+//! meaningful timestamps).
 //!
 //! Fault injection and recovery are timing constructs; the machine
-//! refuses to enter a functional mode while either is active
+//! refuses to enter functional mode while either is active
 //! ([`SimError::Config`]), so the engine never sees them.
 
 use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, PReg, VectorInst};
@@ -54,8 +54,9 @@ enum Step {
     Halted,
 }
 
-/// Batch-executes programs over a quiesced [`Machine`]'s architectural
-/// state. Create one per functional window.
+/// Batch-executes programs over a [`Machine`]'s architectural state
+/// (functional machines never run the pipeline, so nothing is in
+/// flight). Create one per [`Machine::run`] call.
 pub(crate) struct FunctionalEngine<'m> {
     m: &'m mut Machine,
     /// The buffer each vector result is computed into. Writing the
@@ -69,18 +70,19 @@ impl<'m> FunctionalEngine<'m> {
         FunctionalEngine { m, value: Vec::new() }
     }
 
-    /// Executes up to `fuel` instructions on every live core,
-    /// round-robin in [`SLICE`]-instruction turns, until every core
-    /// halts or runs out of fuel. Returns per-core executed counts.
+    /// Executes instructions on every live core, round-robin in
+    /// [`SLICE`]-instruction turns, until every core halts or has
+    /// executed `limit` instructions in total. Each core's count
+    /// accumulates in the machine's `functional_insts`, which the caller
+    /// sizes to the core count.
     ///
     /// # Errors
     ///
     /// Surfaces the first architectural fault (decode, memory,
     /// invalid-VL) a program trips, latched on the machine exactly as
     /// the timing path would latch it.
-    pub(crate) fn run_window(&mut self, fuel: u64) -> Result<Vec<u64>, SimError> {
+    pub(crate) fn run(&mut self, limit: u64) -> Result<(), SimError> {
         let cores = self.m.scalar.len();
-        let mut executed = vec![0u64; cores];
         let mut live: Vec<bool> = (0..cores)
             .map(|c| {
                 let s = &self.m.scalar[c];
@@ -93,7 +95,7 @@ impl<'m> FunctionalEngine<'m> {
                 if !live[c] {
                     continue;
                 }
-                let budget = SLICE.min(fuel.saturating_sub(executed[c]));
+                let budget = SLICE.min(limit.saturating_sub(self.m.functional_insts[c]));
                 if budget == 0 {
                     live[c] = false;
                     continue;
@@ -105,13 +107,11 @@ impl<'m> FunctionalEngine<'m> {
                     live[c] = false;
                     continue;
                 };
+                let mut executed = 0;
                 let mut slice_result = Ok(());
                 for _ in 0..budget {
                     match self.step_core(c, &program) {
-                        Ok(Step::Retired) => {
-                            executed[c] += 1;
-                            progressed = true;
-                        }
+                        Ok(Step::Retired) => executed += 1,
                         Ok(Step::Halted) => {
                             live[c] = false;
                             break;
@@ -122,6 +122,8 @@ impl<'m> FunctionalEngine<'m> {
                         }
                     }
                 }
+                self.m.functional_insts[c] += executed;
+                progressed |= executed > 0;
                 self.m.scalar[c].program = Some(program);
                 slice_result?;
             }
@@ -129,7 +131,7 @@ impl<'m> FunctionalEngine<'m> {
                 break;
             }
         }
-        Ok(executed)
+        Ok(())
     }
 
     /// Latches a fault on the machine (first fault wins, mirroring the
@@ -149,7 +151,7 @@ impl<'m> FunctionalEngine<'m> {
         }
         debug_assert!(
             self.m.scalar[c].wait == Wait::Ready && self.m.scalar[c].pending_loads.is_empty(),
-            "functional windows start from a quiesced machine"
+            "functional execution starts from a machine with nothing in flight"
         );
         let pc = self.m.scalar[c].pc;
         if pc >= program.len() {
@@ -302,8 +304,8 @@ impl<'m> FunctionalEngine<'m> {
         let now = self.m.cycle;
         // The pipeline is drained (nothing enters the ROB in functional
         // mode), so the MSR <VL> drain-wait case cannot occur and
-        // exec_em always completes. Fault injection is rejected before
-        // any functional window, so `faults` is always `None` here.
+        // exec_em always completes. Fault injection is refused on
+        // functional machines, so `faults` is always `None` here.
         let mut no_faults = None;
         let resp =
             self.m.coproc.exec_em(c, e, operand, now, &mut self.m.core_stats, &mut no_faults);

@@ -48,7 +48,7 @@ mod viz;
 pub use area::{AreaBreakdown, AreaComponent};
 pub use config::{Architecture, SimConfig};
 pub use error::{CoreDump, SimError, WatchdogDump};
-pub use events::{to_chrome_trace, Event, EventKind, EventLog, Track};
+pub use events::{to_chrome_trace, Event, EventKind, EventLog, TraceStage, Track};
 pub use fault::{FaultPlan, FaultState, FaultStats};
 pub use machine::{ConfigError, Machine, MachineSnapshot, SavedTask, SimMode};
 pub use metrics::{Histogram, Metric, MetricValue, MetricsRegistry};
@@ -57,5 +57,5 @@ pub use recovery::{RecoveryPolicy, RecoveryStats};
 pub use regblocks::LaneHealth;
 pub use snapshot_io::{snapshot_from_bytes, snapshot_to_bytes, SnapshotIoError, SNAPSHOT_VERSION};
 pub use stats::{CoreStats, MachineStats, PhaseStats, Timeline, TimelineBucket};
-pub use trace::{render_pipeview, to_kanata, Trace, TraceEvent, TraceStage};
+pub use trace::{render_pipeview, to_kanata};
 pub use viz::render_lane_timeline;

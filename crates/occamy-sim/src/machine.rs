@@ -83,15 +83,14 @@ pub struct Machine {
     /// the machine so rollbacks rewind it, keeping the attribution
     /// exact.
     profile: Option<Box<ProfileState>>,
-    /// Execution mode (see [`SimMode`]). `Timing` is the default and
-    /// leaves every output byte-identical to builds without the
-    /// two-speed layer.
+    /// Execution mode (see [`SimMode`]), fixed before the first cycle.
+    /// `Timing` is the default and leaves every output byte-identical to
+    /// builds without the two-speed layer.
     mode: SimMode,
-    /// Two-speed bookkeeping: per-core functionally-executed instruction
-    /// counts and the extrapolated cycle estimate. Stays at its default
-    /// (and therefore preserves full-machine `==`) until a functional
-    /// window actually runs.
-    twospeed: TwoSpeed,
+    /// Functionally-executed instructions per core. Empty until the first
+    /// functional run (so a timing machine compares `==` to one without
+    /// the two-speed layer).
+    pub(crate) functional_insts: Vec<u64>,
     /// Event-driven timing-kernel control (see
     /// [`step_bounded`](Machine::step_bounded)): the reference-mode flag,
     /// skip accounting and the per-cycle scratch buffers. Not
@@ -228,27 +227,6 @@ impl std::fmt::Display for SimMode {
     }
 }
 
-/// Two-speed bookkeeping (see [`SimMode`]). All fields stay at their
-/// defaults until a functional window runs, so a machine that never
-/// fast-forwards compares `==` to one without the two-speed layer.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct TwoSpeed {
-    /// Functionally-executed instructions per core (empty until the
-    /// first functional window; sized lazily to keep `Default` pure).
-    pub insts: Vec<u64>,
-    /// Extrapolated cycles accumulated over functional windows.
-    pub est_cycles: f64,
-    /// Functional windows executed.
-    pub windows: u64,
-}
-
-impl TwoSpeed {
-    /// Total functionally-executed instructions across cores.
-    pub fn total_insts(&self) -> u64 {
-        self.insts.iter().sum()
-    }
-}
-
 /// A deterministic architectural snapshot of a whole [`Machine`], taken
 /// by [`Machine::snapshot`]. Opaque: hand it back to
 /// [`Machine::restore_snapshot`]. Restoring reproduces the captured run
@@ -334,7 +312,7 @@ impl Machine {
             recovery: None,
             profile: None,
             mode: SimMode::Timing,
-            twospeed: TwoSpeed::default(),
+            functional_insts: Vec::new(),
             kernel: KernelCtl::from_env(),
         })
     }
@@ -344,19 +322,26 @@ impl Machine {
         self.mode
     }
 
-    /// Switches the execution mode. Switching into `Functional`
-    /// requires a quiesced machine (see
-    /// [`quiesce`](Machine::quiesce)) and is refused while a fault plan
-    /// or the recovery subsystem is active: injected faults perturb
-    /// *timing* state the functional engine does not model, so they can
-    /// neither fire nor replay identically in a functional window.
+    /// Sets the execution mode. The mode is fixed before the first
+    /// cycle: once the machine has run, `set_mode` is refused. `Functional`
+    /// is also refused while a fault plan or the recovery subsystem is
+    /// active: injected faults perturb *timing* state the functional
+    /// engine does not model, so they can neither fire nor replay
+    /// identically in functional execution.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Config`] (leaving the machine untouched) when
-    /// the switch is refused.
+    /// the mode is refused.
     pub fn set_mode(&mut self, mode: SimMode) -> Result<(), SimError> {
-        if mode != SimMode::Timing {
+        if self.cycle > 0 || !self.functional_insts.is_empty() {
+            return Err(SimError::Config(format!(
+                "the execution mode is fixed once the machine has run \
+                 (it ran in {} mode); choose it on a fresh machine",
+                self.mode
+            )));
+        }
+        if mode == SimMode::Functional {
             if self.faults.is_some() {
                 return Err(SimError::Config(
                     "functional fast-forward is incompatible with an active fault plan \
@@ -371,70 +356,8 @@ impl Machine {
                         .into(),
                 ));
             }
-            if !self.is_quiesced() {
-                return Err(SimError::Config(
-                    "mode switches require a quiesced machine (drained pipelines and no \
-                     pending scalar loads); call quiesce() first"
-                        .into(),
-                ));
-            }
         }
         self.mode = mode;
-        Ok(())
-    }
-
-    /// Whether every core's pipelines are drained and no scalar load or
-    /// EM-SIMD acknowledgement is pending — the precondition for a mode
-    /// switch (all architectural state is in registers and memory).
-    pub fn is_quiesced(&self) -> bool {
-        (0..self.scalar.len()).all(|c| {
-            self.coproc.is_drained(c)
-                && self.scalar[c].wait == Wait::Ready
-                && self.scalar[c].pending_loads.is_empty()
-        })
-    }
-
-    /// Runs the machine (in timing mode) with every front end frozen
-    /// until all in-flight work drains, then unfreezes. A quiesced
-    /// machine can switch execution modes with all architectural state
-    /// in registers and memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Watchdog`] (with a diagnostic dump) if the
-    /// machine fails to drain within `max_cycles`, or any fault tripped
-    /// while draining.
-    pub fn quiesce(&mut self, max_cycles: Cycle) -> Result<(), SimError> {
-        if self.is_quiesced() {
-            return Ok(());
-        }
-        let deadline = self.cycle + max_cycles;
-        while !self.is_quiesced() {
-            for s in &mut self.scalar {
-                s.frozen = true;
-            }
-            if self.cycle >= deadline {
-                for s in &mut self.scalar {
-                    s.frozen = false;
-                }
-                let e = SimError::Watchdog {
-                    cycle: self.cycle,
-                    dump: self
-                        .dump(format!("machine failed to quiesce within {max_cycles} cycles")),
-                };
-                self.fault = Some(e.clone());
-                return Err(e);
-            }
-            if let Err(e) = self.step_bounded(deadline) {
-                for s in &mut self.scalar {
-                    s.frozen = false;
-                }
-                return Err(e);
-            }
-        }
-        for s in &mut self.scalar {
-            s.frozen = false;
-        }
         Ok(())
     }
 
@@ -665,21 +588,10 @@ impl Machine {
         self.coproc.block_free_entries()
     }
 
-    /// Enables instruction-lifecycle tracing, retaining the most recent
-    /// `capacity` events (see [`render_pipeview`](crate::render_pipeview)).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.coproc.trace = crate::trace::Trace::with_capacity(capacity);
-    }
-
-    /// The recorded trace (empty unless [`enable_trace`](Self::enable_trace)
-    /// was called).
-    pub fn trace(&self) -> &crate::trace::Trace {
-        &self.coproc.trace
-    }
-
-    /// Enables cross-layer structured event recording, retaining the
-    /// most recent `capacity` events (see [`crate::events`] and
-    /// [`crate::to_chrome_trace`]).
+    /// Enables the event log: instruction stages and cross-layer machine
+    /// events in one ring retaining the most recent `capacity` events
+    /// (see [`crate::events`], [`crate::to_chrome_trace`],
+    /// [`crate::render_pipeview`] and [`crate::to_kanata`]).
     pub fn enable_events(&mut self, capacity: usize) {
         self.coproc.events = EventLog::with_capacity(capacity);
     }
@@ -690,10 +602,10 @@ impl Machine {
         &self.coproc.events
     }
 
-    /// Exports the recorded events (and the instruction trace, if one was
-    /// enabled) as Chrome `trace_event` JSON for Perfetto.
+    /// Exports the recorded events as Chrome `trace_event` JSON for
+    /// Perfetto.
     pub fn chrome_trace(&self) -> String {
-        crate::events::to_chrome_trace(&self.coproc.events, &self.coproc.trace, self.cfg.cores)
+        crate::events::to_chrome_trace(&self.coproc.events, self.cfg.cores)
     }
 
     /// Enables the cycle-attribution profiler (see [`crate::profile`]):
@@ -756,49 +668,28 @@ impl Machine {
         Ok(stats)
     }
 
-    /// Pure functional fast-forward: batch-executes every program to
-    /// completion over architectural state, with a per-core fuel bound of
-    /// `max_cycles × scalar_width` instructions (the most the timing
-    /// model could retire in the same budget). Cycle extrapolation
-    /// assumes one instruction per cycle on the slowest core.
-    fn run_functional(&mut self, max_cycles: Cycle) -> Result<MachineStats, SimError> {
-        let fuel = max_cycles.saturating_mul(self.cfg.scalar_width as u64);
-        self.fast_forward(fuel)?;
-        let mut stats = self.stats();
-        stats.timed_out = !stats.completed;
-        Ok(stats)
-    }
-
-    /// Fast-forwards every core to completion (or until it has executed
-    /// `fuel` instructions) over architectural state, with observability
-    /// (trace, events) suppressed, extrapolating cycles at IPC = 1 on the
-    /// slowest core.
+    /// Pure functional fast-forward: batch-executes every program over
+    /// architectural state, with the event log suppressed (functional
+    /// execution has no meaningful cycle timestamps). `max_cycles` is an
+    /// absolute deadline, as in timing: each core may have executed at
+    /// most `max_cycles × scalar_width` instructions (the most the timing
+    /// model could retire by then), so a repeated call resumes where the
+    /// last one stopped instead of granting fresh fuel.
     ///
     /// # Errors
     ///
     /// Surfaces any architectural fault (decode, memory, invalid-VL) the
     /// programs trip, exactly as the timing path would.
-    fn fast_forward(&mut self, fuel: u64) -> Result<(), SimError> {
-        debug_assert!(self.is_quiesced(), "functional windows start quiesced");
-        if self.twospeed.insts.is_empty() {
-            self.twospeed.insts = vec![0; self.cfg.cores];
-        }
-        // Suppress observability during the window: functional execution
-        // has no meaningful cycle timestamps, so recording events would
-        // interleave wrong-clock entries into the timing streams.
-        let trace = std::mem::replace(&mut self.coproc.trace, crate::trace::Trace::disabled());
+    fn run_functional(&mut self, max_cycles: Cycle) -> Result<MachineStats, SimError> {
+        let limit = max_cycles.saturating_mul(self.cfg.scalar_width as u64);
+        self.functional_insts.resize(self.cfg.cores, 0);
         let events = std::mem::replace(&mut self.coproc.events, EventLog::disabled());
-        let result = crate::functional::FunctionalEngine::new(self).run_window(fuel);
-        self.coproc.trace = trace;
+        let result = crate::functional::FunctionalEngine::new(self).run(limit);
         self.coproc.events = events;
-        let executed = result?;
-        for (c, &n) in executed.iter().enumerate() {
-            self.twospeed.insts[c] += n;
-        }
-        self.twospeed.windows += 1;
-        let est = executed.iter().copied().max().unwrap_or(0);
-        self.twospeed.est_cycles += est as f64;
-        Ok(())
+        result?;
+        let mut stats = self.stats();
+        stats.timed_out = !stats.completed;
+        Ok(stats)
     }
 
     /// Advances the machine by one cycle, surfacing any fault tripped by
@@ -1191,7 +1082,7 @@ impl Machine {
 
     /// A snapshot of the statistics so far.
     pub fn stats(&self) -> MachineStats {
-        let functional_insts = self.twospeed.total_insts();
+        let functional_insts = self.functional_insts.iter().sum();
         let estimated = functional_insts > 0;
         MachineStats {
             cycles: self.cycle,
@@ -1201,14 +1092,16 @@ impl Machine {
             completed: self.done(),
             timed_out: false,
             estimated,
-            estimated_cycles: if estimated {
-                self.cycle + self.twospeed.est_cycles.round() as Cycle
-            } else {
-                self.cycle
-            },
+            estimated_cycles: self.estimated_cycles(),
             functional_insts,
             metrics: self.metrics(),
         }
+    }
+
+    /// Cycles extrapolated at IPC = 1 on the slowest core's functional
+    /// instruction count (the simulated cycles when none ran).
+    fn estimated_cycles(&self) -> Cycle {
+        self.cycle + self.functional_insts.iter().max().copied().unwrap_or(0)
     }
 
     /// Walks every live counter into a fresh hierarchical
@@ -1228,24 +1121,20 @@ impl Machine {
                 "idle cycles jumped by the event-driven kernel (included in sim.cycles)",
             );
         }
-        // Two-speed metrics are emitted only after a functional window
-        // has run, so pure-timing registries stay byte-identical to
+        // Two-speed metrics are emitted only after functional execution
+        // ran, so pure-timing registries stay byte-identical to
         // pre-two-speed builds.
-        if self.twospeed.total_insts() > 0 {
+        let functional_insts: u64 = self.functional_insts.iter().sum();
+        if functional_insts > 0 {
             r.counter(
                 "sim.cycles.estimated",
-                self.cycle + self.twospeed.est_cycles.round() as Cycle,
-                "ESTIMATED total cycles (timing windows + extrapolated functional windows)",
+                self.estimated_cycles(),
+                "ESTIMATED total cycles (slowest core's functional instructions at IPC = 1)",
             );
             r.counter(
                 "sim.functional.insts",
-                self.twospeed.total_insts(),
+                functional_insts,
                 "instructions executed by the functional engine",
-            );
-            r.counter(
-                "sim.functional.windows",
-                self.twospeed.windows,
-                "functional fast-forward windows executed",
             );
         }
         for (c, cs) in self.core_stats.iter().enumerate() {
@@ -1957,19 +1846,15 @@ statecodec::impl_codec_enum!(SimMode {
     0 => Timing,
     1 => Functional,
 });
-statecodec::impl_codec!(TwoSpeed { insts, est_cycles, windows });
 
 impl Machine {
     /// Why this machine cannot be serialized, if anything: observer and
-    /// controller state (tracing, event logs, the profiler, the recovery
+    /// controller state (the event log, the profiler, the recovery
     /// controller, fault injection, a latched fault) is deliberately
     /// outside the checkpoint format — resuming such a machine could not
     /// be bit-faithful, so snapshot I/O refuses it up front instead of
     /// silently dropping state.
     pub(crate) fn snapshot_io_refusal(&self) -> Option<&'static str> {
-        if self.coproc.trace.is_enabled() {
-            return Some("instruction tracing is enabled");
-        }
         if self.coproc.events.is_enabled() {
             return Some("event logging is enabled");
         }
@@ -2000,7 +1885,7 @@ pub(crate) fn encode_machine(m: &Machine, sink: &mut statecodec::Sink) {
     statecodec::Codec::encode(&m.stagnant, sink);
     statecodec::Codec::encode(&m.last_sig, sink);
     statecodec::Codec::encode(&m.mode, sink);
-    statecodec::Codec::encode(&m.twospeed, sink);
+    statecodec::Codec::encode(&m.functional_insts, sink);
 }
 
 pub(crate) fn decode_machine(
@@ -2019,7 +1904,7 @@ pub(crate) fn decode_machine(
     let stagnant = <Cycle as statecodec::Codec>::decode(src)?;
     let last_sig = <(u64, u64, u64) as statecodec::Codec>::decode(src)?;
     let mode: SimMode = statecodec::Codec::decode(src)?;
-    let twospeed: TwoSpeed = statecodec::Codec::decode(src)?;
+    let functional_insts: Vec<u64> = statecodec::Codec::decode(src)?;
 
     cfg.validate().map_err(|e| statecodec::DecodeError::at(src, e))?;
     if scalar.len() != cfg.cores || core_stats.len() != cfg.cores {
@@ -2068,7 +1953,7 @@ pub(crate) fn decode_machine(
         recovery: None,
         profile: None,
         mode,
-        twospeed,
+        functional_insts,
         // Measurement state, not part of the checkpoint format: the
         // resuming process picks its own kernel.
         kernel: KernelCtl::from_env(),

@@ -17,8 +17,8 @@
 //! bit-flipped, or adversarially crafted file yields a typed error, never
 //! a panic or a machine that panics later.
 //!
-//! Machines with observer or controller state attached — tracing, event
-//! logging, the profiler, the recovery controller, fault injection with a
+//! Machines with observer or controller state attached — the event log,
+//! the profiler, the recovery controller, fault injection with a
 //! latched fault — are refused at encode time ([`SnapshotIoError::Refused`]):
 //! that state is intentionally outside the format, and silently dropping
 //! it would break the "resume is bit-faithful" contract this module
@@ -36,7 +36,7 @@ const MAGIC: [u8; 4] = *b"OCSN";
 
 /// Current format version. Bump on any encoding change; readers refuse
 /// versions they do not know rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why snapshot serialization or deserialization failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +118,7 @@ pub fn snapshot_to_bytes(snap: &MachineSnapshot) -> Result<Vec<u8>, SnapshotIoEr
 
 /// Deserializes a snapshot previously produced by [`snapshot_to_bytes`].
 ///
-/// The restored machine has no tracing, event logging, profiler,
+/// The restored machine has no event log, profiler,
 /// recovery controller, or latched fault — exactly the states
 /// [`snapshot_to_bytes`] refuses to serialize — and is otherwise
 /// bit-identical to the snapshotted one: running it produces the same
@@ -270,9 +270,9 @@ mod tests {
     #[test]
     fn refuses_machines_with_observer_state() {
         let mut m = small_machine();
-        m.enable_trace(16);
+        m.enable_events(16);
         match snapshot_to_bytes(&m.snapshot()) {
-            Err(SnapshotIoError::Refused(why)) => assert!(why.contains("tracing"), "{why}"),
+            Err(SnapshotIoError::Refused(why)) => assert!(why.contains("event log"), "{why}"),
             other => panic!("expected refusal, got {other:?}"),
         }
     }

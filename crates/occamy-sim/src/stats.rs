@@ -226,15 +226,15 @@ pub struct MachineStats {
     /// `false` for mid-run snapshots from
     /// [`Machine::stats`](crate::Machine::stats).
     pub timed_out: bool,
-    /// Whether any part of this run was executed by the functional
-    /// engine (see [`SimMode`](crate::SimMode)): when set,
+    /// Whether this run was executed by the functional engine (see
+    /// [`SimMode`](crate::SimMode)): when set,
     /// [`estimated_cycles`](Self::estimated_cycles) is an extrapolation
-    /// and every timing-derived quantity (cycles, utilisation, timeline,
-    /// phase durations) covers only the cycle-accurate windows.
+    /// and no timing-derived quantity (cycles, utilisation, timeline,
+    /// phase durations) was measured.
     pub estimated: bool,
-    /// Total cycles including the extrapolated cost of functional
-    /// fast-forward windows. Equal to [`cycles`](Self::cycles) when
-    /// [`estimated`](Self::estimated) is `false`.
+    /// The slowest core's functional instruction count (IPC = 1) when
+    /// [`estimated`](Self::estimated); otherwise equal to
+    /// [`cycles`](Self::cycles).
     pub estimated_cycles: Cycle,
     /// Instructions executed by the functional engine (zero in pure
     /// timing runs).

@@ -1,245 +1,160 @@
-//! Instruction-lifecycle tracing (a gem5-`O3PipeView`-style facility).
+//! Instruction-lifecycle views of the event log (a gem5-`O3PipeView`-
+//! style facility).
 //!
-//! When enabled on a [`Machine`](crate::Machine), the co-processor
-//! records one [`TraceEvent`] per pipeline stage per instruction into a
-//! bounded ring buffer: transmit (into the instruction pool), rename,
-//! issue, completion and retirement. [`render_pipeview`] formats the
-//! trace as one line per instruction with stage-relative timing — the
-//! fastest way to see *why* an instruction waited (operands, structural
-//! stalls, memory).
+//! When the event log is enabled on a [`Machine`](crate::Machine), the
+//! co-processor records one [`EventKind::Stage`] event per pipeline stage
+//! per instruction: rename, issue, completion and retirement.
+//! [`lifecycles`] groups those events by instruction once; every
+//! instruction view renders from that grouping: [`render_pipeview`] (one
+//! text line per instruction with stage-relative timing — the fastest way
+//! to see *why* an instruction waited), [`to_kanata`] (the Konata
+//! viewer's log format) and the `coproc` track of
+//! [`to_chrome_trace`](crate::to_chrome_trace).
 
-use std::collections::VecDeque;
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use mem_sim::Cycle;
 
-/// A pipeline stage an instruction passes through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceStage {
-    /// Entered the core's instruction pool (transmitted non-speculatively
-    /// from the scalar core, §4.1.1).
-    Transmit,
-    /// Renamed: physical registers allocated, ROB/IQ/LSU entry taken.
-    Rename,
-    /// Issued to an ExeBU or the LSU.
-    Issue,
-    /// Result produced (writeback / memory completion).
-    Complete,
-    /// Retired from the ROB.
-    Retire,
+use crate::events::{EventKind, EventLog, TraceStage};
+
+/// One instruction's [`Stage`](EventKind::Stage) events in a log,
+/// grouped by `(core, seq)`.
+pub(crate) struct Life<'a> {
+    pub(crate) core: usize,
+    pub(crate) seq: u64,
+    /// The cycle of each stage's latest record: rename, issue, complete,
+    /// retire.
+    stamps: [Option<Cycle>; 4],
+    /// The earliest and latest cycle over all its records.
+    pub(crate) first: Cycle,
+    pub(crate) last: Cycle,
+    /// The first and the latest non-empty disassembly (they differ only
+    /// when a rollback re-renamed the sequence number).
+    pub(crate) first_disasm: &'a str,
+    disasm: &'a str,
 }
 
-impl fmt::Display for TraceStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceStage::Transmit => "transmit",
-            TraceStage::Rename => "rename",
-            TraceStage::Issue => "issue",
-            TraceStage::Complete => "complete",
-            TraceStage::Retire => "retire",
-        };
-        f.write_str(s)
+impl Life<'_> {
+    fn stamp(&self, stage: TraceStage) -> Option<Cycle> {
+        self.stamps[stage as usize]
     }
 }
 
-/// One trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// The cycle the event happened.
-    pub cycle: Cycle,
-    /// The issuing core.
-    pub core: usize,
-    /// The instruction's rename-order sequence number (0 before rename:
-    /// transmit events use the disassembly to correlate).
-    pub seq: u64,
-    /// The stage reached.
-    pub stage: TraceStage,
-    /// Disassembly of the instruction.
-    pub disasm: String,
-}
-
-/// A bounded ring buffer of trace events.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Trace {
-    events: VecDeque<TraceEvent>,
-    capacity: usize,
-    enabled: bool,
-}
-
-impl Trace {
-    /// A disabled trace (records nothing).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// An enabled trace retaining the most recent `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Trace { events: VecDeque::with_capacity(capacity.min(1 << 16)), capacity, enabled: true }
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event (no-op when disabled).
-    pub fn record(&mut self, event: TraceEvent) {
-        if !self.enabled {
-            return;
+/// Groups the log's instruction stages by `(core, seq)`, in order of
+/// each instruction's first appearance in the log.
+pub(crate) fn lifecycles(log: &EventLog) -> Vec<Life<'_>> {
+    let mut index: HashMap<(usize, u64), usize> = HashMap::new();
+    let mut lives: Vec<Life<'_>> = Vec::new();
+    for e in log.events() {
+        let EventKind::Stage { core, seq, stage, disasm } = &e.kind else { continue };
+        let i = *index.entry((*core, *seq)).or_insert_with(|| {
+            lives.push(Life {
+                core: *core,
+                seq: *seq,
+                stamps: [None; 4],
+                first: e.cycle,
+                last: e.cycle,
+                first_disasm: "",
+                disasm: "",
+            });
+            lives.len() - 1
+        });
+        let life = &mut lives[i];
+        life.stamps[*stage as usize] = Some(e.cycle);
+        life.first = life.first.min(e.cycle);
+        life.last = life.last.max(e.cycle);
+        if !disasm.is_empty() {
+            if life.first_disasm.is_empty() {
+                life.first_disasm = disasm;
+            }
+            life.disasm = disasm;
         }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
     }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
+    lives
 }
 
-/// Formats a trace as one line per instruction:
+/// [`lifecycles`] in `(core, seq)` order, with the earliest stage stamp
+/// (the views' time origin).
+fn by_instruction(log: &EventLog) -> (Vec<Life<'_>>, Cycle) {
+    let mut lives = lifecycles(log);
+    lives.sort_unstable_by_key(|l| (l.core, l.seq));
+    let t0 = lives.iter().flat_map(|l| l.stamps.iter().flatten()).min().copied().unwrap_or(0);
+    (lives, t0)
+}
+
+/// Formats the log's instruction stages as one line per instruction:
 ///
 /// ```text
-/// seq    core  disasm                        T....R..I.....C...X
+/// seq    core  disasm                        R..I.....C...X
 /// ```
 ///
-/// where `T`/`R`/`I`/`C`/`X` mark transmit/rename/issue/complete/retire
-/// and dots are waiting cycles. Instructions without a rename event
-/// (still in the pool at the end of the trace window) are skipped.
-pub fn render_pipeview(trace: &Trace) -> String {
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
-
-    // Group events by (core, seq); transmit events have seq unknown, so
-    // correlate the earliest unmatched transmit per core with the next
-    // rename of the same disassembly.
-    #[derive(Default, Clone)]
-    struct Life {
-        disasm: String,
-        core: usize,
-        stamps: BTreeMap<u8, Cycle>,
-    }
-    let stage_idx = |s: TraceStage| match s {
-        TraceStage::Transmit => 0u8,
-        TraceStage::Rename => 1,
-        TraceStage::Issue => 2,
-        TraceStage::Complete => 3,
-        TraceStage::Retire => 4,
-    };
-
-    let mut lives: BTreeMap<(usize, u64), Life> = BTreeMap::new();
-    for e in trace.events() {
-        if e.stage == TraceStage::Transmit {
-            continue; // transmit is pool-side; seq not yet assigned
-        }
-        let life = lives.entry((e.core, e.seq)).or_default();
-        if !e.disasm.is_empty() {
-            life.disasm = e.disasm.clone();
-        }
-        life.core = e.core;
-        life.stamps.insert(stage_idx(e.stage), e.cycle);
-    }
+/// where `R`/`I`/`C`/`X` mark rename/issue/complete/retire and dots are
+/// waiting cycles.
+pub fn render_pipeview(log: &EventLog) -> String {
+    let (lives, t0) = by_instruction(log);
     if lives.is_empty() {
         return String::from("(no renamed instructions in trace window)\n");
     }
-
-    let t0 = lives.values().filter_map(|l| l.stamps.values().min()).min().copied().unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(out, "{:>6} {:>4}  {:<34} pipeline (from cycle {t0})", "seq", "core", "instruction");
-    for ((_, seq), life) in &lives {
+    for life in &lives {
         let mut timeline = String::new();
-        let marks = ['R', 'I', 'C', 'X'];
         let mut cursor = None::<Cycle>;
-        for (idx, &mark) in marks.iter().enumerate() {
-            if let Some(&cycle) = life.stamps.get(&((idx + 1) as u8)) {
-                let rel = cycle - t0;
+        for (stage, mark) in [
+            (TraceStage::Rename, 'R'),
+            (TraceStage::Issue, 'I'),
+            (TraceStage::Complete, 'C'),
+            (TraceStage::Retire, 'X'),
+        ] {
+            if let Some(cycle) = life.stamp(stage) {
                 if let Some(prev) = cursor {
-                    for _ in prev + 1..rel + t0 {
+                    for _ in prev + 1..cycle {
                         timeline.push('.');
                     }
                 }
                 timeline.push(mark);
-                cursor = Some(rel + t0 - 1 + 1);
+                cursor = Some(cycle);
             }
         }
-        let mut disasm = life.disasm.clone();
+        let mut disasm = life.disasm.to_owned();
         if disasm.chars().count() > 34 {
             disasm = disasm.chars().take(31).collect::<String>() + "...";
         }
-        let _ = writeln!(out, "{:>6} {:>4}  {:<34} {timeline}", seq, life.core, disasm);
+        let _ = writeln!(out, "{:>6} {:>4}  {:<34} {timeline}", life.seq, life.core, disasm);
     }
     out
 }
 
-/// Exports a trace in the [Kanata] log format, viewable in the Konata
-/// pipeline visualizer (the de-facto viewer for gem5 `O3PipeView`
-/// logs). Each renamed instruction becomes one row with `R`/`I`/`C`
-/// stage segments; the retire event closes the row.
+/// Exports the log's instruction stages in the [Kanata] log format,
+/// viewable in the Konata pipeline visualizer (the de-facto viewer for
+/// gem5 `O3PipeView` logs). Each renamed instruction becomes one row with
+/// `R`/`I`/`C` stage segments; the retire event closes the row.
 ///
-/// Instructions that never renamed inside the trace window are skipped,
-/// exactly as in [`render_pipeview`].
+/// Instructions that never renamed inside the retained window are
+/// skipped.
 ///
 /// [Kanata]: https://github.com/shioyadan/Konata
-pub fn to_kanata(trace: &Trace) -> String {
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
-
-    #[derive(Default)]
-    struct Life {
-        disasm: String,
-        stamps: BTreeMap<u8, Cycle>,
-    }
-    let stage_idx = |s: TraceStage| match s {
-        TraceStage::Transmit => 0u8,
-        TraceStage::Rename => 1,
-        TraceStage::Issue => 2,
-        TraceStage::Complete => 3,
-        TraceStage::Retire => 4,
-    };
-    let mut lives: BTreeMap<(usize, u64), Life> = BTreeMap::new();
-    for e in trace.events() {
-        if e.stage == TraceStage::Transmit {
-            continue;
-        }
-        let life = lives.entry((e.core, e.seq)).or_default();
-        if !e.disasm.is_empty() {
-            life.disasm = e.disasm.clone();
-        }
-        life.stamps.insert(stage_idx(e.stage), e.cycle);
-    }
-
+pub fn to_kanata(log: &EventLog) -> String {
+    let (lives, t0) = by_instruction(log);
     let mut out = String::from("Kanata\t0004\n");
-    let t0 = lives.values().filter_map(|l| l.stamps.values().min()).min().copied().unwrap_or(0);
     let _ = writeln!(out, "C=\t{t0}");
 
     // Events must be emitted in cycle order with relative C ticks.
     let mut commands: Vec<(Cycle, String)> = Vec::new();
-    for (row, ((core, seq), life)) in lives.iter().enumerate() {
-        let Some(&renamed) = life.stamps.get(&1) else { continue };
-        let id = row as u64;
+    for (row, life) in lives.iter().enumerate() {
+        let Some(renamed) = life.stamp(TraceStage::Rename) else { continue };
+        let (id, seq, core) = (row as u64, life.seq, life.core);
         commands.push((renamed, format!("I\t{id}\t{seq}\t{core}")));
         commands.push((renamed, format!("L\t{id}\t0\t{}", life.disasm)));
         commands.push((renamed, format!("S\t{id}\t0\tRn")));
-        if let Some(&issued) = life.stamps.get(&2) {
+        if let Some(issued) = life.stamp(TraceStage::Issue) {
             commands.push((issued, format!("S\t{id}\t0\tEx")));
         }
-        if let Some(&done) = life.stamps.get(&3) {
+        if let Some(done) = life.stamp(TraceStage::Complete) {
             commands.push((done, format!("S\t{id}\t0\tWb")));
         }
-        let end = life.stamps.get(&4).or(life.stamps.get(&3)).copied();
-        if let Some(end) = end {
+        if let Some(end) = life.stamp(TraceStage::Retire).or(life.stamp(TraceStage::Complete)) {
             commands.push((end, format!("R\t{id}\t{seq}\t0")));
         }
     }
@@ -258,36 +173,33 @@ pub fn to_kanata(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{Event, Track};
 
-    fn ev(cycle: Cycle, seq: u64, stage: TraceStage) -> TraceEvent {
-        TraceEvent { cycle, core: 0, seq, stage, disasm: format!("inst{seq}") }
+    fn record(log: &mut EventLog, cycle: Cycle, seq: u64, stage: TraceStage) {
+        let disasm = format!("inst{seq}");
+        let kind = EventKind::Stage { core: 0, seq, stage, disasm };
+        log.record(Event { cycle, track: Track::Coproc, kind });
     }
 
     #[test]
-    fn disabled_records_nothing() {
-        let mut t = Trace::disabled();
-        t.record(ev(1, 1, TraceStage::Rename));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn ring_buffer_evicts_oldest() {
-        let mut t = Trace::with_capacity(2);
-        t.record(ev(1, 1, TraceStage::Rename));
-        t.record(ev(2, 2, TraceStage::Rename));
-        t.record(ev(3, 3, TraceStage::Rename));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events().next().unwrap().seq, 2);
+    fn ring_evicts_the_oldest_stages() {
+        let mut log = EventLog::with_capacity(2);
+        for seq in 1..=3 {
+            record(&mut log, seq, seq, TraceStage::Rename);
+        }
+        assert_eq!(log.len(), 2);
+        let lives = lifecycles(&log);
+        assert_eq!(lives.iter().map(|l| l.seq).collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]
     fn pipeview_orders_stages() {
-        let mut t = Trace::with_capacity(64);
-        t.record(ev(10, 7, TraceStage::Rename));
-        t.record(ev(12, 7, TraceStage::Issue));
-        t.record(ev(16, 7, TraceStage::Complete));
-        t.record(ev(17, 7, TraceStage::Retire));
-        let view = render_pipeview(&t);
+        let mut log = EventLog::with_capacity(64);
+        record(&mut log, 10, 7, TraceStage::Rename);
+        record(&mut log, 12, 7, TraceStage::Issue);
+        record(&mut log, 16, 7, TraceStage::Complete);
+        record(&mut log, 17, 7, TraceStage::Retire);
+        let view = render_pipeview(&log);
         assert!(view.contains("inst7"), "{view}");
         let line = view.lines().nth(1).unwrap();
         let r = line.find('R').unwrap();
@@ -295,24 +207,33 @@ mod tests {
         let c = line.find('C').unwrap();
         let x = line.find('X').unwrap();
         assert!(r < i && i < c && c < x, "{line}");
+        assert!(line.ends_with("R.I...CX"), "{line}");
+    }
+
+    #[test]
+    fn machine_events_do_not_show_in_instruction_views() {
+        let mut log = EventLog::with_capacity(8);
+        log.record(Event { cycle: 3, track: Track::Core(0), kind: EventKind::PhaseEnd });
+        assert!(render_pipeview(&log).contains("no renamed"));
+        assert_eq!(to_kanata(&log), "Kanata\t0004\nC=\t0\n");
     }
 
     #[test]
     fn empty_trace_renders_placeholder() {
-        assert!(render_pipeview(&Trace::with_capacity(8)).contains("no renamed"));
+        assert!(render_pipeview(&EventLog::with_capacity(8)).contains("no renamed"));
     }
 
     #[test]
     fn kanata_export_has_header_rows_and_relative_ticks() {
-        let mut t = Trace::with_capacity(64);
-        t.record(ev(10, 7, TraceStage::Rename));
-        t.record(ev(12, 7, TraceStage::Issue));
-        t.record(ev(16, 7, TraceStage::Complete));
-        t.record(ev(17, 7, TraceStage::Retire));
-        t.record(ev(11, 8, TraceStage::Rename));
-        t.record(ev(13, 8, TraceStage::Issue));
-        t.record(ev(14, 8, TraceStage::Complete));
-        let text = to_kanata(&t);
+        let mut log = EventLog::with_capacity(64);
+        record(&mut log, 10, 7, TraceStage::Rename);
+        record(&mut log, 12, 7, TraceStage::Issue);
+        record(&mut log, 16, 7, TraceStage::Complete);
+        record(&mut log, 17, 7, TraceStage::Retire);
+        record(&mut log, 11, 8, TraceStage::Rename);
+        record(&mut log, 13, 8, TraceStage::Issue);
+        record(&mut log, 14, 8, TraceStage::Complete);
+        let text = to_kanata(&log);
         assert!(text.starts_with("Kanata\t0004\n"), "{text}");
         assert!(text.contains("C=\t10"), "base cycle: {text}");
         assert!(text.contains("L\t0\t0\tinst7"), "{text}");
@@ -329,7 +250,7 @@ mod tests {
 
     #[test]
     fn kanata_export_of_empty_trace_is_just_the_header() {
-        let text = to_kanata(&Trace::with_capacity(8));
+        let text = to_kanata(&EventLog::with_capacity(8));
         assert!(text.starts_with("Kanata\t0004\n"));
         assert_eq!(text.lines().count(), 2, "{text}");
     }

@@ -1,9 +1,9 @@
-//! Mode-switch determinism: Timing → Functional → Timing round trips
-//! preserve architectural state, a no-work round trip is exactly `==`
-//! (the two-speed layer adds nothing until a window runs), and the
-//! switch is refused — with the machine untouched — whenever the
-//! timing-only subsystems (fault injection, recovery) are active or the
-//! machine is not quiesced.
+//! The execution mode is chosen before the first cycle: a no-work round
+//! trip on a fresh machine is exactly `==` (the two-speed layer adds
+//! nothing until functional execution runs), a change is refused — with
+//! the machine untouched — once the machine has run or while the
+//! timing-only subsystems (fault injection, recovery) are active, and a
+//! functional run's budget is an absolute deadline, as in timing.
 
 use em_simd::{
     DedicatedReg, EmSimdInst, Operand, OperationalIntensity, Program, ProgramBuilder, ScalarInst,
@@ -66,7 +66,7 @@ fn kernel_program(a: u64, c: u64, n: usize, k: f32, oi: f64) -> Program {
 
 const N: usize = 8192;
 
-fn build_machine() -> (Machine, u64, u64) {
+fn build_machine() -> Machine {
     let cfg = SimConfig::paper(1);
     let mut mem = Memory::new(1 << 20);
     let a = mem.alloc_f32(N as u64);
@@ -76,51 +76,7 @@ fn build_machine() -> (Machine, u64, u64) {
     }
     let mut m = Machine::new(cfg, Architecture::Occamy, mem).expect("machine config");
     m.load_program(0, kernel_program(a, c, N, 1.5, 0.4));
-    (m, a, c)
-}
-
-/// Timing → Functional → Timing: run the prologue cycle-accurately,
-/// fast-forward the body functionally, switch back — the architectural
-/// outcome (memory image, issue counters, released lanes) must match a
-/// pure timing run of the same machine.
-#[test]
-fn round_trip_matches_pure_timing_architecturally() {
-    let (mut reference, ..) = build_machine();
-    let ref_stats = reference.run(50_000_000).expect("timing run");
-    assert!(ref_stats.completed);
-
-    let (mut m, a, c) = build_machine();
-    for _ in 0..2_000 {
-        m.step().expect("timing prologue");
-    }
-    assert!(!m.done(), "workload too small: finished inside the timing prologue");
-    m.quiesce(1_000_000).expect("quiesce before the switch");
-    m.set_mode(SimMode::Functional).expect("switch to functional");
-    let stats = m.run(50_000_000).expect("functional fast-forward");
-    assert!(stats.completed, "functional window did not finish the program");
-    assert!(stats.estimated, "mixed run must be marked estimated");
-    // Everything halted, so the machine is trivially quiesced and the
-    // switch back to timing succeeds.
-    m.set_mode(SimMode::Timing).expect("switch back to timing");
-    assert_eq!(m.mode(), SimMode::Timing);
-
-    // Memory images agree bit for bit (both against the reference and
-    // against the analytic result).
-    assert_eq!(m.memory(), reference.memory(), "memory image diverged from pure timing");
-    for i in (0..N).step_by(19) {
-        let x = m.memory().read_f32(a + 4 * i as u64);
-        let got = m.memory().read_f32(c + 4 * i as u64);
-        let want = x * x + 1.5;
-        assert!((got - want).abs() <= want.abs() * 1e-6, "c[{i}]");
-    }
-    // Issue counters are architectural and must match exactly.
-    let (r, s) = (&ref_stats.cores[0], &stats.cores[0]);
-    assert_eq!(s.scalar_executed, r.scalar_executed, "scalar count diverged");
-    assert_eq!(s.vector_compute_issued, r.vector_compute_issued, "vector-compute diverged");
-    assert_eq!(s.vector_mem_issued, r.vector_mem_issued, "vector-mem diverged");
-    // The epilogue released every lane through the same replan logic.
-    assert_eq!(m.resource_table().free_granules(), reference.resource_table().free_granules());
-    assert!(m.lane_audit().is_ok(), "lane conservation violated after the round trip");
+    m
 }
 
 /// `set_mode` only flips the mode field: a Functional → Timing round
@@ -128,9 +84,9 @@ fn round_trip_matches_pure_timing_architecturally() {
 /// (`==`, the PR-3 deterministic-snapshot equality) to its clone.
 #[test]
 fn no_work_round_trip_is_exactly_equal() {
-    let (m, ..) = build_machine();
+    let m = build_machine();
     let mut b = m.clone();
-    b.set_mode(SimMode::Functional).expect("fresh machine is quiesced");
+    b.set_mode(SimMode::Functional).expect("fresh machine");
     b.set_mode(SimMode::Timing).expect("back to timing");
     assert!(m == b, "a no-work mode round trip must not perturb any machine state");
 }
@@ -139,7 +95,7 @@ fn no_work_round_trip_is_exactly_equal() {
 /// with a typed config error and the machine is left untouched.
 #[test]
 fn active_fault_plan_rejects_functional_mode() {
-    let (mut m, ..) = build_machine();
+    let mut m = build_machine();
     let plan = FaultPlan::parse("seed=42,oi=0.01,mem=0.02").expect("plan spec");
     m.set_fault_plan(&plan);
     let before = m.clone();
@@ -165,9 +121,9 @@ fn only_timing_and_functional_modes_parse() {
 /// `Corrupt` error, never a panic.
 #[test]
 fn unknown_mode_tag_in_a_snapshot_is_corrupt() {
-    let (timing, ..) = build_machine();
+    let timing = build_machine();
     let mut functional = timing.clone();
-    functional.set_mode(SimMode::Functional).expect("fresh machine is quiesced");
+    functional.set_mode(SimMode::Functional).expect("fresh machine");
     let a = snapshot_to_bytes(&timing.snapshot()).expect("encode");
     let mut b = snapshot_to_bytes(&functional.snapshot()).expect("encode");
     // Outside the CRC trailer the two encodings differ in exactly one
@@ -191,7 +147,7 @@ fn unknown_mode_tag_in_a_snapshot_is_corrupt() {
 /// Same for the recovery subsystem (checkpoints/rollbacks).
 #[test]
 fn active_recovery_rejects_functional_mode() {
-    let (mut m, ..) = build_machine();
+    let mut m = build_machine();
     m.enable_recovery(RecoveryPolicy::default());
     let before = m.clone();
     let err = m.set_mode(SimMode::Functional).expect_err("must refuse");
@@ -199,24 +155,57 @@ fn active_recovery_rejects_functional_mode() {
     assert!(m == before, "a refused switch must leave the machine untouched");
 }
 
-/// A machine with in-flight work (un-drained pipelines) must be
-/// quiesced before switching; the refusal is typed, not a panic.
+/// The mode is fixed once the machine has run: `set_mode` is refused
+/// with a typed config error and the machine is left untouched, in both
+/// modes.
 #[test]
-fn mid_flight_machine_rejects_functional_mode() {
-    let (mut m, ..) = build_machine();
-    // Step until something is genuinely in flight.
-    let mut busy = false;
-    for _ in 0..20_000 {
-        m.step().expect("timing step");
-        if !m.is_quiesced() {
-            busy = true;
-            break;
-        }
+fn started_machine_rejects_a_mode_change() {
+    let mut timing = build_machine();
+    let mut functional = timing.clone();
+    functional.set_mode(SimMode::Functional).expect("fresh machine");
+    for _ in 0..100 {
+        timing.step().expect("timing step");
     }
-    assert!(busy, "workload never put the machine mid-flight");
-    let err = m.set_mode(SimMode::Functional).expect_err("must refuse mid-flight");
-    assert!(matches!(err, SimError::Config(_)), "want SimError::Config, got {err:?}");
-    // After an explicit quiesce the same switch succeeds.
-    m.quiesce(1_000_000).expect("quiesce");
-    m.set_mode(SimMode::Functional).expect("quiesced switch");
+    functional.run(100).expect("functional run");
+    assert!(!timing.done() && !functional.done(), "workload finished too early");
+    for (m, to) in [(&mut timing, SimMode::Functional), (&mut functional, SimMode::Timing)] {
+        let before = m.clone();
+        let err = m.set_mode(to).expect_err("a started machine must refuse a mode change");
+        assert!(matches!(err, SimError::Config(_)), "want SimError::Config, got {err:?}");
+        assert!(*m == before, "a refused change must leave the machine untouched");
+    }
+}
+
+/// A core looping forever (no HALT), so only the budget stops it.
+fn spin_machine() -> Machine {
+    let mut b = ProgramBuilder::new();
+    let top = b.fresh_label("spin");
+    b.bind(top);
+    b.scalar(ScalarInst::Add { dst: XReg::X1, a: XReg::X1, b: Operand::Imm(1) });
+    b.scalar(ScalarInst::B { target: top });
+    let mut m = Machine::new(SimConfig::paper(1), Architecture::Occamy, Memory::new(1 << 16))
+        .expect("machine config");
+    m.load_program(0, b.build());
+    m.set_mode(SimMode::Functional).expect("fresh machine");
+    m
+}
+
+/// `run(h)` is an absolute deadline in functional mode, as in timing: a
+/// repeated `run(h)` executes nothing more, and following it with
+/// `run(2h)` reaches exactly the state a single `run(2h)` reaches.
+#[test]
+fn functional_run_budget_is_an_absolute_deadline() {
+    let h = 1_000;
+    let mut sliced = spin_machine();
+    let first = sliced.run(h).expect("first slice");
+    assert!(first.timed_out && first.functional_insts > 0, "{first:?}");
+    let again = sliced.run(h).expect("repeated slice");
+    assert_eq!(again.functional_insts, first.functional_insts, "a repeated run(h) added fuel");
+    let sliced_stats = sliced.run(2 * h).expect("second slice");
+
+    let mut whole = spin_machine();
+    let whole_stats = whole.run(2 * h).expect("single run");
+    assert_eq!(sliced_stats, whole_stats, "run(h), run(h), run(2h) must equal run(2h)");
+    assert!(sliced == whole, "sliced and single runs must reach the same machine state");
+    assert_eq!(whole_stats.estimated_cycles, whole_stats.functional_insts);
 }

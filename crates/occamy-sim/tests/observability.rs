@@ -14,7 +14,7 @@ use em_simd::{
 use mem_sim::{Memory, ServiceLevel};
 use occamy_sim::{
     render_pipeview, render_profile, to_chrome_trace, to_kanata, Architecture, Event, EventKind,
-    EventLog, Machine, SimConfig, Trace, Track,
+    EventLog, Machine, SimConfig, Track,
 };
 use proptest::prelude::*;
 
@@ -105,7 +105,6 @@ fn fixture(observe: bool) -> Machine {
     let (a1, b1, c1) = alloc(-3.0);
     let mut m = Machine::new(cfg, Architecture::Occamy, mem).expect("valid config");
     if observe {
-        m.enable_trace(4096);
         m.enable_events(1 << 16);
         m.enable_profile();
     }
@@ -139,13 +138,13 @@ fn check_golden(name: &str, rendered: &str) {
 #[test]
 fn pipeview_matches_golden() {
     let (m, _) = run_fixture(true);
-    check_golden("vec_add.pipeview", &render_pipeview(m.trace()));
+    check_golden("vec_add.pipeview", &render_pipeview(m.events()));
 }
 
 #[test]
 fn kanata_matches_golden() {
     let (m, _) = run_fixture(true);
-    check_golden("vec_add.kanata", &to_kanata(m.trace()));
+    check_golden("vec_add.kanata", &to_kanata(m.events()));
 }
 
 #[test]
@@ -294,7 +293,7 @@ proptest! {
             expected.entry(track.tid(2)).or_default().push(*cycle);
         }
 
-        let json = to_chrome_trace(&log, &Trace::disabled(), 2);
+        let json = to_chrome_trace(&log, 2);
         let mut got: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
         for (tid, ts) in tid_ts_pairs(&json) {
             got.entry(tid).or_default().push(ts);

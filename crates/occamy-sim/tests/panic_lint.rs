@@ -27,6 +27,7 @@ const LINTED: &[&str] = &[
     // The observability layer is diagnostic-only and must never abort a
     // run it is merely watching.
     "crates/occamy-sim/src/events.rs",
+    "crates/occamy-sim/src/trace.rs",
     "crates/occamy-sim/src/metrics.rs",
     "crates/occamy-sim/src/profile.rs",
     // The functional engine executes the same untrusted programs as the

@@ -319,20 +319,21 @@ fn trace_records_full_instruction_lifecycles() {
     let mut mem = Memory::new(1 << 20);
     let arr = setup_arrays(&mut mem, 64, 1.0);
     let mut m = Machine::new(cfg, Architecture::Occamy, mem).expect("valid config");
-    m.enable_trace(4096);
+    m.enable_events(4096);
     m.load_program(0, vec_add_program(arr.a, arr.b, arr.c, 64, 4));
     let stats = m.run(1_000_000).expect("simulation fault");
     assert!(stats.completed);
     // Every stage appears, and the pipeview names real instructions.
-    use occamy_sim::TraceStage;
+    use occamy_sim::{EventKind, TraceStage};
     for stage in [TraceStage::Rename, TraceStage::Issue, TraceStage::Complete, TraceStage::Retire]
     {
-        assert!(
-            m.trace().events().any(|e| e.stage == stage),
-            "missing {stage} events"
-        );
+        let recorded = |e: &occamy_sim::Event| {
+            matches!(e.kind, EventKind::Stage { stage: s, .. } if s == stage)
+        };
+        assert!(m.events().events().any(recorded), "missing {stage} events");
     }
-    let view = occamy_sim::render_pipeview(m.trace());
+    assert_eq!(m.events().dropped(), 0, "the ring must hold the whole run");
+    let view = occamy_sim::render_pipeview(m.events());
     assert!(view.contains("ld1w"), "{view}");
     assert!(view.contains("fadd"), "{view}");
 }

@@ -1,6 +1,7 @@
-//! Inspect the co-processor pipeline with the instruction-lifecycle
-//! tracer: run a short elastic kernel with tracing enabled and print the
-//! gem5-style pipeview (R = rename, I = issue, C = complete, X = retire).
+//! Inspect the co-processor pipeline through the event log: run a short
+//! elastic kernel with the log enabled and print the gem5-style pipeview
+//! of its instruction stages (R = rename, I = issue, C = complete,
+//! X = retire).
 //!
 //! ```text
 //! cargo run --release --example pipeview
@@ -25,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .compile(&[(kernel, n as usize)], &layout)?;
 
     let mut machine = Machine::new(SimConfig::paper_2core(), Architecture::Occamy, mem)?;
-    machine.enable_trace(512);
+    machine.enable_events(1024);
     machine.load_program(0, program);
     let stats = machine.run(100_000).expect("simulation fault");
     assert!(stats.completed);
 
-    println!("{} trace events captured over {} cycles\n", machine.trace().len(), stats.cycles);
-    print!("{}", render_pipeview(machine.trace()));
+    println!("{} events captured over {} cycles\n", machine.events().len(), stats.cycles);
+    print!("{}", render_pipeview(machine.events()));
     println!(
         "\nReading: dots between R and I are operand/structural waits; \
          between I and C, execution or memory latency."

@@ -115,7 +115,7 @@ proptest! {
 
         let t = timing.run(50_000_000).expect("timing fault");
         prop_assert!(t.completed, "{}: timing run timed out", label);
-        fast.set_mode(SimMode::Functional).expect("fresh machine is quiesced");
+        fast.set_mode(SimMode::Functional).expect("fresh machine");
         let f = fast.run(50_000_000).expect("functional fault");
         prop_assert!(f.completed, "{}: functional run timed out", label);
         prop_assert!(f.estimated, "{}: functional cycles must be marked estimated", label);
