@@ -9,9 +9,10 @@
 //! memory-bound phases; this study measures what that buys on the
 //! Fig. 16 four-core groups (two memory + two compute workloads each).
 
+use bench::runner::{run_points, SweepPoint};
 use bench::{geomean, rule, Args};
 use occamy_sim::{Architecture, SimConfig};
-use workloads::{corun, table3};
+use workloads::table3;
 
 fn main() {
     let args = Args::parse();
@@ -27,20 +28,23 @@ fn main() {
         "group", "c0", "c1", "c2", "c3", "util", "(aware/full)"
     );
     rule(78);
+    // Per group: full-ceiling planning, then contention-aware.
+    let points: Vec<SweepPoint> = groups
+        .iter()
+        .flat_map(|(label, specs)| {
+            [false, true].map(|aware| {
+                let mut cfg = SimConfig::paper(4);
+                cfg.contention_aware_planning = aware;
+                SweepPoint::new(label.as_str(), specs.clone(), Architecture::Occamy, cfg)
+            })
+        })
+        .collect();
+    let results = run_points(&points, args.workers());
     let mut ratios = Vec::new();
-    for (label, specs) in &groups {
-        let mut times = Vec::new();
-        let mut utils = Vec::new();
-        for aware in [false, true] {
-            let mut cfg = SimConfig::paper(4);
-            cfg.contention_aware_planning = aware;
-            let mut m = corun::build_machine(specs, &cfg, &Architecture::Occamy, 1.0)
-                .expect("build");
-            let stats = m.run(500_000_000).expect("simulation fault");
-            assert!(stats.completed, "{label} timed out");
-            times.push((0..4).map(|c| stats.core_time(c)).collect::<Vec<_>>());
-            utils.push(stats.simd_utilization());
-        }
+    for ((label, _), runs) in groups.iter().zip(results.chunks(2)) {
+        let times: Vec<Vec<u64>> =
+            runs.iter().map(|r| (0..4).map(|c| r.stats.core_time(c)).collect()).collect();
+        let utils: Vec<f64> = runs.iter().map(|r| r.stats.simd_utilization()).collect();
         let speedup: Vec<f64> =
             (0..4).map(|c| times[0][c] as f64 / times[1][c] as f64).collect();
         ratios.extend(speedup.iter().copied());

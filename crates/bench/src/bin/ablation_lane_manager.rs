@@ -13,16 +13,10 @@
 //! 4. **full-width** — temporal sharing (FTS): the no-partitioning
 //!    alternative.
 
-use bench::{rule, Args, MAX_CYCLES};
+use bench::runner::{run_points, SweepPoint};
+use bench::{rule, Args};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::{corun, motivating, table3, WorkloadSpec};
-
-fn run(specs: &[WorkloadSpec], cfg: &SimConfig, arch: &Architecture) -> (u64, u64, f64) {
-    let mut m = corun::build_machine(specs, cfg, arch, 1.0).expect("build");
-    let stats = m.run(MAX_CYCLES).expect("simulation fault");
-    assert!(stats.completed);
-    (stats.core_time(0), stats.core_time(1), stats.simd_utilization())
-}
 
 fn main() {
     let args = Args::parse();
@@ -48,16 +42,25 @@ fn main() {
         "case", "even-split", "static-oracle", "full-width", "full (Occamy)"
     );
     rule(78);
-    for (label, specs) in &cases {
-        let even = run(specs, &cfg, &Architecture::StaticSpatialSharing {
-            partition: vec![half; cfg.cores],
-        });
-        let oracle = run(specs, &cfg, &Architecture::StaticSpatialSharing {
-            partition: corun::vls_partition(specs, &cfg),
-        });
-        let fts = run(specs, &cfg, &Architecture::TemporalSharing);
-        let full = run(specs, &cfg, &Architecture::Occamy);
-        let su = |t: (u64, u64, f64)| even.1 as f64 / t.1 as f64;
+    // Per case, in order: even-split, static-oracle, full-width, full.
+    let points: Vec<SweepPoint> = cases
+        .iter()
+        .flat_map(|(label, specs)| {
+            [
+                Architecture::StaticSpatialSharing { partition: vec![half; cfg.cores] },
+                Architecture::StaticSpatialSharing {
+                    partition: corun::vls_partition(specs, &cfg),
+                },
+                Architecture::TemporalSharing,
+                Architecture::Occamy,
+            ]
+            .map(|arch| SweepPoint::new(label.as_str(), specs.clone(), arch, cfg.clone()))
+        })
+        .collect();
+    let results = run_points(&points, args.workers());
+    for ((label, _), runs) in cases.iter().zip(results.chunks(4)) {
+        let [even, oracle, fts, full] = [0, 1, 2, 3].map(|i| runs[i].stats.core_time(1));
+        let su = |t: u64| even as f64 / t as f64;
         println!(
             "{:<12} {:>14.2} {:>14.2} {:>14.2} {:>14.2}",
             label,

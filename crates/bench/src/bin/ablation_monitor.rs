@@ -7,28 +7,27 @@
 //! what mid-phase repartitioning buys, and reports the measured monitor
 //! overhead (Fig. 15's first component).
 
-use bench::{rule, Args, MAX_CYCLES};
+use bench::runner::{run_points, SweepPoint};
+use bench::{rule, Args};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::{corun, motivating};
 
 fn main() {
     let args = Args::parse();
     let cfg = SimConfig::paper_2core();
-    let specs = [motivating::wl0_scaled(args.scale), motivating::wl1_scaled(args.scale)];
+    let specs = vec![motivating::wl0_scaled(args.scale), motivating::wl1_scaled(args.scale)];
 
-    // Elastic: full Fig. 9 machinery.
-    let mut elastic = corun::build_machine(&specs, &cfg, &Architecture::Occamy, 1.0).unwrap();
-    let e = elastic.run(MAX_CYCLES).expect("simulation fault");
-    assert!(e.completed);
-
-    // Frozen plan: the initial partition, never revisited (VLS at the
-    // oracle split).
+    // Elastic: full Fig. 9 machinery. Frozen plan: the initial
+    // partition, never revisited (VLS at the oracle split).
     let frozen_arch = Architecture::StaticSpatialSharing {
         partition: corun::vls_partition(&specs, &cfg),
     };
-    let mut frozen = corun::build_machine(&specs, &cfg, &frozen_arch, 1.0).unwrap();
-    let f = frozen.run(MAX_CYCLES).expect("simulation fault");
-    assert!(f.completed);
+    let points = [
+        SweepPoint::new("elastic", specs.clone(), Architecture::Occamy, cfg.clone()),
+        SweepPoint::new("frozen", specs, frozen_arch, cfg),
+    ];
+    let results = run_points(&points, args.workers());
+    let (e, f) = (&results[0].stats, &results[1].stats);
 
     println!("Ablation: per-iteration partition monitoring (motivating example)");
     rule(64);

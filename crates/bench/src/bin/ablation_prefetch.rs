@@ -7,9 +7,12 @@
 //! memory workload's solo runtime at 8 vs 32 lanes: with a working
 //! prefetcher the two converge (bandwidth-bound, VL-insensitive).
 
-use bench::{rule, Args, MAX_CYCLES};
+use bench::runner::{run_points, SweepPoint};
+use bench::{rule, Args};
 use occamy_sim::{Architecture, SimConfig};
-use workloads::{corun, motivating};
+use workloads::motivating;
+
+const DEGREES: [u64; 6] = [0, 1, 2, 4, 8, 16];
 
 fn main() {
     let args = Args::parse();
@@ -20,21 +23,24 @@ fn main() {
         "degree", "8 lanes", "28 lanes", "slowdown @8 lanes"
     );
     rule(70);
-    for degree in [0u64, 1, 2, 4, 8, 16] {
-        let mut cfg = SimConfig::paper_2core();
-        cfg.mem.vec_prefetch_lines = degree;
-        let time_at = |granules: usize| {
-            let specs = [motivating::wl0_scaled(args.scale)];
-            let arch = Architecture::StaticSpatialSharing {
-                partition: vec![granules, cfg.total_granules - granules],
-            };
-            let mut m = corun::build_machine(&specs, &cfg, &arch, 1.0).expect("build");
-            let stats = m.run(MAX_CYCLES).expect("simulation fault");
-            assert!(stats.completed);
-            stats.core_time(0)
-        };
-        let narrow = time_at(2);
-        let wide = time_at(7); // 28 lanes: core 1 keeps its mandatory granule
+    // Per degree: 8 lanes, then 28 (core 1 keeps its mandatory granule).
+    let points: Vec<SweepPoint> = DEGREES
+        .iter()
+        .flat_map(|&degree| {
+            let mut cfg = SimConfig::paper_2core();
+            cfg.mem.vec_prefetch_lines = degree;
+            [2, 7].map(|granules| {
+                let arch = Architecture::StaticSpatialSharing {
+                    partition: vec![granules, cfg.total_granules - granules],
+                };
+                let specs = vec![motivating::wl0_scaled(args.scale)];
+                SweepPoint::new(format!("degree-{degree}"), specs, arch, cfg.clone())
+            })
+        })
+        .collect();
+    let results = run_points(&points, args.workers());
+    for (degree, runs) in DEGREES.iter().zip(results.chunks(2)) {
+        let [narrow, wide] = [0, 1].map(|i| runs[i].stats.core_time(0));
         println!(
             "{:<10} {:>12} {:>12} {:>17.2}x",
             degree,

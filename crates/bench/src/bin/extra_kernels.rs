@@ -3,15 +3,18 @@
 //! architectures — an independently-constructed check that the paper's
 //! conclusions are not an artefact of the synthetic Table 3 kernels.
 
-use bench::{rule, sweep, Args};
-use occamy_sim::SimConfig;
+use bench::{rule, sweep_groups, Args, SweepGroup};
+use occamy_sim::{SimConfig, SimMode};
 use workloads::extra;
 
 fn main() {
-    let _ = Args::parse();
-    let cfg = SimConfig::paper_2core();
-    let specs = [extra::memory_workload(), extra::compute_workload()];
-    let sw = sweep("extra", &specs, &cfg, 1.0);
+    let args = Args::parse();
+    let group = SweepGroup {
+        label: "extra".to_owned(),
+        specs: vec![extra::memory_workload(), extra::compute_workload()],
+        config: SimConfig::paper_2core(),
+    };
+    let sw = sweep_groups(&[group], 1.0, args.workers(), SimMode::Timing).remove(0);
 
     println!("Extra-suite co-run (memory: triad+relu | compute: ratpoly+jacobi+sqdist)");
     rule(72);

@@ -10,9 +10,9 @@
 //!   the degradation,
 //! * `timed_out` — the pair exceeded a budget of 4× the baseline cycles
 //!   (forward progress was lost without a typed fault),
-//! * a [`SimError`] kind (`decode`, `invalid-vl`, `memory-fault`,
-//!   `watchdog`, …) — the fault surfaced as a typed error instead of a
-//!   hang or a panic.
+//! * a [`SimError`](occamy_sim::SimError) kind (`decode`, `invalid-vl`,
+//!   `memory-fault`, `watchdog`, …) — the fault surfaced as a typed
+//!   error instead of a hang or a panic.
 //!
 //! The sweep exercises all injection points: `<OI>` hint corruption,
 //! lane-manager decision perturbation, memory latency spikes, and
@@ -22,9 +22,9 @@
 //! the shared deterministic JSON sink.
 
 use bench::json::Value;
-use bench::runner::run_jobs;
+use bench::runner::{run_jobs, run_point, SweepPoint};
 use bench::{rule, Args};
-use occamy_sim::{Architecture, FaultPlan, Machine, SimConfig};
+use occamy_sim::{Architecture, FaultPlan, SimConfig};
 use workloads::{corun, table3, WorkloadSpec};
 
 /// Fault rates swept for every injection point.
@@ -47,11 +47,6 @@ fn plan_for(seed: u64, rate: f64) -> FaultPlan {
         program_bitflip_rate: rate,
         ..FaultPlan::default()
     }
-}
-
-fn build(specs: &[WorkloadSpec], cfg: &SimConfig, scale: f64) -> Machine {
-    corun::build_machine(specs, cfg, &Architecture::Occamy, scale)
-        .unwrap_or_else(|e| panic!("build failed: {e}"))
 }
 
 /// One injected run, classified.
@@ -79,7 +74,8 @@ fn run_injected(
     seed: u64,
 ) -> Outcome {
     let plan = plan_for(seed, rate);
-    let mut machine = build(specs, cfg, scale);
+    let mut machine = corun::build_machine(specs, cfg, &Architecture::Occamy, scale)
+        .unwrap_or_else(|e| panic!("build failed: {e}"));
     let mut program_faults = 0;
     for core in 0..cfg.cores {
         if let Some(program) = machine.program(core).cloned() {
@@ -128,12 +124,13 @@ fn main() {
     println!("Fault-injection campaign: Occamy, {} co-run pairs", selected.len());
     rule(72);
     for pair in &selected {
-        let mut machine = build(&pair.workloads, &cfg, 1.0);
-        let baseline = machine
-            .run(bench::MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{}: fault-free baseline faulted: {e}", pair.label));
-        assert!(baseline.completed, "{}: fault-free baseline timed out", pair.label);
-        let base_cycles = baseline.cycles;
+        let clean = SweepPoint::new(
+            &pair.label,
+            pair.workloads.to_vec(),
+            Architecture::Occamy,
+            cfg.clone(),
+        );
+        let base_cycles = run_point(&clean).cycles;
         println!("{}: fault-free baseline {} cycles", pair.label, base_cycles);
 
         let points: Vec<(f64, u64)> =

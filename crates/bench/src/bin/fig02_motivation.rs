@@ -7,7 +7,7 @@
 //! reference values.
 
 use bench::{rule, sweep_groups, Args, SweepGroup};
-use occamy_sim::SimConfig;
+use occamy_sim::{SimConfig, SimMode};
 use workloads::motivating;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     let cfg = SimConfig::paper_2core();
     let specs = vec![motivating::wl0_scaled(args.scale), motivating::wl1_scaled(args.scale)];
     let group = SweepGroup { label: "motivating".to_owned(), specs, config: cfg };
-    let sweeps = sweep_groups(&[group], 1.0, args.workers());
+    let sweeps = sweep_groups(&[group], 1.0, args.workers(), SimMode::Timing);
     let sw = &sweeps[0];
 
     println!("Fig. 2(f): performance statistics (paper reference in brackets)");

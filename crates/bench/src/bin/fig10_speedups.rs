@@ -2,15 +2,16 @@
 //! pairs, on Core0 (memory side) and Core1 (compute side), with
 //! geometric means.
 
-use bench::{geomean, rule, sweep_pairs_mode, Args};
+use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 fn main() {
     let args = Args::parse();
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(args.scale);
-    let sweeps = sweep_pairs_mode(&pairs, &cfg, 1.0, args.workers(), args.mode);
+    let groups: Vec<SweepGroup> =
+        table3::all_pairs(args.scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let sweeps = sweep_groups(&groups, 1.0, args.workers(), args.mode);
 
     println!("Fig. 10: speedups over Private (Core0 / Core1)");
     if args.mode != SimMode::Timing {

@@ -4,7 +4,7 @@
 //! Paper reference (GM): Private 63.2 %, FTS 72.5 %, VLS 70.8 %,
 //! Occamy 84.2 %.
 
-use bench::{geomean, rule, sweep_pairs_mode, Args};
+use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
@@ -13,8 +13,9 @@ const ARCHS: [&str; 4] = ["Private", "FTS", "VLS", "Occamy"];
 fn main() {
     let args = Args::parse();
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(args.scale);
-    let sweeps = sweep_pairs_mode(&pairs, &cfg, 1.0, args.workers(), args.mode);
+    let groups: Vec<SweepGroup> =
+        table3::all_pairs(args.scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let sweeps = sweep_groups(&groups, 1.0, args.workers(), args.mode);
 
     println!("Fig. 11: SIMD utilisation (%)");
     if args.mode != SimMode::Timing {

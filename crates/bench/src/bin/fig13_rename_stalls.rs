@@ -5,15 +5,16 @@
 //! "hardly any" on the other three architectures — the register-pressure
 //! cost of keeping full-width per-core contexts in a shared VRF.
 
-use bench::{geomean, rule, sweep_pairs, Args};
-use occamy_sim::SimConfig;
+use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
+use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 fn main() {
     let args = Args::parse();
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(args.scale);
-    let sweeps = sweep_pairs(&pairs, &cfg, 1.0, args.workers());
+    let groups: Vec<SweepGroup> =
+        table3::all_pairs(args.scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let sweeps = sweep_groups(&groups, 1.0, args.workers(), SimMode::Timing);
 
     println!("Fig. 13: cycles stalled waiting for free registers (%)");
     rule(66);

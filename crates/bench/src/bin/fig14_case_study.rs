@@ -6,20 +6,21 @@
 //! (c) per-phase SIMD issue rates on every architecture, plus FTS
 //!     rename-stall cycles.
 
-use bench::{rule, sweep, Args};
-use occamy_sim::{Architecture, SimConfig};
-use workloads::{corun, table3, WorkloadSpec};
+use bench::runner::{run_points, SweepPoint};
+use bench::{rule, sweep_groups, Args, SweepGroup};
+use occamy_sim::{Architecture, MachineStats, SimConfig, SimMode};
+use workloads::{table3, WorkloadSpec};
 
-/// Runs a workload solo with a fixed lane allocation; returns per-phase
-/// durations.
-fn solo_phase_times(spec: &WorkloadSpec, cfg: &SimConfig, granules: usize) -> Vec<u64> {
+/// A solo run of `spec` with a fixed lane allocation of `granules`.
+fn solo_point(spec: &WorkloadSpec, cfg: &SimConfig, granules: usize) -> SweepPoint {
     let arch = Architecture::StaticSpatialSharing {
         partition: vec![granules, cfg.total_granules - granules],
     };
-    let mut machine =
-        corun::build_machine(std::slice::from_ref(spec), cfg, &arch, 1.0).expect("build");
-    let stats = machine.run(bench::MAX_CYCLES).expect("simulation fault");
-    assert!(stats.completed);
+    SweepPoint::new(format!("{}@{granules}", spec.label), vec![spec.clone()], arch, cfg.clone())
+}
+
+/// Per-phase durations of a solo run.
+fn solo_phase_times(stats: &MachineStats) -> Vec<u64> {
     // Aggregate repeats of the same kernel phase: take total duration per
     // distinct phase OI.
     let mut out: Vec<(u32, u64)> = Vec::new();
@@ -45,10 +46,15 @@ fn main() {
     println!("{:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}", "phase", "4", "8", "12", "16", "24", "28");
     rule(64);
     let granule_sweep = [1usize, 2, 3, 4, 6, 7];
+    let points: Vec<SweepPoint> = granule_sweep
+        .iter()
+        .flat_map(|&g| [solo_point(&wl20, &cfg, g), solo_point(&wl17, &cfg, g)])
+        .collect();
+    let solo = run_points(&points, args.workers());
     let mut rows: Vec<Vec<f64>> = vec![Vec::new(); 3]; // 20.p1, 20.p2, 17
-    for &g in &granule_sweep {
-        let t20 = solo_phase_times(&wl20, &cfg, g);
-        let t17 = solo_phase_times(&wl17, &cfg, g);
+    for pair in solo.chunks(2) {
+        let t20 = solo_phase_times(&pair[0].stats);
+        let t17 = solo_phase_times(&pair[1].stats);
         rows[0].push(t20[0] as f64);
         rows[1].push(t20[1] as f64);
         rows[2].push(t17[0] as f64);
@@ -64,8 +70,8 @@ fn main() {
     println!("(paper: WL20.p1 flattens at 8 lanes, WL20.p2 at 12, WL17 keeps gaining)");
 
     // ---- (b) + (c): the co-run ----
-    let specs = [wl20, wl17];
-    let sw = sweep("20+17", &specs, &cfg, 1.0);
+    let group = SweepGroup { label: "20+17".to_owned(), specs: vec![wl20, wl17], config: cfg };
+    let sw = sweep_groups(&[group], 1.0, args.workers(), SimMode::Timing).remove(0);
 
     println!("\nFig. 14(b): WL17 lanes over time (avg per 2k cycles)");
     rule(40);

@@ -5,7 +5,7 @@
 //! Paper reference: 0.5 % of execution time on average (0.3 %
 //! monitoring + 0.2 % reconfiguration).
 
-use bench::runner::{report_wall_time, run_points, SweepPoint};
+use bench::runner::{run_points, SweepPoint};
 use bench::{geomean, rule, ArchSweep, Args};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::table3;
@@ -27,10 +27,7 @@ fn main() {
             )
         })
         .collect();
-    let workers = args.workers();
-    let started = std::time::Instant::now();
-    let results = run_points(&points, workers);
-    report_wall_time(&results, workers, started.elapsed());
+    let results = run_points(&points, args.workers());
 
     println!("Fig. 15: Occamy elastic-sharing overhead (% of each core's runtime)");
     rule(60);

@@ -2,7 +2,7 @@
 //! intensive on the low cores, compute-intensive on the high cores) on
 //! FTS/VLS/Occamy, with speedups over Private per core.
 
-use bench::{geomean, rule, sweep_groups_mode, Args, SweepGroup};
+use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
@@ -13,7 +13,7 @@ fn main() {
         .into_iter()
         .map(|(label, specs)| SweepGroup { label, specs, config: cfg.clone() })
         .collect();
-    let sweeps = sweep_groups_mode(&groups, 1.0, args.workers(), args.mode);
+    let sweeps = sweep_groups(&groups, 1.0, args.workers(), args.mode);
 
     println!("Fig. 16: 4-core speedups over Private");
     if args.mode != SimMode::Timing {

@@ -5,7 +5,7 @@
 //! workloads on cores 0–3 and four compute-intensive ones on cores 4–7,
 //! comparing Private/FTS/VLS/Occamy.
 
-use bench::runner::{report_wall_time, run_points, SweepPoint};
+use bench::runner::{run_points, SweepPoint};
 use bench::{rule, ArchSweep, Args};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::{corun, table3};
@@ -68,10 +68,7 @@ fn main() {
     let mut points = mk_points(labels[0], &cfg, &cfg_fts);
     points.extend(mk_points(labels[1], &cfg_bw, &cfg_fts_bw));
 
-    let workers = args.workers();
-    let started = std::time::Instant::now();
-    let outcomes = run_points(&points, workers);
-    report_wall_time(&outcomes, workers, started.elapsed());
+    let outcomes = run_points(&points, args.workers());
     let sweeps: Vec<ArchSweep> = outcomes
         .chunks(4)
         .zip(labels)

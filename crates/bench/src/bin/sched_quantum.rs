@@ -78,7 +78,6 @@ fn main() {
         "quantum", "makespan", "switches", "mean-turnd", "last-start", "ovh/switch"
     );
     rule(76);
-    let started = std::time::Instant::now();
     let quantum_runs: Vec<(SchedReport, MachineStats)> =
         runner::run_jobs(QUANTA.len(), workers, |i| {
             let (mut machine, tasks) = build(n);
@@ -170,11 +169,5 @@ fn main() {
             results: vec![("Occamy", stats.clone())],
         }))
         .collect();
-    eprintln!(
-        "[runner] {} schedules on {} workers in {:.2}s wall",
-        sweeps.len(),
-        workers,
-        started.elapsed().as_secs_f64()
-    );
     args.write_json("sched_quantum", &sweeps).unwrap_or_else(|e| e.exit());
 }

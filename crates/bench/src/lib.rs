@@ -7,10 +7,17 @@
 //!
 //! All binaries accept `--fast` (quarter-size workloads), `--scale <f>`
 //! for custom sizing, `--workers <n>` to pin the simulation worker pool
-//! (default: `OCCAMY_WORKERS` or the available parallelism; see
-//! [`runner`]), and `--json <path>` to dump the full machine statistics
-//! of every simulated point as JSON (see [`json`]). Output on stdout
-//! and in the JSON file is byte-identical regardless of worker count.
+//! (default: the available parallelism), and `--json <path>` to dump the
+//! full machine statistics of every simulated point as JSON (see
+//! [`json`]). Output on stdout and in the JSON file is byte-identical
+//! regardless of worker count.
+//!
+//! Every simulated point goes through one step,
+//! [`runner::run_point`], fanned out over the worker pool by
+//! [`runner::run_points`]. Experiments over the four Fig. 1
+//! architectures submit [`SweepGroup`]s to [`sweep_groups`], the one
+//! sweep entry point and so the one producer of `--json` sweep
+//! documents.
 
 use std::path::{Path, PathBuf};
 
@@ -236,34 +243,6 @@ impl ArchSweep {
     }
 }
 
-/// Runs `specs` on every architecture.
-///
-/// # Panics
-///
-/// Panics if a machine fails to build or a run does not complete (the
-/// experiment would be meaningless otherwise).
-pub fn sweep(label: &str, specs: &[WorkloadSpec], cfg: &SimConfig, scale: f64) -> ArchSweep {
-    let results = architectures(specs, cfg)
-        .into_iter()
-        .map(|arch| {
-            let name = arch.short_name();
-            let mut machine = corun::build_machine(specs, cfg, &arch, scale)
-                .unwrap_or_else(|e| panic!("{label}/{name}: {e}"));
-            let stats = machine
-                .run(MAX_CYCLES)
-                .unwrap_or_else(|e| panic!("{label}/{name}: simulation fault: {e}"));
-            assert!(stats.completed, "{label}/{name}: exceeded {MAX_CYCLES} cycles");
-            (name, stats)
-        })
-        .collect();
-    ArchSweep { label: label.to_owned(), results }
-}
-
-/// Runs one co-run pair (Fig. 10/11 row) on every architecture.
-pub fn sweep_pair(pair: &CorunPair, cfg: &SimConfig, scale: f64) -> ArchSweep {
-    sweep(&pair.label, &pair.workloads, cfg, scale)
-}
-
 /// One `(label, workloads, config)` row of a multi-point experiment;
 /// [`sweep_groups`] expands each into its four architecture points.
 #[derive(Debug, Clone)]
@@ -287,28 +266,17 @@ impl SweepGroup {
     }
 }
 
-/// Runs every group on all four architectures concurrently and returns
-/// one [`ArchSweep`] per group, in input order with Fig. 1 architecture
-/// order inside each — exactly what serial [`sweep`] calls in a loop
-/// would produce, only faster. Prints a wall-time summary to stderr.
+/// Runs every group on all four architectures on one worker pool, every
+/// point in `mode`, and returns one [`ArchSweep`] per group: input order,
+/// with Fig. 1 architecture order inside each. The result does not
+/// depend on `workers`. Anything but [`SimMode::Timing`] trades cycle
+/// accuracy for host speed and marks cycle totals `estimated`.
 ///
 /// # Panics
 ///
-/// Panics like [`sweep`] if any point fails to build or complete.
-pub fn sweep_groups(groups: &[SweepGroup], scale: f64, workers: usize) -> Vec<ArchSweep> {
-    sweep_groups_mode(groups, scale, workers, SimMode::Timing)
-}
-
-/// [`sweep_groups`] with an explicit [`SimMode`] for every point: the
-/// two-speed entry point behind the binaries' `--mode` flag. In
-/// [`SimMode::Timing`] this is exactly `sweep_groups` (byte-identical
-/// output); other modes trade cycle accuracy for wall-clock speed and
-/// mark their cycle totals `estimated`.
-///
-/// # Panics
-///
-/// Panics like [`sweep`] if any point fails to build or complete.
-pub fn sweep_groups_mode(
+/// Panics like [`runner::run_point`] if any point fails to build or
+/// complete.
+pub fn sweep_groups(
     groups: &[SweepGroup],
     scale: f64,
     workers: usize,
@@ -327,44 +295,16 @@ pub fn sweep_groups_mode(
             })
         })
         .collect();
-    let workers = workers.max(1).min(points.len().max(1));
-    let started = std::time::Instant::now();
     let results = runner::run_points(&points, workers);
-    runner::report_wall_time(&results, workers, started.elapsed());
-
-    let per_group = if groups.is_empty() { 0 } else { results.len() / groups.len() };
+    // `architectures` gives every group four points, in Fig. 1 order.
     results
-        .chunks(per_group.max(1))
+        .chunks(4)
         .zip(groups)
         .map(|(chunk, group)| ArchSweep {
             label: group.label.clone(),
             results: chunk.iter().map(|p| (p.arch, p.stats.clone())).collect(),
         })
         .collect()
-}
-
-/// Parallel counterpart of calling [`sweep_pair`] over `pairs`: all
-/// `pairs × architectures` points share one worker pool.
-pub fn sweep_pairs(
-    pairs: &[CorunPair],
-    cfg: &SimConfig,
-    scale: f64,
-    workers: usize,
-) -> Vec<ArchSweep> {
-    let groups: Vec<SweepGroup> = pairs.iter().map(|p| SweepGroup::from_pair(p, cfg)).collect();
-    sweep_groups(&groups, scale, workers)
-}
-
-/// [`sweep_pairs`] with an explicit [`SimMode`] for every point.
-pub fn sweep_pairs_mode(
-    pairs: &[CorunPair],
-    cfg: &SimConfig,
-    scale: f64,
-    workers: usize,
-    mode: SimMode,
-) -> Vec<ArchSweep> {
-    let groups: Vec<SweepGroup> = pairs.iter().map(|p| SweepGroup::from_pair(p, cfg)).collect();
-    sweep_groups_mode(&groups, scale, workers, mode)
 }
 
 /// Serializes one [`MachineStats`] to a JSON object. The lane-occupancy
@@ -550,7 +490,8 @@ mod tests {
     fn sweep_produces_all_four_architectures() {
         let cfg = SimConfig::paper_2core();
         let pair = &workloads::table3::all_pairs(0.05)[0];
-        let sw = sweep_pair(pair, &cfg, 0.05);
+        let group = SweepGroup::from_pair(pair, &cfg);
+        let sw = sweep_groups(&[group], 0.05, 1, SimMode::Timing).remove(0);
         assert_eq!(sw.results.len(), 4);
         for arch in ["Private", "FTS", "VLS", "Occamy"] {
             assert!(sw.stats(arch).completed);

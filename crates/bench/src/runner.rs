@@ -1,4 +1,4 @@
-//! Parallel sweep runner.
+//! Parallel sweep runner: the only code that runs an experiment point.
 //!
 //! Every evaluation binary replays an embarrassingly-parallel sweep:
 //! (workload set × architecture × machine configuration) points whose
@@ -13,18 +13,19 @@
 //! - [`run_jobs`] — the generic pool: `jobs` indexed closures, `workers`
 //!   threads, results returned as `Vec<T>` in index order. Panics in a
 //!   job propagate after the scope joins (an experiment with a failing
-//!   point is meaningless, matching the serial `sweep` behaviour).
-//! - [`SweepPoint`] / [`run_points`] — the `Machine`-simulation layer:
-//!   each point builds its machine via [`corun::build_machine`] and runs
-//!   it to completion, recording per-point wall time and cycle count.
+//!   point is meaningless).
+//! - [`SweepPoint`] / [`run_point`] — the `Machine`-simulation step:
+//!   build the point's machine via [`corun::build_machine`], set its
+//!   mode, run it to completion and check it completed.
+//! - [`run_points`] — [`run_point`] mapped over the pool.
 //!
 //! Worker count resolution: an explicit `--workers N` wins, otherwise
-//! `OCCAMY_WORKERS`, otherwise [`std::thread::available_parallelism`].
-//! One worker degenerates to the serial loop (no thread is spawned).
+//! [`std::thread::available_parallelism`]. One worker degenerates to the
+//! serial loop (no thread is spawned).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use occamy_sim::{Architecture, MachineStats, SimConfig, SimMode};
 use rand::splitmix64;
@@ -33,14 +34,8 @@ use workloads::{corun, WorkloadSpec};
 use crate::MAX_CYCLES;
 
 /// The worker count used when the caller does not pin one: the
-/// `OCCAMY_WORKERS` environment variable if set, else the machine's
-/// available parallelism.
+/// machine's available parallelism.
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("OCCAMY_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -140,48 +135,52 @@ pub struct PointResult {
     pub arch: &'static str,
     /// Full simulation statistics.
     pub stats: MachineStats,
-    /// Host wall-clock spent building and simulating this point. Not
-    /// part of any deterministic output — reported to stderr only.
-    pub wall: Duration,
 }
 
-/// Executes every point on the pool; results come back in submission
-/// order.
+/// Runs one point: builds its machine, sets its mode and simulates it
+/// to completion.
 ///
 /// # Panics
 ///
-/// Panics if a machine fails to build or a run exceeds [`MAX_CYCLES`]
-/// (the experiment would be meaningless otherwise), exactly like the
-/// serial [`crate::sweep`].
+/// Panics if the machine fails to build, the run faults or it exceeds
+/// [`MAX_CYCLES`] (the experiment would be meaningless otherwise).
+pub fn run_point(point: &SweepPoint) -> MachineStats {
+    let name = point.architecture.short_name();
+    let mut machine =
+        corun::build_machine(&point.specs, &point.config, &point.architecture, point.build_scale)
+            .unwrap_or_else(|e| panic!("{}/{name}: {e}", point.label));
+    // The mode is set on the freshly built machine, before its first
+    // cycle, so it cannot be refused for having run.
+    machine.set_mode(point.mode).unwrap_or_else(|e| panic!("{}/{name}: {e}", point.label));
+    let stats = machine
+        .run(MAX_CYCLES)
+        .unwrap_or_else(|e| panic!("{}/{name}: simulation fault: {e}", point.label));
+    assert!(stats.completed, "{}/{name}: exceeded {MAX_CYCLES} cycles", point.label);
+    stats
+}
+
+/// Executes every point on the pool through [`run_point`]; results come
+/// back in submission order.
+///
+/// # Panics
+///
+/// Panics like [`run_point`] if any point fails.
 pub fn run_points(points: &[SweepPoint], workers: usize) -> Vec<PointResult> {
     run_jobs(points.len(), workers, |i| {
         let point = &points[i];
-        let name = point.architecture.short_name();
-        let started = Instant::now();
-        let mut machine = corun::build_machine(
-            &point.specs,
-            &point.config,
-            &point.architecture,
-            point.build_scale,
-        )
-        .unwrap_or_else(|e| panic!("{}/{name}: {e}", point.label));
-        // The mode is set on the freshly built machine, before its first
-        // cycle, so it cannot be refused for having run.
-        machine
-            .set_mode(point.mode)
-            .unwrap_or_else(|e| panic!("{}/{name}: {e}", point.label));
-        let stats = machine
-            .run(MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{}/{name}: simulation fault: {e}", point.label));
-        assert!(stats.completed, "{}/{name}: exceeded {MAX_CYCLES} cycles", point.label);
-        PointResult { label: point.label.clone(), arch: name, stats, wall: started.elapsed() }
+        PointResult {
+            label: point.label.clone(),
+            arch: point.architecture.short_name(),
+            stats: run_point(point),
+        }
     })
 }
 
-/// Why a checked sweep job failed. Unlike [`run_points`], which panics
-/// (and therefore poisons the whole sweep), the checked runner reports
-/// per-job failures so a watchdog-tripped or faulted point shows up as
-/// a failed row in `--json` output while the rest of the sweep stands.
+/// Why a retried job failed. Unlike [`run_points`], which panics (and
+/// therefore poisons the whole sweep), the recovery campaign reports
+/// per-job failures through [`run_with_retry`], so a watchdog-tripped
+/// or faulted point shows up as a failed row in `--json` output while
+/// the rest of the sweep stands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobFailure {
     /// The machine could not be built (bad spec/config). Deterministic —
@@ -282,30 +281,6 @@ impl Default for BackoffPolicy {
     }
 }
 
-/// Per-job budget and bounded-retry policy for [`run_points_checked`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Cycle budget per attempt (default [`MAX_CYCLES`]).
-    pub max_cycles: u64,
-    /// Forward-progress watchdog per attempt.
-    pub watchdog: u64,
-    /// Attempts before the job is marked failed (minimum 1).
-    pub max_attempts: u32,
-    /// Inter-attempt backoff schedule.
-    pub backoff: BackoffPolicy,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_cycles: MAX_CYCLES,
-            watchdog: 1_000_000,
-            max_attempts: 2,
-            backoff: BackoffPolicy::default(),
-        }
-    }
-}
-
 /// What [`run_with_retry`] did: how many attempts ran, how long the
 /// schedule slept between them, and the first success or last failure.
 #[derive(Debug, Clone)]
@@ -364,94 +339,6 @@ pub fn run_with_retry<T, E>(
     }
 }
 
-/// The outcome of one checked sweep job.
-#[derive(Debug, Clone)]
-pub struct CheckedResult {
-    /// The submitting point's label.
-    pub label: String,
-    /// Architecture short name.
-    pub arch: &'static str,
-    /// Attempts consumed (1 on first-try success).
-    pub attempts: u32,
-    /// Wall-clock slept in retry backoff (zero without retries). Not
-    /// part of any deterministic output.
-    pub backoff_waited: Duration,
-    /// The statistics, or why every attempt failed.
-    pub outcome: Result<MachineStats, JobFailure>,
-    /// Host wall-clock across all attempts.
-    pub wall: Duration,
-}
-
-/// The fault-tolerant sibling of [`run_points`]: each point gets a
-/// per-job watchdog, a cycle budget and a bounded retry, and a job that
-/// still fails is reported as a [`JobFailure`] row instead of panicking
-/// the pool. Every attempt builds a fresh machine, so one poisoned run
-/// cannot leak state into the next.
-pub fn run_points_checked(
-    points: &[SweepPoint],
-    workers: usize,
-    policy: RetryPolicy,
-) -> Vec<CheckedResult> {
-    run_jobs(points.len(), workers, |i| {
-        let point = &points[i];
-        let name = point.architecture.short_name();
-        let started = Instant::now();
-        let retry = run_with_retry(
-            policy.max_attempts,
-            &policy.backoff,
-            i as u64,
-            |e: &JobFailure| !matches!(e, JobFailure::Build(_)),
-            |_| {
-                let mut machine = corun::build_machine(
-                    &point.specs,
-                    &point.config,
-                    &point.architecture,
-                    point.build_scale,
-                )
-                .map_err(|e| JobFailure::Build(e.to_string()))?;
-                machine
-                    .set_mode(point.mode)
-                    .map_err(|e| JobFailure::Build(e.to_string()))?;
-                machine.set_watchdog(policy.watchdog);
-                let stats = machine
-                    .run(policy.max_cycles)
-                    .map_err(|e| JobFailure::Faulted { kind: e.kind(), detail: e.to_string() })?;
-                if !stats.completed {
-                    return Err(JobFailure::TimedOut { cycles: stats.cycles });
-                }
-                Ok(stats)
-            },
-        );
-        CheckedResult {
-            label: point.label.clone(),
-            arch: name,
-            attempts: retry.attempts,
-            backoff_waited: retry.backoff_waited,
-            outcome: retry.result,
-            wall: started.elapsed(),
-        }
-    })
-}
-
-/// Prints a one-line harness summary to **stderr** (stdout carries only
-/// deterministic experiment output): point count, worker count, summed
-/// simulation time vs. wall time, and the resulting speedup.
-pub fn report_wall_time(points: &[PointResult], workers: usize, wall: Duration) {
-    let serial: Duration = points.iter().map(|p| p.wall).sum();
-    let speedup = if wall.as_secs_f64() > 0.0 {
-        serial.as_secs_f64() / wall.as_secs_f64()
-    } else {
-        1.0
-    };
-    eprintln!(
-        "[runner] {} points on {} workers: {:.2}s simulation in {:.2}s wall ({speedup:.2}x)",
-        points.len(),
-        workers,
-        serial.as_secs_f64(),
-        wall.as_secs_f64(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,50 +359,6 @@ mod tests {
     fn zero_jobs_yield_nothing() {
         let out: Vec<u32> = run_jobs(0, 8, |_| unreachable!("no jobs to run"));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn checked_runner_marks_a_budget_overrun_as_timed_out() {
-        let cfg = SimConfig::paper_2core();
-        let pair = &workloads::table3::all_pairs(0.05)[0];
-        let point = SweepPoint::new(
-            &pair.label,
-            pair.workloads.to_vec(),
-            Architecture::Occamy,
-            cfg,
-        );
-        let policy = RetryPolicy {
-            max_cycles: 50,
-            watchdog: 1_000,
-            max_attempts: 3,
-            backoff: BackoffPolicy { base_us: 1, cap_us: 10, seed: 7 },
-        };
-        let out = run_points_checked(std::slice::from_ref(&point), 1, policy);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].attempts, 3, "timeouts are retried up to the bound");
-        match &out[0].outcome {
-            Err(JobFailure::TimedOut { cycles }) => assert_eq!(*cycles, 50),
-            other => panic!("expected a timeout, got {other:?}"),
-        }
-        assert_eq!(out[0].outcome.as_ref().unwrap_err().kind(), "timed_out");
-    }
-
-    #[test]
-    fn checked_runner_matches_the_panicking_runner_on_success() {
-        let cfg = SimConfig::paper_2core();
-        let pair = &workloads::table3::all_pairs(0.05)[0];
-        let point = SweepPoint::new(
-            &pair.label,
-            pair.workloads.to_vec(),
-            Architecture::Occamy,
-            cfg,
-        );
-        let plain = run_points(std::slice::from_ref(&point), 1);
-        let checked =
-            run_points_checked(std::slice::from_ref(&point), 1, RetryPolicy::default());
-        assert_eq!(checked[0].attempts, 1);
-        let stats = checked[0].outcome.as_ref().expect("point completes");
-        assert_eq!(stats, &plain[0].stats, "checked and plain runners agree");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use occamy_sim::{MachineStats, SimConfig, SimMode};
 use workloads::table3;
 
 use crate::json::Value;
-use crate::{geomean, sweep_pairs_mode, ArchSweep};
+use crate::{geomean, sweep_groups, ArchSweep, SweepGroup};
 
 /// The two modes the campaign compares, in reporting order.
 pub fn campaign_modes() -> [(&'static str, SimMode); 2] {
@@ -46,17 +46,18 @@ pub fn effective_cycles(stats: &MachineStats) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics like [`crate::sweep`] if any point fails to build or
-/// complete.
+/// Panics like [`crate::runner::run_point`] if any point fails to
+/// build or complete.
 pub fn run_campaign(scale: f64, workers: usize) -> Vec<ModeRun> {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(scale);
+    let groups: Vec<SweepGroup> =
+        table3::all_pairs(scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
     campaign_modes()
         .into_iter()
         .map(|(label, mode)| ModeRun {
             label,
             mode,
-            sweeps: sweep_pairs_mode(&pairs, &cfg, 1.0, workers, mode),
+            sweeps: sweep_groups(&groups, 1.0, workers, mode),
         })
         .collect()
 }
@@ -194,8 +195,8 @@ mod tests {
     #[test]
     fn accuracy_of_identical_sweeps_is_exact() {
         let cfg = SimConfig::paper_2core();
-        let pairs = table3::all_pairs(0.05);
-        let sweeps = sweep_pairs_mode(&pairs[..1], &cfg, 1.0, 1, SimMode::Timing);
+        let group = SweepGroup::from_pair(&table3::all_pairs(0.05)[0], &cfg);
+        let sweeps = sweep_groups(&[group], 1.0, 1, SimMode::Timing);
         let report = accuracy(&sweeps, &sweeps);
         assert_eq!(report.points.len(), 4);
         assert_eq!(report.mean_abs_rel_error, 0.0);
@@ -206,8 +207,8 @@ mod tests {
     #[test]
     fn functional_mode_marks_every_point_estimated() {
         let cfg = SimConfig::paper_2core();
-        let pairs = table3::all_pairs(0.05);
-        let sweeps = sweep_pairs_mode(&pairs[..1], &cfg, 1.0, 1, SimMode::Functional);
+        let group = SweepGroup::from_pair(&table3::all_pairs(0.05)[0], &cfg);
+        let sweeps = sweep_groups(&[group], 1.0, 1, SimMode::Functional);
         for sw in &sweeps {
             for (arch, stats) in &sw.results {
                 assert!(stats.estimated, "{arch}: functional run not marked estimated");

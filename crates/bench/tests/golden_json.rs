@@ -9,16 +9,16 @@
 use std::path::Path;
 
 use bench::json::{parse, Value};
-use bench::{sweep_pairs, sweeps_to_json};
-use occamy_sim::SimConfig;
+use bench::{sweep_groups, sweeps_to_json, SweepGroup};
+use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fixed_sweep.json");
 
 fn golden_document() -> Value {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let sweeps = sweep_pairs(&pairs[..1], &cfg, 1.0, 2);
+    let group = SweepGroup::from_pair(&table3::all_pairs(0.05)[0], &cfg);
+    let sweeps = sweep_groups(&[group], 1.0, 2, SimMode::Timing);
     sweeps_to_json("golden_fixed_sweep", 0.05, &sweeps)
 }
 

@@ -12,7 +12,7 @@
 
 use bench::json::{parse, Value};
 use bench::two_speed::effective_cycles;
-use bench::{stats_to_json, sweep_pairs_mode, sweeps_to_json};
+use bench::{stats_to_json, sweep_groups, sweeps_to_json, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
@@ -45,8 +45,8 @@ fn old_documents_parse_without_estimation_fields() {
 #[test]
 fn new_documents_keep_every_old_field_readable() {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let sweeps = sweep_pairs_mode(&pairs[..1], &cfg, 1.0, 1, SimMode::Functional);
+    let group = SweepGroup::from_pair(&table3::all_pairs(0.05)[0], &cfg);
+    let sweeps = sweep_groups(&[group], 1.0, 1, SimMode::Functional);
     let rendered = sweeps_to_json("forward_compat", 0.05, &sweeps).render();
     let doc = parse(&rendered).expect("functional-mode document parses");
 

@@ -8,8 +8,8 @@
 use std::collections::BTreeMap;
 
 use bench::json::{parse, Value};
-use bench::{sweep_pairs, sweeps_to_json, MAX_CYCLES};
-use occamy_sim::{Architecture, Machine, SimConfig};
+use bench::{sweep_groups, sweeps_to_json, SweepGroup, MAX_CYCLES};
+use occamy_sim::{Architecture, Machine, SimConfig, SimMode};
 use workloads::{corun, table3};
 
 /// Builds the first Table-3 pair on Occamy with the full observability
@@ -101,9 +101,13 @@ fn chrome_trace_is_deterministic_across_runs() {
 #[test]
 fn sweep_json_is_identical_across_worker_counts() {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let serial = sweeps_to_json("workers", 0.05, &sweep_pairs(&pairs[..2], &cfg, 0.05, 1));
-    let pooled = sweeps_to_json("workers", 0.05, &sweep_pairs(&pairs[..2], &cfg, 0.05, 3));
+    let groups: Vec<SweepGroup> =
+        table3::all_pairs(0.05)[..2].iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let document = |workers: usize| {
+        let sweeps = sweep_groups(&groups, 0.05, workers, SimMode::Timing);
+        sweeps_to_json("workers", 0.05, &sweeps)
+    };
+    let (serial, pooled) = (document(1), document(3));
     assert_eq!(
         serial.render(),
         pooled.render(),

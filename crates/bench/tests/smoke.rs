@@ -24,11 +24,12 @@ fn fig10_fast_json_smoke() {
     let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
     assert!(stdout.contains("Fig. 10: speedups over Private"), "table header missing");
     assert!(stdout.contains("GM"), "geometric-mean row missing");
-    // Wall-time reporting must stay off stdout (it would break the
+    // Harness chatter must stay off stdout (it would break the
     // byte-identical-output guarantee).
     assert!(!stdout.contains("[runner]"), "runner harness output leaked onto stdout");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("[runner]"), "runner wall-time summary missing from stderr");
+    let wrote = format!("[runner] wrote {}", out_path.display());
+    assert!(stderr.contains(&wrote), "`{wrote}` missing from stderr: {stderr}");
 
     let text = std::fs::read_to_string(&out_path).expect("JSON file written");
     let _ = std::fs::remove_file(&out_path);
@@ -39,6 +40,36 @@ fn fig10_fast_json_smoke() {
     assert_eq!(sweeps.len(), 25, "one sweep per co-run pair");
     for sw in sweeps {
         assert_eq!(sw.get("results").expect("results").items().len(), 4);
+    }
+}
+
+/// The binaries that moved onto the worker pool must print the same
+/// stdout whatever `--workers` says, and no binary reports host time:
+/// stderr carries no wall-clock line.
+#[test]
+fn pooled_binaries_are_worker_count_invariant() {
+    let binaries = [
+        env!("CARGO_BIN_EXE_ablation_contention"),
+        env!("CARGO_BIN_EXE_ablation_lane_manager"),
+        env!("CARGO_BIN_EXE_ablation_monitor"),
+        env!("CARGO_BIN_EXE_ablation_prefetch"),
+        env!("CARGO_BIN_EXE_fig14_case_study"),
+        env!("CARGO_BIN_EXE_sched_quantum"),
+    ];
+    for binary in binaries {
+        let run = |workers: &str| {
+            let output = Command::new(binary)
+                .args(["--scale", "0.05", "--workers", workers])
+                .output()
+                .expect("spawn experiment binary");
+            let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+            assert!(output.status.success(), "{binary} --workers {workers} failed:\n{stderr}");
+            assert!(!stderr.contains("wall"), "{binary} reported host time: {stderr}");
+            output.stdout
+        };
+        let serial = run("1");
+        assert!(!serial.is_empty(), "{binary} printed nothing");
+        assert!(serial == run("3"), "{binary}: stdout differs between 1 and 3 workers");
     }
 }
 

@@ -342,21 +342,33 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 /// compiled program, and the architecture the program targets.
 type BuiltProgram = (Memory, ArrayLayout, Vec<(String, u64)>, em_simd::Program, Architecture);
 
-fn build_program(kernel: &Kernel, opts: &RunOpts) -> Result<BuiltProgram, String> {
+/// Allocates a halo'd `f32` array of `trip` elements in `mem` for every
+/// base array of `kernel`, fills it with deterministic, mildly varied
+/// data and binds it into a fresh layout. Also returns the
+/// `(name, address)` pairs, in base-array order.
+fn bind_arrays(
+    kernel: &Kernel,
+    mem: &mut Memory,
+    trip: usize,
+) -> (ArrayLayout, Vec<(String, u64)>) {
     let halo = 16u64;
-    let mut mem = Memory::new((kernel.base_arrays().len() * (opts.trip + 64) * 4 + (1 << 20)).max(1 << 20));
     let mut layout = ArrayLayout::new();
     let mut addrs = Vec::new();
     for name in kernel.base_arrays() {
-        let addr = mem.alloc_f32(opts.trip as u64 + 2 * halo) + 4 * halo;
-        for i in 0..opts.trip as u64 + 2 * halo {
-            // Deterministic, mildly varied initial data.
+        let addr = mem.alloc_f32(trip as u64 + 2 * halo) + 4 * halo;
+        for i in 0..trip as u64 + 2 * halo {
             let v = 0.5 + ((i * 29 + 11) % 97) as f32 / 97.0;
             mem.write_f32(addr - 4 * halo + 4 * i, v);
         }
         layout.bind(name.clone(), addr);
         addrs.push((name, addr));
     }
+    (layout, addrs)
+}
+
+fn build_program(kernel: &Kernel, opts: &RunOpts) -> Result<BuiltProgram, String> {
+    let mut mem = Memory::new((kernel.base_arrays().len() * (opts.trip + 64) * 4 + (1 << 20)).max(1 << 20));
+    let (layout, addrs) = bind_arrays(kernel, &mut mem, opts.trip);
     for (name, value) in &opts.params {
         let addr = addrs
             .iter()
@@ -574,22 +586,13 @@ fn cmd_corun(args: &[String]) -> Result<(), CliError> {
     let opts = parse_opts(&[vec![files[0].clone()], rest].concat()).map_err(CliError::Usage)?;
 
     let cfg = SimConfig::paper_2core();
-    let halo = 16u64;
     let mut mem = Memory::new(64 << 20);
     let mut machines: Vec<(Kernel, ArrayLayout)> = Vec::new();
     for (idx, file) in files.iter().enumerate() {
         let kernel = load_kernel_opts(file, &opts)
             .map_err(CliError::Load)?
             .with_array_prefix(&format!("c{idx}_"));
-        let mut layout = ArrayLayout::new();
-        for name in kernel.base_arrays() {
-            let addr = mem.alloc_f32(opts.trip as u64 + 2 * halo) + 4 * halo;
-            for i in 0..opts.trip as u64 + 2 * halo {
-                let v = 0.5 + ((i * 29 + 11) % 97) as f32 / 97.0;
-                mem.write_f32(addr - 4 * halo + 4 * i, v);
-            }
-            layout.bind(name, addr);
-        }
+        let (layout, _) = bind_arrays(&kernel, &mut mem, opts.trip);
         machines.push((kernel, layout));
     }
     let mut machine = Machine::new(cfg, Architecture::Occamy, mem)
@@ -670,7 +673,6 @@ fn cmd_sched(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::Usage("--recover is not supported with sched".into()));
     }
 
-    let halo = 16u64;
     let mut mem = Memory::new(64 << 20);
     let compiler = Compiler::new(CodeGenOptions {
         mode: VlMode::Elastic { default: VectorLength::new(2) },
@@ -681,15 +683,7 @@ fn cmd_sched(args: &[String]) -> Result<(), CliError> {
         let kernel = load_kernel_opts(file, &opts)
             .map_err(CliError::Load)?
             .with_array_prefix(&format!("t{idx}_"));
-        let mut layout = ArrayLayout::new();
-        for name in kernel.base_arrays() {
-            let addr = mem.alloc_f32(opts.trip as u64 + 2 * halo) + 4 * halo;
-            for i in 0..opts.trip as u64 + 2 * halo {
-                let v = 0.5 + ((i * 29 + 11) % 97) as f32 / 97.0;
-                mem.write_f32(addr - 4 * halo + 4 * i, v);
-            }
-            layout.bind(name, addr);
-        }
+        let (layout, _) = bind_arrays(&kernel, &mut mem, opts.trip);
         let mut program = compiler
             .compile_repeated(&[(kernel.clone(), opts.trip, opts.passes)], &layout)
             .map_err(|e| CliError::Load(e.to_string()))?;

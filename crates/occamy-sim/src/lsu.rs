@@ -423,6 +423,8 @@ mod tests {
         assert!(!lsu.any_overlap(0xfc, 4));
     }
 
+    // Checks a `debug_assert!`, which release builds compile out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
@@ -431,6 +433,8 @@ mod tests {
         lsu.push(load(2, 64, 64), 1);
     }
 
+    // Checks a `debug_assert!`, which release builds compile out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "out-of-order")]
     fn out_of_order_enqueue_panics() {

@@ -505,11 +505,6 @@ impl Machine {
         &self.cfg
     }
 
-    /// Loads `program` onto `core` (resetting that core's registers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
     /// The program currently loaded on `core`, if any. Fault-injection
     /// harnesses use this to corrupt and reload a built machine's code
     /// before the first cycle.
@@ -517,6 +512,11 @@ impl Machine {
         self.scalar.get(core).and_then(|s| s.program.as_ref())
     }
 
+    /// Loads `program` onto `core` (resetting that core's registers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
     pub fn load_program(&mut self, core: usize, program: Program) {
         self.scalar[core].load(program);
     }
@@ -1850,10 +1850,11 @@ statecodec::impl_codec_enum!(SimMode {
 impl Machine {
     /// Why this machine cannot be serialized, if anything: observer and
     /// controller state (the event log, the profiler, the recovery
-    /// controller, fault injection, a latched fault) is deliberately
-    /// outside the checkpoint format — resuming such a machine could not
-    /// be bit-faithful, so snapshot I/O refuses it up front instead of
-    /// silently dropping state.
+    /// controller) and a latched fault are deliberately outside the
+    /// checkpoint format — resuming such a machine could not be
+    /// bit-faithful, so snapshot I/O refuses it up front instead of
+    /// silently dropping state. A fault-injection plan is not refused:
+    /// its state is encoded with the machine.
     pub(crate) fn snapshot_io_refusal(&self) -> Option<&'static str> {
         if self.coproc.events.is_enabled() {
             return Some("event logging is enabled");

@@ -511,6 +511,8 @@ mod tests {
         assert!(rb.try_reserve(&[0, 1]));
     }
 
+    // Checks a `debug_assert!`, which release builds compile out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "double free")]
     fn release_past_capacity_panics() {
@@ -541,6 +543,8 @@ mod tests {
         assert!(!prf.is_ready(b));
     }
 
+    // Checks a `debug_assert!`, which release builds compile out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "double write")]
     fn double_write_panics() {
@@ -549,6 +553,8 @@ mod tests {
         prf.write(id, vec![1.0; 4]);
     }
 
+    // Checks a `debug_assert!`, which release builds compile out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "freed physical register")]
     fn use_after_free_panics() {

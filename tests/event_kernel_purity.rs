@@ -22,10 +22,10 @@
 //! kernel.)
 
 use bench::event_kernel::chase_machine;
-use bench::{sweep_pairs, sweeps_to_json};
+use bench::{sweep_groups, sweeps_to_json, SweepGroup};
 use occamy::bench_workloads::table3;
 use occamy::prelude::*;
-use occamy::sim::MetricValue;
+use occamy::sim::{MetricValue, SimMode};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -35,8 +35,9 @@ const GOLDEN: &str = concat!(
 /// The exact generation recipe of the committed golden file.
 fn timing_document(workers: usize) -> String {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let sweeps = sweep_pairs(&pairs, &cfg, 1.0, workers);
+    let groups: Vec<SweepGroup> =
+        table3::all_pairs(0.05).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let sweeps = sweep_groups(&groups, 1.0, workers, SimMode::Timing);
     sweeps_to_json("two_speed_timing_golden", 0.05, &sweeps).render()
 }
 
@@ -63,12 +64,15 @@ fn table3_sweep_is_byte_identical_with_event_kernel_enabled() {
 #[test]
 fn reference_kernel_renders_the_same_document() {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let subset = &pairs[..4];
-    let event = sweeps_to_json("kernel_route", 0.05, &sweep_pairs(subset, &cfg, 1.0, 1)).render();
+    let subset: Vec<SweepGroup> =
+        table3::all_pairs(0.05)[..4].iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let document = || {
+        let sweeps = sweep_groups(&subset, 1.0, 1, SimMode::Timing);
+        sweeps_to_json("kernel_route", 0.05, &sweeps).render()
+    };
+    let event = document();
     std::env::set_var("OCCAMY_REFERENCE_KERNEL", "1");
-    let reference =
-        sweeps_to_json("kernel_route", 0.05, &sweep_pairs(subset, &cfg, 1.0, 1)).render();
+    let reference = document();
     std::env::remove_var("OCCAMY_REFERENCE_KERNEL");
     assert!(
         event == reference,

@@ -5,8 +5,8 @@
 //! phases, and the full lane timeline.)
 
 use bench::runner::{run_jobs, run_points, SweepPoint};
-use bench::{sweep_groups, sweep_pairs, SweepGroup};
-use occamy_sim::{Architecture, SimConfig};
+use bench::{sweep_groups, SweepGroup};
+use occamy_sim::{Architecture, SimConfig, SimMode};
 use workloads::{corun, table3};
 
 /// A small but heterogeneous point set: two co-run pairs on all four
@@ -53,19 +53,26 @@ fn run_points_is_worker_count_invariant() {
 
 #[test]
 fn sweep_groups_matches_serial_sweep() {
-    // The high-level helper must reproduce what the serial `sweep` loop
-    // produces, architecture order included.
+    // The sweep entry point on the pool must reproduce its own serial
+    // (one-worker) run: every group, all four architectures in Fig. 1
+    // order, identical statistics.
     let cfg = SimConfig::paper_2core();
     let pairs = table3::all_pairs(0.05);
-    let serial: Vec<_> = pairs[..2].iter().map(|p| bench::sweep_pair(p, &cfg, 1.0)).collect();
-    let parallel = sweep_pairs(&pairs[..2], &cfg, 1.0, 4);
+    let groups: Vec<SweepGroup> =
+        pairs[..2].iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
+    let serial = sweep_groups(&groups, 1.0, 1, SimMode::Timing);
+    let parallel = sweep_groups(&groups, 1.0, 4, SimMode::Timing);
+    assert_eq!(serial.len(), groups.len());
     assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.label, p.label);
+    for ((s, p), g) in serial.iter().zip(&parallel).zip(&groups) {
+        assert_eq!(s.label, g.label);
+        assert_eq!(p.label, g.label);
+        let archs: Vec<&str> = s.results.iter().map(|(a, _)| *a).collect();
+        assert_eq!(archs, ["Private", "FTS", "VLS", "Occamy"], "Fig. 1 architecture order");
         assert_eq!(s.results.len(), p.results.len());
         for ((sa, ss), (pa, ps)) in s.results.iter().zip(&p.results) {
             assert_eq!(sa, pa);
-            assert_eq!(ss, ps, "{}/{sa} diverged between sweep_pair and sweep_pairs", s.label);
+            assert_eq!(ss, ps, "{}/{sa} diverged between 1 and 4 workers", s.label);
         }
     }
 }
@@ -76,8 +83,8 @@ fn json_document_is_worker_count_invariant() {
     let pairs = table3::all_pairs(0.05);
     let groups: Vec<SweepGroup> =
         pairs[..2].iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();
-    let doc1 = bench::sweeps_to_json("det", 0.05, &sweep_groups(&groups, 1.0, 1));
-    let doc4 = bench::sweeps_to_json("det", 0.05, &sweep_groups(&groups, 1.0, 4));
+    let doc1 = bench::sweeps_to_json("det", 0.05, &sweep_groups(&groups, 1.0, 1, SimMode::Timing));
+    let doc4 = bench::sweeps_to_json("det", 0.05, &sweep_groups(&groups, 1.0, 4, SimMode::Timing));
     assert_eq!(doc1.render(), doc4.render(), "rendered JSON differs across worker counts");
 }
 

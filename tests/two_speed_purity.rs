@@ -13,8 +13,9 @@
 //!    perturb estimated totals any more than exact ones.
 
 use bench::two_speed::{campaign_modes, campaign_to_json, ModeRun};
-use bench::{sweep_pairs, sweep_pairs_mode, sweeps_to_json};
-use occamy::bench_workloads::table3;
+use bench::{sweep_groups, sweeps_to_json, ArchSweep, SweepGroup};
+use occamy::bench_workloads::corun;
+use occamy::bench_workloads::table3::{self, CorunPair};
 use occamy::prelude::*;
 use occamy::sim::SimMode;
 
@@ -23,11 +24,15 @@ const GOLDEN: &str = concat!(
     "/tests/golden_two_speed/table3_timing_scale005.json"
 );
 
+fn groups(pairs: &[CorunPair], cfg: &SimConfig) -> Vec<SweepGroup> {
+    pairs.iter().map(|p| SweepGroup::from_pair(p, cfg)).collect()
+}
+
 /// The exact generation recipe of the committed golden file.
 fn timing_document(workers: usize) -> String {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let sweeps = sweep_pairs(&pairs, &cfg, 1.0, workers);
+    let groups = groups(&table3::all_pairs(0.05), &cfg);
+    let sweeps = sweep_groups(&groups, 1.0, workers, SimMode::Timing);
     sweeps_to_json("two_speed_timing_golden", 0.05, &sweeps).render()
 }
 
@@ -48,15 +53,29 @@ fn timing_sweep_is_byte_identical_to_pre_two_speed_golden() {
     );
 }
 
-/// The explicit `--mode timing` route (what the fig/tab binaries now
-/// use) emits the very same bytes as the historical default-mode route.
+/// The explicit `--mode timing` route (what the fig/tab binaries use)
+/// emits the very same bytes as machines never told their mode.
 #[test]
 fn explicit_timing_mode_matches_default_route() {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let subset = &pairs[..5];
-    let default_route = sweep_pairs(subset, &cfg, 1.0, 1);
-    let explicit = sweep_pairs_mode(subset, &cfg, 1.0, 1, SimMode::Timing);
+    let groups = groups(&table3::all_pairs(0.05)[..5], &cfg);
+    let default_route: Vec<ArchSweep> = groups
+        .iter()
+        .map(|g| ArchSweep {
+            label: g.label.clone(),
+            results: bench::architectures(&g.specs, &g.config)
+                .into_iter()
+                .map(|arch| {
+                    let mut machine =
+                        corun::build_machine(&g.specs, &g.config, &arch, 1.0).expect("build");
+                    let stats = machine.run(bench::MAX_CYCLES).expect("simulation fault");
+                    assert!(stats.completed, "{}/{}", g.label, arch.short_name());
+                    (arch.short_name(), stats)
+                })
+                .collect(),
+        })
+        .collect();
+    let explicit = sweep_groups(&groups, 1.0, 1, SimMode::Timing);
     let a = sweeps_to_json("mode_route", 0.05, &default_route).render();
     let b = sweeps_to_json("mode_route", 0.05, &explicit).render();
     assert!(a == b, "--mode timing must be the identity on sweep output");
@@ -67,15 +86,14 @@ fn explicit_timing_mode_matches_default_route() {
 #[test]
 fn campaign_json_is_byte_identical_across_worker_counts() {
     let cfg = SimConfig::paper_2core();
-    let pairs = table3::all_pairs(0.05);
-    let subset = &pairs[..4];
+    let subset = groups(&table3::all_pairs(0.05)[..4], &cfg);
     let doc = |workers: usize| {
         let runs: Vec<ModeRun> = campaign_modes()
             .into_iter()
             .map(|(label, mode)| ModeRun {
                 label,
                 mode,
-                sweeps: sweep_pairs_mode(subset, &cfg, 1.0, workers, mode),
+                sweeps: sweep_groups(&subset, 1.0, workers, mode),
             })
             .collect();
         campaign_to_json(0.05, &runs).render()
