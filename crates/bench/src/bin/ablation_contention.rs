@@ -10,12 +10,12 @@
 //! Fig. 16 four-core groups (two memory + two compute workloads each).
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{geomean, rule, Args};
+use bench::{geomean, rule, Args, Flag};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers]);
     let groups = table3::four_core_groups(args.scale);
 
     println!(

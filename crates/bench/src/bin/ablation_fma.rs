@@ -4,7 +4,7 @@
 //! study measures what contraction would buy on arithmetic-dense
 //! kernels — fewer compute instructions through the same issue width.
 
-use bench::rule;
+use bench::{rule, Args};
 use em_simd::VectorLength;
 use mem_sim::Memory;
 use occamy_compiler::{analyze, ArrayLayout, CodeGenOptions, Compiler, Expr, Kernel, VlMode};
@@ -49,6 +49,7 @@ fn run(kernel: &Kernel, fuse: bool) -> (u64, u64) {
 }
 
 fn main() {
+    Args::parse(&[]);
     println!(
         "FMA-contraction ablation (solo on Private, {TRIP} elements x {PASSES} passes)\n\
          fused rounding differs in the last bit; all kernels verified against\n\

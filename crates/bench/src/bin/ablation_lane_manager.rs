@@ -14,12 +14,12 @@
 //!    alternative.
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{rule, Args};
+use bench::{rule, Args, Flag};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::{corun, motivating, table3, WorkloadSpec};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers]);
     let cfg = SimConfig::paper_2core();
     let half = cfg.total_granules / 2;
 

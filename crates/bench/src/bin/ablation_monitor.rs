@@ -8,12 +8,12 @@
 //! overhead (Fig. 15's first component).
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{rule, Args};
+use bench::{rule, Args, Flag};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::{corun, motivating};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers]);
     let cfg = SimConfig::paper_2core();
     let specs = vec![motivating::wl0_scaled(args.scale), motivating::wl1_scaled(args.scale)];
 

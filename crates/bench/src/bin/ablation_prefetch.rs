@@ -8,14 +8,14 @@
 //! prefetcher the two converge (bandwidth-bound, VL-insensitive).
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{rule, Args};
+use bench::{rule, Args, Flag};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::motivating;
 
 const DEGREES: [u64; 6] = [0, 1, 2, 4, 8, 16];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers]);
     println!("Ablation: VecCache stream-prefetch degree (WL#0 solo runtime, cycles)");
     rule(70);
     println!(

@@ -3,12 +3,12 @@
 //! architectures — an independently-constructed check that the paper's
 //! conclusions are not an artefact of the synthetic Table 3 kernels.
 
-use bench::{rule, sweep_groups, Args, SweepGroup};
+use bench::{rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::extra;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Workers]);
     let group = SweepGroup {
         label: "extra".to_owned(),
         specs: vec![extra::memory_workload(), extra::compute_workload()],

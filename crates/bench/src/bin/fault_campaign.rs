@@ -23,7 +23,7 @@
 
 use bench::json::Value;
 use bench::runner::{run_jobs, run_point, SweepPoint};
-use bench::{rule, Args};
+use bench::{rule, Args, Flag};
 use occamy_sim::{Architecture, FaultPlan, SimConfig};
 use workloads::{corun, table3, WorkloadSpec};
 
@@ -76,14 +76,6 @@ fn run_injected(
     let plan = plan_for(seed, rate);
     let mut machine = corun::build_machine(specs, cfg, &Architecture::Occamy, scale)
         .unwrap_or_else(|e| panic!("build failed: {e}"));
-    let mut program_faults = 0;
-    for core in 0..cfg.cores {
-        if let Some(program) = machine.program(core).cloned() {
-            let (corrupted, n) = plan.corrupt_program(&program);
-            machine.load_program(core, corrupted);
-            program_faults += n;
-        }
-    }
     machine.set_fault_plan(&plan);
     // A corrupted program can legitimately spin (e.g. a perturbed loop
     // bound); keep the watchdog well under the budget so hangs are
@@ -95,7 +87,9 @@ fn run_injected(
         Ok(_) => ("timed_out", None),
         Err(e) => (e.kind(), None),
     };
-    let injected = machine.fault_stats().map_or(0, occamy_sim::FaultStats::total);
+    let (injected, program_faults) = machine
+        .fault_stats()
+        .map_or((0, 0), |f| (f.total(), f.program_corruptions));
     Outcome {
         rate,
         seed,
@@ -108,7 +102,7 @@ fn run_injected(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let cfg = SimConfig::paper_2core();
     let pairs = table3::all_pairs(args.scale.min(0.05));
     // A representative slice: the campaign is about fault response, not

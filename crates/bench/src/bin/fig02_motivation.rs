@@ -6,12 +6,12 @@
 //! and (f): the performance-statistics table, next to the paper's
 //! reference values.
 
-use bench::{rule, sweep_groups, Args, SweepGroup};
+use bench::{rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::motivating;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let cfg = SimConfig::paper_2core();
     let specs = vec![motivating::wl0_scaled(args.scale), motivating::wl1_scaled(args.scale)];
     let group = SweepGroup { label: "motivating".to_owned(), specs, config: cfg };

@@ -3,7 +3,7 @@
 //! intensity for each vector length, showing the three ceiling families
 //! (FP peak per VL, SIMD-issue bandwidth per VL, DRAM/L2 bandwidth).
 
-use bench::rule;
+use bench::{rule, Args};
 use em_simd::{OperationalIntensity, VectorLength};
 use roofline::{MachineCeilings, MemLevel};
 
@@ -24,6 +24,7 @@ fn y_of(perf: f64) -> Option<usize> {
 }
 
 fn main() {
+    Args::parse(&[]);
     let m = MachineCeilings::paper_default();
     let mut grid = vec![vec![' '; WIDTH]; HEIGHT];
 

@@ -2,12 +2,12 @@
 //! pairs, on Core0 (memory side) and Core1 (compute side), with
 //! geometric means.
 
-use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
+use bench::{geomean, rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json, Flag::Mode]);
     let cfg = SimConfig::paper_2core();
     let groups: Vec<SweepGroup> =
         table3::all_pairs(args.scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();

@@ -4,14 +4,14 @@
 //! Paper reference (GM): Private 63.2 %, FTS 72.5 %, VLS 70.8 %,
 //! Occamy 84.2 %.
 
-use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
+use bench::{geomean, rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 const ARCHS: [&str; 4] = ["Private", "FTS", "VLS", "Occamy"];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json, Flag::Mode]);
     let cfg = SimConfig::paper_2core();
     let groups: Vec<SweepGroup> =
         table3::all_pairs(args.scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();

@@ -2,10 +2,11 @@
 //! configuration (paper totals: 1.263 mm² for Private/FTS/VLS,
 //! 1.265 mm² for Occamy; the Manager stays under 1 %).
 
-use bench::rule;
+use bench::{rule, Args};
 use occamy_sim::{Architecture, AreaBreakdown, AreaComponent, SimConfig};
 
 fn main() {
+    Args::parse(&[]);
     let cfg = SimConfig::paper_2core();
     let archs = [
         Architecture::Private,

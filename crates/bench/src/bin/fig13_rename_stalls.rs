@@ -5,12 +5,12 @@
 //! "hardly any" on the other three architectures — the register-pressure
 //! cost of keeping full-width per-core contexts in a shared VRF.
 
-use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
+use bench::{geomean, rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let cfg = SimConfig::paper_2core();
     let groups: Vec<SweepGroup> =
         table3::all_pairs(args.scale).iter().map(|p| SweepGroup::from_pair(p, &cfg)).collect();

@@ -7,7 +7,7 @@
 //!     rename-stall cycles.
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{rule, sweep_groups, Args, SweepGroup};
+use bench::{rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{Architecture, MachineStats, SimConfig, SimMode};
 use workloads::{table3, WorkloadSpec};
 
@@ -35,7 +35,7 @@ fn solo_phase_times(stats: &MachineStats) -> Vec<u64> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers]);
     let cfg = SimConfig::paper_2core();
     let wl20 = table3::spec_workload(20, args.scale);
     let wl17 = table3::spec_workload(17, args.scale);

@@ -6,12 +6,12 @@
 //! monitoring + 0.2 % reconfiguration).
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{geomean, rule, ArchSweep, Args};
+use bench::{geomean, rule, ArchSweep, Args, Flag};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let cfg = SimConfig::paper_2core();
     let pairs = table3::all_pairs(args.scale);
 

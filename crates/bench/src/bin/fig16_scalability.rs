@@ -2,12 +2,12 @@
 //! intensive on the low cores, compute-intensive on the high cores) on
 //! FTS/VLS/Occamy, with speedups over Private per core.
 
-use bench::{geomean, rule, sweep_groups, Args, SweepGroup};
+use bench::{geomean, rule, sweep_groups, Args, Flag, SweepGroup};
 use occamy_sim::{SimConfig, SimMode};
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json, Flag::Mode]);
     let cfg = SimConfig::paper(4);
     let groups: Vec<SweepGroup> = table3::four_core_groups(args.scale)
         .into_iter()

@@ -10,7 +10,7 @@
 
 use bench::json::Value;
 use bench::recovery::{campaign_document, BUDGET_FACTOR, MAX_ATTEMPTS};
-use bench::{rule, Args};
+use bench::{rule, Args, Flag};
 
 fn s<'a>(v: &'a Value, key: &str) -> &'a str {
     v.get(key).and_then(Value::as_str).unwrap_or("-")
@@ -25,7 +25,7 @@ fn num(v: &Value, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let scale = args.scale.min(0.05);
     let report = campaign_document(scale, args.workers());
 

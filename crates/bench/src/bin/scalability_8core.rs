@@ -6,12 +6,12 @@
 //! comparing Private/FTS/VLS/Occamy.
 
 use bench::runner::{run_points, SweepPoint};
-use bench::{rule, ArchSweep, Args};
+use bench::{rule, ArchSweep, Args, Flag};
 use occamy_sim::{Architecture, SimConfig};
 use workloads::{corun, table3};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let cfg = SimConfig::paper(8);
     assert_eq!(cfg.total_lanes(), 128);
 

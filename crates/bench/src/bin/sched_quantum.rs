@@ -8,7 +8,7 @@
 //! cost. Every schedule is independent, so the quantum sweep and the
 //! policy comparison each fan out over the worker pool.
 
-use bench::{rule, runner, ArchSweep, Args};
+use bench::{rule, runner, ArchSweep, Args, Flag};
 use em_simd::VectorLength;
 use mem_sim::Memory;
 use occamy_compiler::{ArrayLayout, CodeGenOptions, Compiler, Expr, Kernel, VlMode};
@@ -64,7 +64,7 @@ fn last_start(r: &SchedReport) -> u64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let n = ((N as f64 * args.scale) as usize).max(1024);
     let workers = args.workers();
 

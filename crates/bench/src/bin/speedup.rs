@@ -11,11 +11,11 @@
 //! `--json <path>` for the deterministic campaign document).
 
 use bench::two_speed::{accuracy, campaign_to_json, run_campaign};
-use bench::{rule, Args};
+use bench::{rule, Args, Flag};
 use occamy_sim::SimMode;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let runs = run_campaign(args.scale, args.workers());
     let timing_sweeps =
         runs.iter().find(|r| r.mode == SimMode::Timing).map(|r| r.sweeps.clone());

@@ -6,12 +6,12 @@
 //! available as JSON via `--json`.
 
 use bench::json::Value;
-use bench::{rule, runner, Args};
+use bench::{rule, runner, Args, Flag};
 use occamy_compiler::analyze;
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Scale, Flag::Workers, Flag::Json]);
     let workers = args.workers();
 
     println!("Table 3: workloads (computed oi_mem [paper], oi_issue where it differs)");

@@ -7,14 +7,14 @@
 //! dump as JSON via `--json`.
 
 use bench::json::Value;
-use bench::{rule, runner, Args};
+use bench::{rule, runner, Args, Flag};
 use em_simd::VectorLength;
 use occamy_compiler::analyze;
 use roofline::{MachineCeilings, MemLevel};
 use workloads::table3;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[Flag::Workers, Flag::Json]);
     let ceilings = MachineCeilings::paper_default();
     // Use the *actual* analysed intensity of our rho_eos2 kernel — the
     // tests pin it to the paper's (1/6, 0.25).

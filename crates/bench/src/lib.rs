@@ -5,12 +5,11 @@
 //! reference numbers next to the measured ones; `EXPERIMENTS.md` records
 //! a snapshot.
 //!
-//! All binaries accept `--fast` (quarter-size workloads), `--scale <f>`
-//! for custom sizing, `--workers <n>` to pin the simulation worker pool
-//! (default: the available parallelism), and `--json <path>` to dump the
-//! full machine statistics of every simulated point as JSON (see
-//! [`json`]). Output on stdout and in the JSON file is byte-identical
-//! regardless of worker count.
+//! The binaries share the [`Flag`]s `--fast`/`--scale <f>`, `--workers
+//! <n>` (default: the available parallelism), `--json <path>` (every
+//! point's machine statistics, see [`json`]) and `--mode`; each refuses,
+//! with exit status 2, the ones it does not honour. Output on stdout and
+//! in the JSON file is byte-identical regardless of worker count.
 //!
 //! Every simulated point goes through one step,
 //! [`runner::run_point`], fanned out over the worker pool by
@@ -38,7 +37,27 @@ use runner::SweepPoint;
 /// under it).
 pub const MAX_CYCLES: u64 = 200_000_000;
 
-const USAGE: &str = "--fast, --scale <f>, --workers <n>, --json <path>, --mode timing|functional";
+/// A shared command-line flag an experiment binary can honour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--fast` or `--scale <f>`.
+    Scale,
+    /// `--workers <n>`.
+    Workers,
+    /// `--json <path>`.
+    Json,
+    /// `--mode timing|functional`.
+    Mode,
+}
+
+/// The shared flags' spellings, in usage order.
+const FLAGS: [(&str, Flag); 5] = [
+    ("--fast", Flag::Scale),
+    ("--scale <f>", Flag::Scale),
+    ("--workers <n>", Flag::Workers),
+    ("--json <path>", Flag::Json),
+    ("--mode timing|functional", Flag::Mode),
+];
 
 /// Why an experiment binary stops early. Each kind has its own exit
 /// status, the same as the `occamy` CLI's: 2 for a malformed command
@@ -120,14 +139,16 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses the shared flags from the process arguments. On malformed
-    /// arguments it prints a usage message and exits with status 2.
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1))
+    /// Parses the process arguments of a binary that honours the shared
+    /// flags in `honours`. On malformed arguments, or a shared flag the
+    /// binary does not honour, it prints a usage message listing
+    /// `honours` and exits with status 2.
+    pub fn parse(honours: &[Flag]) -> Args {
+        Args::parse_honouring(std::env::args().skip(1).collect(), honours)
             .unwrap_or_else(|msg| BenchError::Usage(msg).exit())
     }
 
-    /// Parses the shared flags from an explicit argument list (exposed
+    /// Parses every shared flag from an explicit argument list (exposed
     /// so tests can drive the parser without a process boundary).
     ///
     /// # Errors
@@ -138,9 +159,24 @@ impl Args {
         I: IntoIterator,
         I::Item: Into<String>,
     {
+        let args = args.into_iter().map(Into::into).collect();
+        Args::parse_honouring(args, &[Flag::Scale, Flag::Workers, Flag::Json, Flag::Mode])
+    }
+
+    fn parse_honouring(args: Vec<String>, honours: &[Flag]) -> Result<Args, String> {
+        let supported: Vec<&str> =
+            FLAGS.iter().filter(|(_, f)| honours.contains(f)).map(|(s, _)| *s).collect();
+        let refuse = |a: &str| {
+            let supported =
+                if supported.is_empty() { "no arguments".into() } else { supported.join(", ") };
+            format!("this binary does not take `{a}` (supported: {supported})")
+        };
         let mut parsed = Args::default();
-        let mut args = args.into_iter().map(Into::into);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            if !FLAGS.iter().any(|(s, f)| s.split(' ').next() == Some(&a) && honours.contains(f)) {
+                return Err(refuse(&a));
+            }
             match a.as_str() {
                 "--fast" => parsed.scale = 0.25,
                 "--scale" => {
@@ -161,7 +197,7 @@ impl Args {
                     let v = args.next().ok_or("--mode needs a value")?;
                     parsed.mode = SimMode::parse(&v).map_err(|e| format!("--mode: {e}"))?;
                 }
-                other => return Err(format!("unknown argument `{other}` (supported: {USAGE})")),
+                other => return Err(refuse(other)),
             }
         }
         Ok(parsed)

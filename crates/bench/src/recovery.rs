@@ -162,6 +162,7 @@ pub struct RecoveryOutcome {
 
 /// Counters harvested from a machine after an attempt, successful or
 /// not (a failed run still reports how far recovery got).
+#[derive(Default)]
 struct Diag {
     cycles: u64,
     detections: u64,
@@ -250,20 +251,7 @@ fn run_scenario(
     },
     );
     let (attempts, result) = (retry.attempts, retry.result);
-    let d = diag.unwrap_or_else(|| Diag {
-        cycles: 0,
-        detections: 0,
-        selftest_detections: 0,
-        rollbacks: 0,
-        replayed_cycles: 0,
-        corrected_inline: 0,
-        avg_detection_latency: None,
-        lanes_draining: 0,
-        lanes_retired: 0,
-        injections: 0,
-        stats_identical: false,
-        memory_identical: false,
-    });
+    let d = diag.unwrap_or_default();
     let outcome = match &result {
         Ok(()) => "ok",
         Err(f) => f.kind(),

@@ -100,3 +100,52 @@ fn unwritable_json_path_exits_3() {
     assert!(stderr.contains("cannot write"), "error should say what failed: {stderr}");
     assert!(stderr.contains("out.json"), "error should name the path: {stderr}");
 }
+
+/// No experiment binary silently ignores a shared flag: each one it does
+/// not honour (and any unknown one) exits 2, naming the flag and listing
+/// what the binary does take, before any simulation runs.
+#[test]
+fn every_binary_refuses_the_shared_flags_it_ignores() {
+    let refused: [(&str, &[&str]); 22] = [
+        (env!("CARGO_BIN_EXE_ablation_contention"), &["--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_ablation_fma"), &["--fast", "--scale", "--workers", "--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_ablation_lane_manager"), &["--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_ablation_monitor"), &["--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_ablation_prefetch"), &["--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_extra_kernels"), &["--fast", "--scale", "--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_fault_campaign"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_fig02_motivation"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_fig07_roofline"), &["--fast", "--scale", "--workers", "--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_fig10_speedups"), &[]),
+        (env!("CARGO_BIN_EXE_fig11_simd_util"), &[]),
+        (env!("CARGO_BIN_EXE_fig12_area"), &["--fast", "--scale", "--workers", "--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_fig13_rename_stalls"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_fig14_case_study"), &["--json", "--mode"]),
+        (env!("CARGO_BIN_EXE_fig15_overhead"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_fig16_scalability"), &[]),
+        (env!("CARGO_BIN_EXE_recovery_campaign"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_scalability_8core"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_sched_quantum"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_speedup"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_tab03_workloads"), &["--mode"]),
+        (env!("CARGO_BIN_EXE_tab05_roofline"), &["--fast", "--scale", "--mode"]),
+    ];
+    for (binary, flags) in refused {
+        for &flag in flags.iter().chain(&["--bogus"]) {
+            let value = match flag {
+                "--scale" => Some("0.05"),
+                "--workers" => Some("1"),
+                "--json" => Some("refused.json"),
+                "--mode" => Some("functional"),
+                _ => None,
+            };
+            let output =
+                Command::new(binary).arg(flag).args(value).output().expect("spawn binary");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{binary} {flag}: {stderr}");
+            assert!(stderr.contains(flag), "{binary}: error should name {flag}: {stderr}");
+            assert!(stderr.contains("supported:"), "{binary}: error should list flags: {stderr}");
+            assert!(output.stdout.is_empty(), "{binary} {flag} ran before refusing");
+        }
+    }
+}

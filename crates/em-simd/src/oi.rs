@@ -98,6 +98,17 @@ impl fmt::Display for OperationalIntensity {
     }
 }
 
+// --- Checkpoint serialization --------------------------------------------
+
+impl statecodec::Codec for OperationalIntensity {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.to_bits(), sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        Ok(OperationalIntensity::from_bits(<u64 as statecodec::Codec>::decode(src)?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,16 +141,5 @@ mod tests {
     fn display_shows_both() {
         let s = OperationalIntensity::new(0.17, 0.25).to_string();
         assert!(s.contains("issue=0.17") && s.contains("mem=0.25"), "{s}");
-    }
-}
-
-// --- Checkpoint serialization --------------------------------------------
-
-impl statecodec::Codec for OperationalIntensity {
-    fn encode(&self, sink: &mut statecodec::Sink) {
-        statecodec::Codec::encode(&self.to_bits(), sink);
-    }
-    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
-        Ok(OperationalIntensity::from_bits(<u64 as statecodec::Codec>::decode(src)?))
     }
 }

@@ -255,6 +255,58 @@ impl ProgramBuilder {
     }
 }
 
+// --- Checkpoint serialization --------------------------------------------
+
+impl statecodec::Codec for Label {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.0, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        Ok(Label(<u32 as statecodec::Codec>::decode(src)?))
+    }
+}
+
+// Hand-written rather than `impl_codec!` so decode can re-establish the
+// invariants `build()` guarantees: one tag per instruction, and every
+// label target within the program.
+impl statecodec::Codec for Program {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.insts, sink);
+        statecodec::Codec::encode(&self.tags, sink);
+        statecodec::Codec::encode(&self.label_targets, sink);
+        statecodec::Codec::encode(&self.label_names, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        let insts: Vec<Inst> = statecodec::Codec::decode(src)?;
+        let tags: Vec<InstTag> = statecodec::Codec::decode(src)?;
+        let label_targets: Vec<usize> = statecodec::Codec::decode(src)?;
+        let label_names: Vec<String> = statecodec::Codec::decode(src)?;
+        if tags.len() != insts.len() {
+            return Err(statecodec::DecodeError::at(
+                src,
+                format!("program has {} insts but {} tags", insts.len(), tags.len()),
+            ));
+        }
+        if label_names.len() != label_targets.len() {
+            return Err(statecodec::DecodeError::at(
+                src,
+                format!(
+                    "program has {} label targets but {} label names",
+                    label_targets.len(),
+                    label_names.len()
+                ),
+            ));
+        }
+        if let Some(&bad) = label_targets.iter().find(|&&t| t > insts.len()) {
+            return Err(statecodec::DecodeError::at(
+                src,
+                format!("label target {bad} out of range for {}-inst program", insts.len()),
+            ));
+        }
+        Ok(Program { insts, tags, label_targets, label_names })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,57 +366,5 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert_eq!(*p.fetch(1), Inst::Halt);
-    }
-}
-
-// --- Checkpoint serialization --------------------------------------------
-
-impl statecodec::Codec for Label {
-    fn encode(&self, sink: &mut statecodec::Sink) {
-        statecodec::Codec::encode(&self.0, sink);
-    }
-    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
-        Ok(Label(<u32 as statecodec::Codec>::decode(src)?))
-    }
-}
-
-// Hand-written rather than `impl_codec!` so decode can re-establish the
-// invariants `build()` guarantees: one tag per instruction, and every
-// label target within the program.
-impl statecodec::Codec for Program {
-    fn encode(&self, sink: &mut statecodec::Sink) {
-        statecodec::Codec::encode(&self.insts, sink);
-        statecodec::Codec::encode(&self.tags, sink);
-        statecodec::Codec::encode(&self.label_targets, sink);
-        statecodec::Codec::encode(&self.label_names, sink);
-    }
-    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
-        let insts: Vec<Inst> = statecodec::Codec::decode(src)?;
-        let tags: Vec<InstTag> = statecodec::Codec::decode(src)?;
-        let label_targets: Vec<usize> = statecodec::Codec::decode(src)?;
-        let label_names: Vec<String> = statecodec::Codec::decode(src)?;
-        if tags.len() != insts.len() {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!("program has {} insts but {} tags", insts.len(), tags.len()),
-            ));
-        }
-        if label_names.len() != label_targets.len() {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!(
-                    "program has {} label targets but {} label names",
-                    label_targets.len(),
-                    label_names.len()
-                ),
-            ));
-        }
-        if let Some(&bad) = label_targets.iter().find(|&&t| t > insts.len()) {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!("label target {bad} out of range for {}-inst program", insts.len()),
-            ));
-        }
-        Ok(Program { insts, tags, label_targets, label_names })
     }
 }

@@ -127,6 +127,24 @@ impl fmt::Display for VlOutOfRange {
 
 impl std::error::Error for VlOutOfRange {}
 
+// --- Checkpoint serialization --------------------------------------------
+
+impl statecodec::Codec for VectorLength {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        sink.put_byte(self.0);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        let granules = <u8 as statecodec::Codec>::decode(src)?;
+        if usize::from(granules) > 64 {
+            return Err(statecodec::DecodeError::at(
+                src,
+                format!("vector length of {granules} granules out of range"),
+            ));
+        }
+        Ok(VectorLength(granules))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,23 +204,5 @@ mod tests {
     #[test]
     fn display_formats_granules() {
         assert_eq!(VectorLength::new(4).to_string(), "4x128b");
-    }
-}
-
-// --- Checkpoint serialization --------------------------------------------
-
-impl statecodec::Codec for VectorLength {
-    fn encode(&self, sink: &mut statecodec::Sink) {
-        sink.put_byte(self.0);
-    }
-    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
-        let granules = <u8 as statecodec::Codec>::decode(src)?;
-        if usize::from(granules) > 64 {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!("vector length of {granules} granules out of range"),
-            ));
-        }
-        Ok(VectorLength(granules))
     }
 }

@@ -154,6 +154,31 @@ impl fmt::Display for OutOfArena {
 
 impl std::error::Error for OutOfArena {}
 
+// --- Checkpoint serialization --------------------------------------------
+
+// Hand-written: the arena is large (megabytes), so the bytes are copied
+// as one block instead of element-by-element through `Vec<u8>`'s generic
+// impl.
+impl statecodec::Codec for Memory {
+    fn encode(&self, sink: &mut statecodec::Sink) {
+        statecodec::Codec::encode(&self.bytes.len(), sink);
+        sink.put(&self.bytes);
+        statecodec::Codec::encode(&self.next_free, sink);
+    }
+    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
+        let len = <usize as statecodec::Codec>::decode(src)?;
+        if len > src.remaining() {
+            return Err(statecodec::DecodeError::at(
+                src,
+                format!("memory arena claims {len} bytes but only {} remain", src.remaining()),
+            ));
+        }
+        let bytes = src.take(len)?.to_vec();
+        let next_free = <u64 as statecodec::Codec>::decode(src)?;
+        Ok(Memory { bytes, next_free })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,30 +228,5 @@ mod tests {
         let mut mem = Memory::new(1024);
         let a = mem.alloc_f32(16);
         assert_eq!(mem.read_f32(a + 32), 0.0);
-    }
-}
-
-// --- Checkpoint serialization --------------------------------------------
-
-// Hand-written: the arena is large (megabytes), so the bytes are copied
-// as one block instead of element-by-element through `Vec<u8>`'s generic
-// impl.
-impl statecodec::Codec for Memory {
-    fn encode(&self, sink: &mut statecodec::Sink) {
-        statecodec::Codec::encode(&self.bytes.len(), sink);
-        sink.put(&self.bytes);
-        statecodec::Codec::encode(&self.next_free, sink);
-    }
-    fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
-        let len = <usize as statecodec::Codec>::decode(src)?;
-        if len > src.remaining() {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!("memory arena claims {len} bytes but only {} remain", src.remaining()),
-            ));
-        }
-        let bytes = src.take(len)?.to_vec();
-        let next_free = <u64 as statecodec::Codec>::decode(src)?;
-        Ok(Memory { bytes, next_free })
     }
 }

@@ -5,25 +5,18 @@
 //! occamy disasm  <kernel.ok> [options]           compiled EM-SIMD assembly
 //! occamy run     <kernel.ok> [options]           simulate on one core
 //! occamy profile <kernel.ok> [options]           per-phase cycle attribution
+//! occamy corun   <k0.ok> <k1.ok> [options]       two kernels, one per core
+//! occamy sched   <k.ok>... [options]             time-share N kernels
 //! occamy roofline <oi> [<oi>...]                 ceilings + partition plan
-//!
-//! options:
-//!   --trip <n>          elements per pass            (default 4096)
-//!   --passes <n>        sweeps over the arrays       (default 1)
-//!   --arch <a>          occamy|private|fts|vls       (default occamy)
-//!   --granules <g>      fixed VL for private/vls     (default 4)
-//!   --param <name=v>    set a runtime parameter      (repeatable)
-//!   --mode <m>          timing|functional          (default timing)
-//!   --trace             print the instruction pipeview
-//!   --trace-buf <n>     event ring capacity (default 4096)
-//!   --events <f>        write Chrome trace_event JSON for Perfetto
-//!   --timeline          print the lane timeline
-//!   --opt, -O           run the optimizer before compiling
 //! ```
+//!
+//! `run`, `profile` and `corun` set a run up through [`simulate`], and
+//! `disasm` through its build half; each refuses the options it ignores.
+//! `occamy --help` states each option's scope.
 
 use std::process::ExitCode;
 
-use em_simd::{OperationalIntensity, VectorLength};
+use em_simd::{OperationalIntensity, Program, VectorLength};
 use lane_manager::{LaneManager, PhaseDemand};
 use mem_sim::Memory;
 use occamy_compiler::{
@@ -31,7 +24,7 @@ use occamy_compiler::{
 };
 use occamy_sim::{
     render_lane_timeline, render_pipeview, render_profile, to_kanata, Architecture, FaultPlan,
-    Machine, RecoveryPolicy, SimConfig, SimMode,
+    Machine, MachineStats, RecoveryPolicy, SimConfig, SimMode,
 };
 use roofline::{MachineCeilings, MemLevel};
 
@@ -52,6 +45,13 @@ enum CliError {
     Load(String),
     Sim(String),
     Net(String),
+}
+
+/// A bare message is a usage error: the command line was malformed.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Usage(message)
+    }
 }
 
 impl CliError {
@@ -109,37 +109,38 @@ fn print_usage() {
          usage:\n  occamy analyze <kernel.ok>\n  occamy disasm <kernel.ok> [options]\n  \
          occamy run <kernel.ok> [options]\n  \
          occamy profile <kernel.ok> [options]      # per-phase cycle attribution (Fig. 15)\n  \
-         occamy corun <k0.ok> <k1.ok> [options]   # two cores, elastic lanes\n  \
+         occamy corun <k0.ok> <k1.ok> [options]   # one kernel per core, lane timeline\n  \
          occamy sched <k.ok>... [options]          # time-share N kernels (§5)\n  \
          occamy roofline <oi> [<oi>...]\n  \
          occamy serve [--listen <ep>] [options]    # multi-tenant simulation daemon\n  \
          occamy submit <workload>... [options]     # run a job on a daemon\n  \
          occamy stats [--tenant T] [--prefix P]    # one metrics snapshot from a daemon\n  \
          occamy top [--tenant T] [options]         # live per-tenant monitor (watch stream)\n\n\
-         options:\n  --trip <n>        elements per pass (default 4096)\n  \
+         kernel options (disasm/run/profile/corun/sched; a subcommand refuses,\n\
+         with exit 2, every option it does not honour):\n  \
+         --trip <n>        elements per pass (default 4096)\n  \
          --passes <n>      sweeps over the arrays (default 1)\n  \
-         --arch <a>        occamy|private|fts|vls (default occamy)\n  \
-         --granules <g>    fixed vector length in 128-bit granules (default 4)\n  \
-         --param <k=v>     set a runtime parameter (repeatable)\n  \
-         --mode <m>        run: timing | functional\n                    \
-         functional fast-forwards on host SIMD; cycle totals\n                    \
-         are then ESTIMATED (default timing; incompatible with\n                    \
-         --inject/--recover)\n  \
-         --trace           print the instruction pipeview\n  \
-         --timeline        print the lane timeline\n  \
-         --stats           print the full statistics report\n  \
+         --param <k=v>     run only: set a runtime parameter (repeatable)\n  \
          --opt, -O         run the optimizer before compiling\n  \
-         --quantum <c>     sched: round-robin time slice in cycles (default 5000)\n  \
-         --trace-out <f>   run: write a Kanata trace file (Konata viewer)\n  \
-         --trace-buf <n>   event ring capacity for --trace/--trace-out/--events\n                    \
-         (default 4096); on overflow the OLDEST events are dropped, so\n                    \
-         views show the most recent <n> events and a warning says so\n  \
-         --events <f>      run/corun: write cross-layer events as Chrome trace_event\n                    \
-         JSON (open in Perfetto / chrome://tracing)\n  \
          --inject <spec>   deterministic fault injection, e.g.\n                    \
-         seed=42,oi=0.01,decision=0.01,mem=0.05,spike=300,truncate=0.1,bitflip=0.02\n  \
-         --recover <spec>  run/corun: arm detection & recovery; `default` or e.g.\n                    \
-         interval=10000,selftest=25000,strikes=3,rollbacks=64,quarantine=1\n\n\
+         seed=42,oi=0.01,decision=0.01,mem=0.05,spike=300,truncate=0.1,bitflip=0.02\n                    \
+         (truncate/bitflip corrupt every program once; disasm prints the result)\n  \
+         --arch <a>        not sched: occamy|private|fts|vls (default occamy)\n  \
+         --granules <g>    --arch vls only: core 0's share of the 8 granules (default 4)\n  \
+         --quantum <c>     sched only: round-robin time slice in cycles (default 5000)\n\n\
+         simulation options (run/profile/corun; --timeline also sched):\n  \
+         --mode <m>        run/corun: timing (default) | functional, which fast-forwards\n                    \
+         on host SIMD with ESTIMATED cycle totals (not with --inject/--recover)\n  \
+         --recover <spec>  arm detection & recovery; `default` or e.g.\n                    \
+         interval=10000,selftest=25000,strikes=3,rollbacks=64,quarantine=1\n  \
+         --stats           print the statistics report (profile: the metrics only)\n  \
+         --timeline        run/profile/sched: print the lane timeline (corun always does)\n  \
+         --trace           print the instruction pipeview\n  \
+         --trace-out <f>   write a Kanata trace file (Konata viewer)\n  \
+         --events <f>      write Chrome trace_event JSON (Perfetto / chrome://tracing)\n  \
+         --trace-buf <n>   event ring capacity for --trace/--trace-out/--events, which\n                    \
+         it needs (default 4096); on overflow the OLDEST events are dropped,\n                    \
+         so views show the most recent <n> events and a warning says so\n\n\
          service options (serve/submit):\n  \
          --listen <ep>     serve: endpoint to bind — unix:<path> | tcp:<host:port>\n                    \
          (default unix:/tmp/occamyd.sock; tcp port 0 picks a free port)\n  \
@@ -165,12 +166,27 @@ fn print_usage() {
     );
 }
 
+/// Cycle budget of every simulating subcommand.
+const MAX_CYCLES: u64 = 500_000_000;
+
+/// Flags that shape the program a kernel compiles to.
+const BUILD_FLAGS: &[&str] = &["--trip", "--passes", "--arch", "--granules", "--opt", "--inject"];
+
+/// Flags that steer or observe a simulation.
+const SIM_FLAGS: &[&str] = &[
+    "--mode", "--recover", "--trace", "--trace-out", "--trace-buf", "--events", "--timeline",
+    "--stats",
+];
+
+/// The options of the simulating subcommands (`disasm`, `run`,
+/// `profile`, `corun`, `sched`).
 struct RunOpts {
-    file: String,
+    files: Vec<String>,
     trip: usize,
     passes: usize,
     arch: String,
-    granules: usize,
+    /// `--granules`, given only with `--arch vls`.
+    granules: Option<usize>,
     params: Vec<(String, f32)>,
     trace: bool,
     timeline: bool,
@@ -178,20 +194,29 @@ struct RunOpts {
     optimize: bool,
     quantum: u64,
     trace_out: Option<String>,
-    trace_buf: usize,
+    /// `--trace-buf`, given only with an event view.
+    trace_buf: Option<usize>,
     events: Option<String>,
     inject: Option<FaultPlan>,
     recover: Option<RecoveryPolicy>,
     mode: SimMode,
 }
 
-fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
+/// Parses the options of `occamy <cmd>`, which takes `files` kernel
+/// files and honours the flags in `honours`: any other flag is a usage
+/// error naming it, so no flag is silently ignored.
+fn parse_opts(
+    cmd: &str,
+    args: &[String],
+    files: std::ops::RangeInclusive<usize>,
+    honours: &[&str],
+) -> Result<RunOpts, String> {
     let mut opts = RunOpts {
-        file: String::new(),
+        files: Vec::new(),
         trip: 4096,
         passes: 1,
         arch: "occamy".into(),
-        granules: 4,
+        granules: None,
         params: Vec::new(),
         trace: false,
         timeline: false,
@@ -199,7 +224,7 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
         optimize: false,
         quantum: 5_000,
         trace_out: None,
-        trace_buf: 4096,
+        trace_buf: None,
         events: None,
         inject: None,
         recover: None,
@@ -207,21 +232,17 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--trip" => opts.trip = value("--trip")?.parse().map_err(|e| format!("--trip: {e}"))?,
-            "--passes" => {
-                opts.passes = value("--passes")?.parse().map_err(|e| format!("--passes: {e}"))?
-            }
-            "--arch" => opts.arch = value("--arch")?,
-            "--granules" => {
-                opts.granules =
-                    value("--granules")?.parse().map_err(|e| format!("--granules: {e}"))?
-            }
+        let flag = if a == "-O" { "--opt" } else { a.as_str() };
+        if flag.starts_with("--") && !honours.contains(&flag) {
+            return Err(format!("`occamy {cmd}` does not take {flag} (see --help)"));
+        }
+        match flag {
+            "--trip" => opts.trip = arg(&mut it, "--trip")?,
+            "--passes" => opts.passes = arg(&mut it, "--passes")?,
+            "--arch" => opts.arch = arg(&mut it, "--arch")?,
+            "--granules" => opts.granules = Some(arg(&mut it, "--granules")?),
             "--param" => {
-                let kv = value("--param")?;
+                let kv: String = arg(&mut it, "--param")?;
                 let (k, v) = kv
                     .split_once('=')
                     .ok_or_else(|| format!("--param expects name=value, got `{kv}`"))?;
@@ -233,52 +254,58 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
             "--trace" => opts.trace = true,
             "--timeline" => opts.timeline = true,
             "--stats" => opts.stats = true,
-            "--opt" | "-O" => opts.optimize = true,
-            "--quantum" => {
-                opts.quantum =
-                    value("--quantum")?.parse().map_err(|e| format!("--quantum: {e}"))?
-            }
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
+            "--opt" => opts.optimize = true,
+            "--quantum" => opts.quantum = arg(&mut it, "--quantum")?,
+            "--trace-out" => opts.trace_out = Some(arg(&mut it, "--trace-out")?),
             "--trace-buf" => {
-                opts.trace_buf =
-                    value("--trace-buf")?.parse().map_err(|e| format!("--trace-buf: {e}"))?;
-                if opts.trace_buf == 0 {
+                let n = arg(&mut it, "--trace-buf")?;
+                if n == 0 {
                     return Err("--trace-buf must be at least 1".into());
                 }
+                opts.trace_buf = Some(n);
             }
-            "--events" => opts.events = Some(value("--events")?),
+            "--events" => opts.events = Some(arg(&mut it, "--events")?),
             "--inject" => {
-                let spec = value("--inject")?;
+                let spec: String = arg(&mut it, "--inject")?;
                 opts.inject =
                     Some(FaultPlan::parse(&spec).map_err(|e| format!("--inject: {e}"))?);
             }
             "--recover" => {
-                let spec = value("--recover")?;
+                let spec: String = arg(&mut it, "--recover")?;
                 let spec = if spec == "default" { "" } else { spec.as_str() };
                 opts.recover =
                     Some(RecoveryPolicy::parse(spec).map_err(|e| format!("--recover: {e}"))?);
             }
             "--mode" => {
-                let spec = value("--mode")?;
+                let spec: String = arg(&mut it, "--mode")?;
                 opts.mode = SimMode::parse(&spec).map_err(|e| format!("--mode: {e}"))?;
             }
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            file => {
-                if !opts.file.is_empty() {
-                    return Err(format!("unexpected argument `{file}`"));
-                }
-                opts.file = file.to_owned();
-            }
+            file => opts.files.push(file.to_owned()),
         }
     }
-    if opts.file.is_empty() {
-        return Err("no kernel file given".into());
+    if opts.files.len() < *files.start() {
+        return Err(match files.start() {
+            1 => "no kernel file given".into(),
+            n => format!("`occamy {cmd}` needs {n} kernel files"),
+        });
+    }
+    if let Some(extra) = opts.files.get(*files.end()) {
+        return Err(format!("unexpected argument `{extra}`"));
     }
     if !matches!(opts.arch.as_str(), "occamy" | "private" | "fts" | "vls") {
         return Err(format!(
             "unknown architecture `{}` (expected occamy|private|fts|vls)",
             opts.arch
         ));
+    }
+    if opts.granules.is_some() && opts.arch != "vls" {
+        return Err("--granules sets the VLS partition; it needs --arch vls".into());
+    }
+    if opts.trace_buf.is_some() && !(opts.trace || opts.trace_out.is_some() || opts.events.is_some())
+    {
+        return Err("--trace-buf sizes the event ring of --trace, --trace-out and --events; \
+                    give one of them"
+            .into());
     }
     Ok(opts)
 }
@@ -301,14 +328,19 @@ fn print_recovery_summary(machine: &Machine) {
     }
 }
 
+/// The `--inject` summary line: the faults the plan actually applied.
+fn injected_summary(machine: &Machine) -> String {
+    let f = machine.fault_stats().copied().unwrap_or_default();
+    format!(
+        "injected: {} program corruption(s), {} <OI> corruption(s), \
+         {} decision perturbation(s), {} memory spike(s)",
+        f.program_corruptions, f.oi_corruptions, f.decision_perturbations, f.mem_spikes
+    )
+}
+
 fn load_kernel(path: &str) -> Result<Kernel, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     parse_kernel(&text).map_err(|e| format!("{path}:{e}"))
-}
-
-fn load_kernel_opts(path: &str, opts: &RunOpts) -> Result<Kernel, String> {
-    let kernel = load_kernel(path)?;
-    Ok(if opts.optimize { occamy_compiler::optimize(&kernel) } else { kernel })
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
@@ -337,98 +369,121 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Everything `run`/`disasm` need: the initialised memory image, the
-/// array layout, the (name, address) pairs for printing outputs, the
-/// compiled program, and the architecture the program targets.
-type BuiltProgram = (Memory, ArrayLayout, Vec<(String, u64)>, em_simd::Program, Architecture);
-
-/// Allocates a halo'd `f32` array of `trip` elements in `mem` for every
-/// base array of `kernel`, fills it with deterministic, mildly varied
-/// data and binds it into a fresh layout. Also returns the
-/// `(name, address)` pairs, in base-array order.
-fn bind_arrays(
-    kernel: &Kernel,
-    mem: &mut Memory,
-    trip: usize,
-) -> (ArrayLayout, Vec<(String, u64)>) {
-    let halo = 16u64;
-    let mut layout = ArrayLayout::new();
-    let mut addrs = Vec::new();
-    for name in kernel.base_arrays() {
-        let addr = mem.alloc_f32(trip as u64 + 2 * halo) + 4 * halo;
-        for i in 0..trip as u64 + 2 * halo {
-            let v = 0.5 + ((i * 29 + 11) % 97) as f32 / 97.0;
-            mem.write_f32(addr - 4 * halo + 4 * i, v);
-        }
-        layout.bind(name.clone(), addr);
-        addrs.push((name, addr));
-    }
-    (layout, addrs)
+/// A kernel ready to compile: its arrays allocated and filled in memory,
+/// and the `(name, address)` of each, in base-array order.
+struct BoundKernel {
+    kernel: Kernel,
+    layout: ArrayLayout,
+    arrays: Vec<(String, u64)>,
 }
 
-fn build_program(kernel: &Kernel, opts: &RunOpts) -> Result<BuiltProgram, String> {
-    let mut mem = Memory::new((kernel.base_arrays().len() * (opts.trip + 64) * 4 + (1 << 20)).max(1 << 20));
-    let (layout, addrs) = bind_arrays(kernel, &mut mem, opts.trip);
+/// Loads every kernel file of `opts` (optimized under `--opt`) and binds
+/// it in a fresh memory of `bytes(kernels)` bytes: a halo'd `f32` array
+/// of `--trip` elements per base array, filled with deterministic,
+/// mildly varied data; then writes the `--param` values. With a
+/// `prefix`, kernel `i`'s arrays are named `{prefix}{i}_<name>`, so the
+/// kernels get disjoint arrays.
+fn load_kernels(
+    opts: &RunOpts,
+    prefix: Option<&str>,
+    bytes: impl Fn(&[Kernel]) -> usize,
+) -> Result<(Vec<BoundKernel>, Memory), CliError> {
+    let mut kernels = Vec::new();
+    for (i, file) in opts.files.iter().enumerate() {
+        let kernel = load_kernel(file).map_err(CliError::Load)?;
+        let kernel = if opts.optimize { occamy_compiler::optimize(&kernel) } else { kernel };
+        kernels.push(match prefix {
+            Some(p) => kernel.with_array_prefix(&format!("{p}{i}_")),
+            None => kernel,
+        });
+    }
+    let mut mem = Memory::new(bytes(&kernels));
+    let (halo, trip) = (16u64, opts.trip as u64);
+    let bound: Vec<BoundKernel> = kernels
+        .into_iter()
+        .map(|kernel| {
+            let mut layout = ArrayLayout::new();
+            let mut arrays = Vec::new();
+            for name in kernel.base_arrays() {
+                let addr = mem.alloc_f32(trip + 2 * halo) + 4 * halo;
+                for i in 0..trip + 2 * halo {
+                    let v = 0.5 + ((i * 29 + 11) % 97) as f32 / 97.0;
+                    mem.write_f32(addr - 4 * halo + 4 * i, v);
+                }
+                layout.bind(name.clone(), addr);
+                arrays.push((name, addr));
+            }
+            BoundKernel { kernel, layout, arrays }
+        })
+        .collect();
     for (name, value) in &opts.params {
-        let addr = addrs
+        let (_, addr) = bound
             .iter()
+            .flat_map(|b| &b.arrays)
             .find(|(n, _)| n == name)
-            .map(|(_, a)| *a)
-            .ok_or_else(|| format!("--param {name}: kernel has no such parameter"))?;
-        mem.write_f32(addr, *value);
+            .ok_or_else(|| CliError::Load(format!("--param {name}: kernel has no such parameter")))?;
+        mem.write_f32(*addr, *value);
     }
+    Ok((bound, mem))
+}
 
+fn compile(bound: &BoundKernel, opts: &RunOpts, mode: VlMode) -> Result<Program, CliError> {
+    Compiler::new(CodeGenOptions { mode, ..CodeGenOptions::default() })
+        .compile_repeated(&[(bound.kernel.clone(), opts.trip, opts.passes)], &bound.layout)
+        .map_err(|e| CliError::Load(e.to_string()))
+}
+
+/// The one setup path of `disasm`, `run`, `profile` and `corun`: each
+/// kernel of `opts` is compiled for its core of the paper's 2-core
+/// machine under `--arch` and loaded there, then the `--inject` plan is
+/// installed (its program clauses corrupt the loaded programs).
+///
+/// One kernel gets a memory sized to its arrays; a co-run pair shares
+/// 64 MiB. Out-of-bounds faults under `--inject` depend on that sizing.
+fn build(opts: &RunOpts) -> Result<(Vec<BoundKernel>, Machine), CliError> {
+    let (bound, mem) =
+        load_kernels(opts, (opts.files.len() > 1).then_some("c"), |kernels| match kernels {
+            [k] => (k.base_arrays().len() * (opts.trip + 64) * 4 + (1 << 20)).max(1 << 20),
+            _ => 64 << 20,
+        })?;
     let cfg = SimConfig::paper_2core();
-    let (arch, mode) = match opts.arch.as_str() {
-        "occamy" => (
-            Architecture::Occamy,
-            VlMode::Elastic { default: VectorLength::new(2) },
-        ),
-        "private" => (Architecture::Private, VlMode::Fixed(VectorLength::new(4))),
-        "fts" => (Architecture::TemporalSharing, VlMode::Fixed(VectorLength::new(8))),
+    let arch = match opts.arch.as_str() {
+        "private" => Architecture::Private,
+        "fts" => Architecture::TemporalSharing,
         "vls" => {
-            let g = opts.granules.clamp(1, cfg.total_granules - 1);
-            (
-                Architecture::StaticSpatialSharing {
-                    partition: vec![g, cfg.total_granules - g],
-                },
-                VlMode::Fixed(VectorLength::new(g)),
-            )
+            let g = opts.granules.unwrap_or(4).clamp(1, cfg.total_granules - 1);
+            Architecture::StaticSpatialSharing { partition: vec![g, cfg.total_granules - g] }
         }
-        other => return Err(format!("unknown architecture `{other}`")),
+        _ => Architecture::Occamy,
     };
-    let compiler = Compiler::new(CodeGenOptions { mode, ..CodeGenOptions::default() });
-    let program = compiler
-        .compile_repeated(&[(kernel.clone(), opts.trip, opts.passes)], &layout)
-        .map_err(|e| e.to_string())?;
-    Ok((mem, layout, addrs, program, arch))
-}
-
-fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args).map_err(CliError::Usage)?;
-    let kernel = load_kernel_opts(&opts.file, &opts).map_err(CliError::Load)?;
-    let (_, _, _, program, _) = build_program(&kernel, &opts).map_err(CliError::Load)?;
-    print!("{}", program.disassemble());
-    Ok(())
-}
-
-fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args).map_err(CliError::Usage)?;
-    let kernel = load_kernel_opts(&opts.file, &opts).map_err(CliError::Load)?;
-    let info = analyze(&kernel);
-    let (mem, _, addrs, mut program, arch) = build_program(&kernel, &opts).map_err(CliError::Load)?;
-    let cfg = SimConfig::paper_2core();
-    let mut machine =
-        Machine::new(cfg, arch, mem).map_err(|e| CliError::Sim(e.to_string()))?;
-    if opts.trace || opts.trace_out.is_some() || opts.events.is_some() {
-        machine.enable_events(opts.trace_buf);
+    let mut machine = Machine::new(cfg.clone(), arch.clone(), mem)
+        .map_err(|e| CliError::Sim(e.to_string()))?;
+    for (core, b) in bound.iter().enumerate() {
+        let mode = arch
+            .fixed_vl(core, &cfg)
+            .map_or(VlMode::Elastic { default: VectorLength::new(2) }, VlMode::Fixed);
+        machine.load_program(core, compile(b, opts, mode)?);
     }
-    let mut program_faults = 0;
     if let Some(plan) = &opts.inject {
-        (program, program_faults) = plan.corrupt_program(&program);
         machine.set_fault_plan(plan);
     }
-    machine.load_program(0, program);
+    Ok((bound, machine))
+}
+
+/// [`build`], then arm the observers (`--trace`/`--trace-out`/`--events`,
+/// and the profiler when `profile`), `--recover` and `--mode`, and run
+/// to completion under [`MAX_CYCLES`].
+fn simulate(
+    opts: &RunOpts,
+    profile: bool,
+) -> Result<(Vec<BoundKernel>, Machine, MachineStats), CliError> {
+    let (bound, mut machine) = build(opts)?;
+    if opts.trace || opts.trace_out.is_some() || opts.events.is_some() {
+        machine.enable_events(opts.trace_buf.unwrap_or(4096));
+    }
+    if profile {
+        machine.enable_profile();
+    }
     if let Some(policy) = opts.recover {
         machine.enable_recovery(policy);
     }
@@ -436,19 +491,75 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .set_mode(opts.mode)
         .map_err(|e| CliError::Usage(format!("--mode {}: {e}", opts.mode)))?;
     let stats = machine
-        .run(500_000_000)
+        .run(MAX_CYCLES)
         .map_err(|e| CliError::Sim(format!("simulation fault: {e}")))?;
     if !stats.completed {
         return Err(CliError::Sim("run exceeded the cycle budget".into()));
     }
+    Ok((bound, machine, stats))
+}
 
+/// Prints the views every simulating subcommand shares, after its own
+/// report: `--timeline`, `--trace`, the `--trace-out` Kanata file and
+/// the `--events` Chrome trace, then warns if the event ring overflowed
+/// (every trace view then covers only the end of the run).
+fn print_views(machine: &Machine, stats: &MachineStats, opts: &RunOpts) -> Result<(), CliError> {
+    if opts.timeline {
+        println!();
+        print!("{}", render_lane_timeline(&stats.timeline, stats.total_lanes, 100));
+    }
+    if opts.trace {
+        println!();
+        print!("{}", render_pipeview(machine.events()));
+    }
+    if let Some(path) = &opts.trace_out {
+        std::fs::write(path, to_kanata(machine.events()))
+            .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
+        println!("wrote Kanata trace to {path} (open with the Konata viewer)");
+    }
+    if let Some(path) = &opts.events {
+        std::fs::write(path, machine.chrome_trace())
+            .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
+        println!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
+    }
+    let dropped = machine.events().dropped();
+    if dropped > 0 {
+        eprintln!(
+            "warning: event ring overflowed, {dropped} oldest event(s) dropped; the trace \
+             shows only the end of the run — raise --trace-buf or shorten the run"
+        );
+    }
+    Ok(())
+}
+
+/// The `--stats` block of `run` and `corun`.
+fn print_stats(stats: &MachineStats) {
+    println!();
+    print!("{}", stats.report());
+    println!();
+    print!("{}", stats.metrics.dump());
+}
+
+fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
+    let opts = parse_opts("disasm", args, 1..=1, BUILD_FLAGS)?;
+    let (_, machine) = build(&opts)?;
+    print!("{}", machine.program(0).expect("build loads core 0").disassemble());
+    Ok(())
+}
+
+fn cmd_run(args: &[String]) -> Result<(), CliError> {
+    // Only `run` prints array values, so only `run` takes `--param`.
+    let honours = [BUILD_FLAGS, SIM_FLAGS, &["--param"]].concat();
+    let opts = parse_opts("run", args, 1..=1, &honours)?;
+    let (bound, machine, stats) = simulate(&opts, false)?;
+    let BoundKernel { kernel, arrays, .. } = &bound[0];
     println!(
         "kernel `{}` on {}: {} elements x {} pass(es), OI {}",
         kernel.name(),
         opts.arch,
         opts.trip,
         opts.passes,
-        info.oi
+        analyze(kernel).oi
     );
     if stats.estimated {
         // Timing-derived rates are meaningless across functional
@@ -475,7 +586,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     // Show a few output elements.
     for name in kernel.stored_arrays().iter().chain(&kernel.reduction_outputs()) {
-        if let Some((_, addr)) = addrs.iter().find(|(n, _)| n == name) {
+        if let Some((_, addr)) = arrays.iter().find(|(n, _)| n == name) {
             let values: Vec<String> = (0..4.min(opts.trip as u64))
                 .map(|i| format!("{:.4}", machine.memory().read_f32(addr + 4 * i)))
                 .collect();
@@ -483,214 +594,93 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
     }
     if opts.inject.is_some() {
-        let (oi, dec, spikes) = machine
-            .fault_stats()
-            .map_or((0, 0, 0), |f| (f.oi_corruptions, f.decision_perturbations, f.mem_spikes));
-        println!(
-            "  injected: {program_faults} program corruption(s), {oi} <OI> corruption(s), \
-             {dec} decision perturbation(s), {spikes} memory spike(s)"
-        );
+        println!("  {}", injected_summary(&machine));
     }
     print_recovery_summary(&machine);
     if opts.stats {
-        println!();
-        print!("{}", stats.report());
-        println!();
-        print!("{}", stats.metrics.dump());
+        print_stats(&stats);
     }
-    if opts.timeline {
-        println!();
-        print!(
-            "{}",
-            render_lane_timeline(&stats.timeline, stats.total_lanes, 100)
-        );
-    }
-    if opts.trace {
-        println!();
-        print!("{}", render_pipeview(machine.events()));
-    }
-    if let Some(path) = &opts.trace_out {
-        std::fs::write(path, to_kanata(machine.events()))
-            .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
-        println!("wrote Kanata trace to {path} (open with the Konata viewer)");
-    }
-    write_events(&machine, &opts)?;
-    Ok(())
-}
-
-/// Writes the Chrome `trace_event` export when `--events <f>` was given,
-/// then warns if the event ring overflowed: every trace output
-/// (`--trace`, `--trace-out`, `--events`) then covers only the end of
-/// the run.
-fn write_events(machine: &Machine, opts: &RunOpts) -> Result<(), CliError> {
-    if let Some(path) = &opts.events {
-        std::fs::write(path, machine.chrome_trace())
-            .map_err(|e| CliError::Sim(format!("{path}: {e}")))?;
-        println!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
-    }
-    let dropped = machine.events().dropped();
-    if dropped > 0 {
-        eprintln!(
-            "warning: event ring overflowed, {dropped} oldest event(s) dropped; the trace \
-             shows only the end of the run — raise --trace-buf or shorten the run"
-        );
-    }
-    Ok(())
+    print_views(&machine, &stats, &opts)
 }
 
 /// Run one kernel with the cycle-attribution profiler and print the
-/// per-phase breakdown (the Fig. 15 reproduction).
+/// per-phase breakdown (the Fig. 15 reproduction). The profiler
+/// attributes timing cycles, so `profile` takes no `--mode`.
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args).map_err(CliError::Usage)?;
-    let kernel = load_kernel_opts(&opts.file, &opts).map_err(CliError::Load)?;
-    let (mem, _, _, program, arch) = build_program(&kernel, &opts).map_err(CliError::Load)?;
-    let cfg = SimConfig::paper_2core();
-    let mut machine = Machine::new(cfg, arch, mem).map_err(|e| CliError::Sim(e.to_string()))?;
-    machine.enable_profile();
-    if opts.events.is_some() {
-        machine.enable_events(opts.trace_buf);
-    }
-    machine.load_program(0, program);
-    let stats = machine
-        .run(500_000_000)
-        .map_err(|e| CliError::Sim(format!("simulation fault: {e}")))?;
-    if !stats.completed {
-        return Err(CliError::Sim("run exceeded the cycle budget".into()));
-    }
+    let honours: Vec<&str> =
+        [BUILD_FLAGS, SIM_FLAGS].concat().into_iter().filter(|f| *f != "--mode").collect();
+    let opts = parse_opts("profile", args, 1..=1, &honours)?;
+    let (bound, machine, stats) = simulate(&opts, true)?;
     println!(
         "kernel `{}` on {}: {} elements x {} pass(es), {} cycles",
-        kernel.name(),
+        bound[0].kernel.name(),
         opts.arch,
         opts.trip,
         opts.passes,
         stats.core_time(0)
     );
-    let profile = machine.profile().expect("profiler was enabled above");
+    let profile = machine.profile().expect("simulate enables the profiler");
     print!("{}", render_profile(profile, &stats));
+    if opts.inject.is_some() {
+        println!("{}", injected_summary(&machine));
+    }
+    print_recovery_summary(&machine);
     if opts.stats {
         println!();
         print!("{}", stats.metrics.dump());
     }
-    write_events(&machine, &opts)?;
-    Ok(())
+    print_views(&machine, &stats, &opts)
 }
 
-/// Co-run two kernels on a two-core Occamy machine and show how the
-/// lane manager moves lanes between them.
+/// Co-run two kernels on the two-core machine and show how lanes move
+/// between them. `corun` always prints the lane timeline, so it takes no
+/// `--timeline`.
 fn cmd_corun(args: &[String]) -> Result<(), CliError> {
-    let files: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    if files.len() != 2 {
-        return Err(CliError::Usage("corun needs exactly two kernel files".into()));
-    }
-    let rest: Vec<String> = args[2..].to_vec();
-    let opts = parse_opts(&[vec![files[0].clone()], rest].concat()).map_err(CliError::Usage)?;
-
-    let cfg = SimConfig::paper_2core();
-    let mut mem = Memory::new(64 << 20);
-    let mut machines: Vec<(Kernel, ArrayLayout)> = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        let kernel = load_kernel_opts(file, &opts)
-            .map_err(CliError::Load)?
-            .with_array_prefix(&format!("c{idx}_"));
-        let (layout, _) = bind_arrays(&kernel, &mut mem, opts.trip);
-        machines.push((kernel, layout));
-    }
-    let mut machine = Machine::new(cfg, Architecture::Occamy, mem)
-        .map_err(|e| CliError::Sim(e.to_string()))?;
-    let compiler = Compiler::new(CodeGenOptions {
-        mode: VlMode::Elastic { default: VectorLength::new(2) },
-        ..CodeGenOptions::default()
-    });
-    if opts.events.is_some() {
-        machine.enable_events(opts.trace_buf);
-    }
-    let mut program_faults = 0;
-    if let Some(plan) = &opts.inject {
-        machine.set_fault_plan(plan);
-    }
-    for (core, (kernel, layout)) in machines.iter().enumerate() {
-        let mut program = compiler
-            .compile_repeated(&[(kernel.clone(), opts.trip, opts.passes)], layout)
-            .map_err(|e| CliError::Load(e.to_string()))?;
-        if let Some(plan) = &opts.inject {
-            let (corrupted, n) = plan.corrupt_program(&program);
-            program = corrupted;
-            program_faults += n;
-        }
-        machine.load_program(core, program);
-    }
-    if let Some(policy) = opts.recover {
-        machine.enable_recovery(policy);
-    }
-    let stats = machine
-        .run(500_000_000)
-        .map_err(|e| CliError::Sim(format!("simulation fault: {e}")))?;
-    if !stats.completed {
-        return Err(CliError::Sim("run exceeded the cycle budget".into()));
-    }
+    let honours: Vec<&str> =
+        [BUILD_FLAGS, SIM_FLAGS].concat().into_iter().filter(|f| *f != "--timeline").collect();
+    let opts = parse_opts("corun", args, 2..=2, &honours)?;
+    let (bound, machine, stats) = simulate(&opts, false)?;
     print_recovery_summary(&machine);
     if opts.inject.is_some() {
-        let (oi, dec, spikes) = machine
-            .fault_stats()
-            .map_or((0, 0, 0), |f| (f.oi_corruptions, f.decision_perturbations, f.mem_spikes));
+        println!("{}", injected_summary(&machine));
+    }
+    if stats.estimated {
         println!(
-            "injected: {program_faults} program corruption(s), {oi} <OI> corruption(s), \
-             {dec} decision perturbation(s), {spikes} memory spike(s)"
+            "machine: {} cycles (ESTIMATED, mode {}; {} insts fast-forwarded)\n",
+            stats.estimated_cycles, opts.mode, stats.functional_insts
+        );
+    } else {
+        for (core, b) in bound.iter().enumerate() {
+            println!(
+                "core {core} `{}`: {} cycles, issue {:.2} insts/cycle",
+                b.kernel.name(),
+                stats.core_time(core),
+                stats.cores[core].issue_rate(stats.core_time(core)),
+            );
+        }
+        println!(
+            "machine: {} cycles, SIMD utilisation {:.1}%\n",
+            stats.cycles,
+            100.0 * stats.simd_utilization()
         );
     }
-    for (core, (kernel, _)) in machines.iter().enumerate() {
-        println!(
-            "core {core} `{}`: {} cycles, issue {:.2} insts/cycle",
-            kernel.name(),
-            stats.core_time(core),
-            stats.cores[core].issue_rate(stats.core_time(core)),
-        );
-    }
-    println!(
-        "machine: {} cycles, SIMD utilisation {:.1}%\n",
-        stats.cycles,
-        100.0 * stats.simd_utilization()
-    );
     print!("{}", render_lane_timeline(&stats.timeline, stats.total_lanes, 100));
-    write_events(&machine, &opts)?;
-    Ok(())
+    if opts.stats {
+        print_stats(&stats);
+    }
+    print_views(&machine, &stats, &opts)
 }
 
-/// Time-share any number of kernels over the two-core machine with the
-/// `occamy-os` round-robin scheduler (the §5 OS interaction).
+/// Time-share any number of kernels over the two-core Occamy machine
+/// with the `occamy-os` round-robin scheduler (the §5 OS interaction).
 fn cmd_sched(args: &[String]) -> Result<(), CliError> {
-    let files: Vec<String> =
-        args.iter().take_while(|a| !a.starts_with("--")).cloned().collect();
-    if files.is_empty() {
-        return Err(CliError::Usage("sched needs at least one kernel file".into()));
-    }
-    let rest: Vec<String> = args[files.len()..].to_vec();
-    let opts = parse_opts(&[vec![files[0].clone()], rest].concat()).map_err(CliError::Usage)?;
-    if opts.recover.is_some() {
-        // The scheduler loads and unloads programs itself; a checkpoint
-        // taken between its context switches could roll a task back
-        // across an OS-visible boundary.
-        return Err(CliError::Usage("--recover is not supported with sched".into()));
-    }
-
-    let mut mem = Memory::new(64 << 20);
-    let compiler = Compiler::new(CodeGenOptions {
-        mode: VlMode::Elastic { default: VectorLength::new(2) },
-        ..CodeGenOptions::default()
-    });
+    let honours = ["--trip", "--passes", "--opt", "--inject", "--quantum", "--timeline"];
+    let opts = parse_opts("sched", args, 1..=usize::MAX, &honours)?;
+    let (bound, mem) = load_kernels(&opts, Some("t"), |_| 64 << 20)?;
     let mut tasks = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        let kernel = load_kernel_opts(file, &opts)
-            .map_err(CliError::Load)?
-            .with_array_prefix(&format!("t{idx}_"));
-        let (layout, _) = bind_arrays(&kernel, &mut mem, opts.trip);
-        let mut program = compiler
-            .compile_repeated(&[(kernel.clone(), opts.trip, opts.passes)], &layout)
-            .map_err(|e| CliError::Load(e.to_string()))?;
-        if let Some(plan) = &opts.inject {
-            (program, _) = plan.corrupt_program(&program);
-        }
-        tasks.push(occamy_os::Task::new(format!("{}#{idx}", kernel.name()), program));
+    for (idx, b) in bound.iter().enumerate() {
+        let program = compile(b, &opts, VlMode::Elastic { default: VectorLength::new(2) })?;
+        tasks.push(occamy_os::Task::new(format!("{}#{idx}", b.kernel.name()), program));
     }
     let mut machine = Machine::new(SimConfig::paper_2core(), Architecture::Occamy, mem)
         .map_err(|e| CliError::Sim(e.to_string()))?;
@@ -698,14 +688,14 @@ fn cmd_sched(args: &[String]) -> Result<(), CliError> {
         machine.set_fault_plan(plan);
     }
     let report = occamy_os::Scheduler::new(opts.quantum)
-        .run(&mut machine, tasks, 500_000_000)
+        .run(&mut machine, tasks, MAX_CYCLES)
         .map_err(|e| CliError::Sim(format!("simulation fault: {e}")))?;
     if !report.completed {
         return Err(CliError::Sim("schedule exceeded the cycle budget".into()));
     }
     println!(
         "{} task(s), 2 cores, round-robin quantum {} cycles",
-        files.len(),
+        bound.len(),
         opts.quantum
     );
     print!("{}", report.render());
@@ -730,26 +720,17 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut config = occamyd::ServiceConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
         match a.as_str() {
-            "--listen" => listen = value("--listen")?,
+            "--listen" => listen = arg(&mut it, "--listen")?,
             "--workers" => {
-                config.workers = parse_num(&value("--workers")?, "--workers")?;
+                config.workers = arg(&mut it, "--workers")?;
                 if config.workers == 0 {
                     return Err(CliError::Usage("--workers must be at least 1".into()));
                 }
             }
-            "--capacity" => {
-                config.admission.capacity = parse_num(&value("--capacity")?, "--capacity")?;
-            }
-            "--per-tenant" => {
-                config.admission.per_tenant = parse_num(&value("--per-tenant")?, "--per-tenant")?;
-            }
-            "--state-dir" => {
-                config.state_dir = Some(std::path::PathBuf::from(value("--state-dir")?));
-            }
+            "--capacity" => config.admission.capacity = arg(&mut it, "--capacity")?,
+            "--per-tenant" => config.admission.per_tenant = arg(&mut it, "--per-tenant")?,
+            "--state-dir" => config.state_dir = Some(arg(&mut it, "--state-dir")?),
             other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
         }
     }
@@ -766,11 +747,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, CliError>
+/// The value after option `name` on the command line, parsed as a `T`.
+fn arg<T: std::str::FromStr>(it: &mut std::slice::Iter<String>, name: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    s.parse().map_err(|e| CliError::Usage(format!("{name}: {e}")))
+    let value = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+    value.parse().map_err(|e| format!("{name}: {e}"))
 }
 
 /// What a `submit` invocation asks the daemon to do.
@@ -793,28 +776,19 @@ fn cmd_submit(args: &[String]) -> Result<(), CliError> {
     let mut spec = occamyd::JobSpec::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
         match a.as_str() {
-            "--connect" => connect = value("--connect")?,
-            "--connect-retries" => {
-                retries = parse_num(&value("--connect-retries")?, "--connect-retries")?;
-            }
-            "--tenant" => tenant = value("--tenant")?,
-            "--id" => id = value("--id")?,
-            "--arch" => spec.arch = value("--arch")?,
-            "--scale" => spec.scale = parse_num(&value("--scale")?, "--scale")?,
-            "--seed" => spec.seed = parse_num(&value("--seed")?, "--seed")?,
-            "--max-cycles" => {
-                spec.max_cycles = parse_num(&value("--max-cycles")?, "--max-cycles")?;
-            }
-            "--deadline-ms" => {
-                spec.deadline_ms = Some(parse_num(&value("--deadline-ms")?, "--deadline-ms")?);
-            }
-            "--inject" => spec.inject = Some(value("--inject")?),
+            "--connect" => connect = arg(&mut it, "--connect")?,
+            "--connect-retries" => retries = arg(&mut it, "--connect-retries")?,
+            "--tenant" => tenant = arg(&mut it, "--tenant")?,
+            "--id" => id = arg(&mut it, "--id")?,
+            "--arch" => spec.arch = arg(&mut it, "--arch")?,
+            "--scale" => spec.scale = arg(&mut it, "--scale")?,
+            "--seed" => spec.seed = arg(&mut it, "--seed")?,
+            "--max-cycles" => spec.max_cycles = arg(&mut it, "--max-cycles")?,
+            "--deadline-ms" => spec.deadline_ms = Some(arg(&mut it, "--deadline-ms")?),
+            "--inject" => spec.inject = Some(arg(&mut it, "--inject")?),
             "--mode" => {
-                spec.mode = SimMode::parse(&value("--mode")?)
+                spec.mode = SimMode::parse(&arg::<String>(&mut it, "--mode")?)
                     .map_err(|e| CliError::Usage(format!("--mode: {e}")))?;
             }
             "--ping" => op = SubmitOp::Ping,
@@ -896,16 +870,11 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let mut prefix: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
         match a.as_str() {
-            "--connect" => connect = value("--connect")?,
-            "--connect-retries" => {
-                retries = parse_num(&value("--connect-retries")?, "--connect-retries")?;
-            }
-            "--tenant" => tenant = Some(value("--tenant")?),
-            "--prefix" => prefix = Some(value("--prefix")?),
+            "--connect" => connect = arg(&mut it, "--connect")?,
+            "--connect-retries" => retries = arg(&mut it, "--connect-retries")?,
+            "--tenant" => tenant = Some(arg(&mut it, "--tenant")?),
+            "--prefix" => prefix = Some(arg(&mut it, "--prefix")?),
             other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
         }
     }
@@ -934,18 +903,13 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
     let mut buffer: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| CliError::Usage(format!("{name} needs a value")))
-        };
         match a.as_str() {
-            "--connect" => connect = value("--connect")?,
-            "--connect-retries" => {
-                retries = parse_num(&value("--connect-retries")?, "--connect-retries")?;
-            }
-            "--tenant" => tenant = Some(value("--tenant")?),
-            "--interval-ms" => interval_ms = parse_num(&value("--interval-ms")?, "--interval-ms")?,
-            "--iterations" => iterations = parse_num(&value("--iterations")?, "--iterations")?,
-            "--buffer" => buffer = Some(parse_num(&value("--buffer")?, "--buffer")?),
+            "--connect" => connect = arg(&mut it, "--connect")?,
+            "--connect-retries" => retries = arg(&mut it, "--connect-retries")?,
+            "--tenant" => tenant = Some(arg(&mut it, "--tenant")?),
+            "--interval-ms" => interval_ms = arg(&mut it, "--interval-ms")?,
+            "--iterations" => iterations = arg(&mut it, "--iterations")?,
+            "--buffer" => buffer = Some(arg(&mut it, "--buffer")?),
             other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
         }
     }

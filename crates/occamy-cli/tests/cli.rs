@@ -415,3 +415,74 @@ fn recover_with_sched_is_rejected() {
     assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stderr).contains("sched"));
 }
+
+/// No simulating subcommand silently ignores an option. For every
+/// (subcommand, option) pair the option either changes what the
+/// subcommand does (exit status, stdout, stderr or the written file)
+/// relative to the same command without it, or is refused as a usage
+/// error (exit 2) naming it.
+#[test]
+fn every_option_changes_the_output_or_is_refused() {
+    let k0 = write_kernel("flags_k0", "param alpha\ny[i] = alpha * x[i] * (2.0 * 3.0) + 0.0\n");
+    let k1 = write_kernel("flags_k1", "c[i] = a[i] + b[i]\n");
+    let (k0, k1) = (k0.to_str().unwrap(), k1.to_str().unwrap());
+    let file = std::env::temp_dir().join(format!("occamy_cli_flags_{}.out", std::process::id()));
+    let file = file.to_str().unwrap();
+    // (option, the command-line context it needs, the option's own words)
+    let options: &[(&str, &[&str], &[&str])] = &[
+        ("--trip", &[], &["--trip", "128"]),
+        ("--passes", &[], &["--passes", "2"]),
+        ("--arch", &[], &["--arch", "private"]),
+        ("--granules", &["--arch", "vls"], &["--granules", "2"]),
+        ("--param", &[], &["--param", "alpha=3.0"]),
+        ("--opt", &[], &["-O"]),
+        ("--inject", &[], &["--inject", "seed=1,truncate=1.0"]),
+        ("--quantum", &[], &["--quantum", "100"]),
+        ("--mode", &[], &["--mode", "functional"]),
+        ("--recover", &[], &["--recover", "default"]),
+        ("--trace", &[], &["--trace"]),
+        ("--trace-out", &[], &["--trace-out", file]),
+        ("--trace-buf", &["--trace"], &["--trace-buf", "16"]),
+        ("--events", &[], &["--events", file]),
+        ("--timeline", &[], &["--timeline"]),
+        ("--stats", &[], &["--stats"]),
+    ];
+    let subcommands: &[(&str, &[&str])] = &[
+        ("disasm", &[k0]),
+        ("run", &[k0]),
+        ("profile", &[k0]),
+        ("corun", &[k0, k1]),
+        ("sched", &[k0, k1]),
+    ];
+    let observe = |args: &[&str]| {
+        let _ = std::fs::remove_file(file);
+        let out = occamy().args(args).output().expect("run");
+        (out.status.code(), out.stdout, out.stderr, std::fs::read(file).ok())
+    };
+    for &(cmd, kernels) in subcommands {
+        for &(option, context, words) in options {
+            let mut base: Vec<&str> = [&[cmd][..], kernels, &["--trip", "256"], context].concat();
+            let mut without = observe(&base);
+            if without.0 == Some(2) {
+                // The subcommand refuses the context; the option alone
+                // must be refused too.
+                base.truncate(base.len() - context.len());
+                without = observe(&base);
+            }
+            assert_eq!(without.0, Some(0), "`{}` must run", base.join(" "));
+            let with: Vec<&str> = [&base[..], words].concat();
+            let got = observe(&with);
+            if got.0 == Some(2) {
+                let stderr = String::from_utf8_lossy(&got.2);
+                assert!(
+                    stderr.contains(option),
+                    "`{}`: the refusal must name {option}: {stderr}",
+                    with.join(" ")
+                );
+            } else {
+                assert!(got != without, "`{}` ignores {option}", with.join(" "));
+            }
+        }
+    }
+    let _ = std::fs::remove_file(file);
+}

@@ -15,9 +15,10 @@
 //!   check turns this into [`SimError::LaneFault`](crate::SimError) or,
 //!   with recovery enabled, a checkpoint rollback.
 //!
-//! Program corruption (truncation, immediate bit-flips) happens *before*
-//! the run via [`FaultPlan::corrupt_program`], modelling a faulty
-//! instruction fetch path. Everything is driven by the vendored
+//! Program corruption (truncation, immediate bit-flips) models a faulty
+//! instruction fetch path: the machine applies it once to every program
+//! that runs under the plan, whether the program was loaded before or
+//! after the plan was installed. Everything is driven by the vendored
 //! deterministic `rand` shim, so a `(plan, program, config)` triple
 //! always reproduces the same faulty execution.
 
@@ -38,11 +39,10 @@ pub struct FaultPlan {
     pub mem_spike_rate: f64,
     /// Extra cycles added by one latency spike.
     pub mem_spike_cycles: u64,
-    /// Probability that [`corrupt_program`](Self::corrupt_program)
-    /// truncates the program.
+    /// Probability that a program running under the plan is truncated.
     pub program_truncate_rate: f64,
-    /// Per-instruction probability of an immediate bit-flip in
-    /// [`corrupt_program`](Self::corrupt_program).
+    /// Per-instruction probability of an immediate bit-flip in a
+    /// program running under the plan.
     pub program_bitflip_rate: f64,
     /// Per-compute-issue probability that a *transient* lane fault flips
     /// a bit in one result element (soft error in an ExeBU).
@@ -153,8 +153,9 @@ impl FaultPlan {
     ///
     /// Uses an RNG stream derived from the plan seed but independent of
     /// the runtime injection stream, so runtime faults do not depend on
-    /// whether the program was corrupted first.
-    pub fn corrupt_program(&self, program: &Program) -> (Program, u64) {
+    /// whether the program was corrupted first, and each program's
+    /// corruption does not depend on any other's.
+    pub(crate) fn corrupt_program(&self, program: &Program) -> (Program, u64) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x70c0_6a3f_5eed_c0de);
         let mut applied = 0u64;
 
@@ -248,10 +249,14 @@ pub struct FaultStats {
     /// persistent), counting faults corrected in place by the residue
     /// checker as well as those that escaped to detection.
     pub lane_corruptions: u64,
+    /// Faults (truncations and immediate bit-flips) applied to the
+    /// programs that ran under the plan, before they ran.
+    pub program_corruptions: u64,
 }
 
 impl FaultStats {
-    /// Total faults injected at runtime.
+    /// Total faults injected at runtime (program corruptions, applied
+    /// before a program runs, are not counted).
     pub fn total(&self) -> u64 {
         self.oi_corruptions + self.decision_perturbations + self.mem_spikes + self.lane_corruptions
     }
@@ -509,6 +514,7 @@ statecodec::impl_codec!(FaultStats {
     decision_perturbations,
     mem_spikes,
     lane_corruptions,
+    program_corruptions,
 });
 
 // Hand-written so decode re-validates the rates (gen_bool's contract)

@@ -362,10 +362,29 @@ impl Machine {
     }
 
     /// Installs a deterministic fault-injection plan (replacing any
-    /// previous one). A no-op plan removes the injection layer entirely,
-    /// restoring the byte-identical fault-free path.
+    /// previous one, and restarting its counters). A no-op plan removes
+    /// the injection layer entirely, restoring the byte-identical
+    /// fault-free path. Its program clauses (`truncate`, `bitflip`)
+    /// corrupt every program that runs under it once: those loaded now,
+    /// in place, and those [`load_program`](Machine::load_program) loads
+    /// later; a [`resume`](Machine::resume)d task keeps its program.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.faults = (!plan.is_noop()).then(|| FaultState::new(plan.clone()));
+        for core in 0..self.scalar.len() {
+            self.corrupt_loaded_program(core);
+        }
+    }
+
+    /// Applies the installed plan's program clauses to the program loaded
+    /// on `core`, unless it has had them already.
+    fn corrupt_loaded_program(&mut self, core: usize) {
+        let (Some(f), s) = (self.faults.as_mut(), &mut self.scalar[core]) else { return };
+        let clauses = f.plan.program_truncate_rate > 0.0 || f.plan.program_bitflip_rate > 0.0;
+        if let Some(program) = s.program.as_ref().filter(|_| clauses && !s.corrupted) {
+            let (program, applied) = f.plan.corrupt_program(program);
+            (s.program, s.corrupted) = (Some(program), true);
+            f.stats.program_corruptions += applied;
+        }
     }
 
     /// Counters of the injections performed so far (`None` when no fault
@@ -505,20 +524,22 @@ impl Machine {
         &self.cfg
     }
 
-    /// The program currently loaded on `core`, if any. Fault-injection
-    /// harnesses use this to corrupt and reload a built machine's code
-    /// before the first cycle.
+    /// The program currently loaded on `core`, if any, as it runs: with
+    /// the fault plan's program clauses applied.
     pub fn program(&self, core: usize) -> Option<&Program> {
         self.scalar.get(core).and_then(|s| s.program.as_ref())
     }
 
     /// Loads `program` onto `core` (resetting that core's registers).
+    /// Under a fault plan with program clauses, the program is corrupted
+    /// first (see [`set_fault_plan`](Machine::set_fault_plan)).
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn load_program(&mut self, core: usize, program: Program) {
         self.scalar[core].load(program);
+        self.corrupt_loaded_program(core);
     }
 
     /// The functional memory image (for reading back results).
@@ -928,7 +949,7 @@ impl Machine {
         if ctl.policy.selftest_interval > 0
             && ctl.policy.quarantine
             && self.cycle > 0
-            && self.cycle % ctl.policy.selftest_interval == 0
+            && self.cycle.is_multiple_of(ctl.policy.selftest_interval)
             && self.coproc.has_lane_manager()
             && self.faults.is_some()
         {
@@ -958,7 +979,7 @@ impl Machine {
         if !frozen
             && !self.coproc.inflight_tainted()
             && (ctl.checkpoint.is_none()
-                || self.cycle % ctl.policy.checkpoint_interval == 0)
+                || self.cycle.is_multiple_of(ctl.policy.checkpoint_interval))
         {
             ctl.checkpoint = Some(self.snapshot());
         }

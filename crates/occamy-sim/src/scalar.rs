@@ -70,6 +70,9 @@ pub(crate) struct ScalarCore {
     /// Set while the OS has preempted this core (§5 context switch): the
     /// core fetches nothing until resumed.
     pub frozen: bool,
+    /// Whether a fault plan's program clauses corrupted `program` (at
+    /// most once; the flag travels with a preempted task).
+    pub corrupted: bool,
 }
 
 impl ScalarCore {
@@ -85,6 +88,7 @@ impl ScalarCore {
             wait_tag: InstTag::Body,
             pending_loads: Vec::new(),
             frozen: false,
+            corrupted: false,
         }
     }
 
@@ -100,6 +104,7 @@ impl ScalarCore {
             wait_tag: InstTag::Body,
             pending_loads: Vec::new(),
             frozen: false,
+            corrupted: false,
         };
     }
 
@@ -425,4 +430,5 @@ statecodec::impl_codec!(ScalarCore {
     wait_tag,
     pending_loads,
     frozen,
+    corrupted,
 });

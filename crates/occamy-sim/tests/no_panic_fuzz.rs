@@ -8,8 +8,8 @@
 //! Programs here are *structurally valid* (every label bound once, built
 //! through [`ProgramBuilder`]) but semantically arbitrary: wild
 //! addresses, `<VL>` = 0 vector work, back-branches that never halt,
-//! missing `HALT`s, and bit-flipped/truncated variants via
-//! [`FaultPlan::corrupt_program`]. Run with `PROPTEST_CASES=<n>` to
+//! missing `HALT`s, and the bit-flipped/truncated variants a
+//! [`FaultPlan`]'s program clauses make of them. Run with `PROPTEST_CASES=<n>` to
 //! scale the campaign; the default exceeds the 1,000-case acceptance
 //! bar across the properties below.
 
@@ -259,8 +259,7 @@ proptest! {
         .expect("paper config is valid");
         m.set_watchdog(WATCHDOG);
         for core in 0..2 {
-            let (program, _) = plan.corrupt_program(&arbitrary_program(seed.wrapping_add(core)));
-            m.load_program(core as usize, program);
+            m.load_program(core as usize, arbitrary_program(seed.wrapping_add(core)));
         }
         m.set_fault_plan(&plan);
         run_bounded(&mut m);

@@ -200,7 +200,7 @@ fn disabled_observability_runs_are_byte_identical() {
     assert_eq!(s1.cycles, s3.cycles);
     assert_eq!(s1.report(), s3.report());
     assert!(*m1.memory() == *m3.memory());
-    assert!(m3.events().len() > 0, "instrumented run recorded nothing");
+    assert!(!m3.events().is_empty(), "instrumented run recorded nothing");
 }
 
 #[test]

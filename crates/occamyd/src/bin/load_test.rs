@@ -192,7 +192,7 @@ struct Summary {
 }
 
 /// Sorts outcomes by job id and folds them into counts + digest.
-fn summarize(outcomes: &mut Vec<Outcome>) -> Summary {
+fn summarize(outcomes: &mut [Outcome]) -> Summary {
     outcomes.sort_by(|a, b| a.id.cmp(&b.id));
     let mut ok = 0u64;
     let mut shed = 0u64;

@@ -30,7 +30,6 @@
 //!    against the cached bytes.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +44,7 @@ use workloads::{corun, table3, SyntheticSpec, WorkloadSpec};
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, ShedReason};
 use crate::cache::{short_address, CacheConfig, ResultCache};
-use crate::journal::{plan_recovery, Journal, JournalConfig, JournalRecord};
+use crate::journal::{plan_recovery, write_atomically, Journal, JournalConfig, JournalRecord};
 use crate::protocol::{limits, ChaosKind, JobSpec, JobTiming, Reply};
 use crate::slo::SloBook;
 
@@ -1221,14 +1220,7 @@ fn save_checkpoint(machine: &Machine, path: &Path, key: &str, horizon: u64) -> b
     bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
     bytes.extend_from_slice(key.as_bytes());
     bytes.extend_from_slice(&snapshot);
-    let tmp = path.with_extension("ck.tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-        std::fs::rename(&tmp, path)
-    };
-    write().is_ok()
+    write_atomically(path, &bytes).is_ok()
 }
 
 /// Restores a checkpoint left by a crashed process, returning the

@@ -227,9 +227,8 @@ fn live_daemon_stats_match_the_slo_golden() {
 
     client.send(&Request::Stats { tenant: None, prefix: None }).expect("stats sends");
     let payload = loop {
-        match client.recv().expect("stats reply") {
-            Reply::Stats { payload } => break payload,
-            _ => {}
+        if let Reply::Stats { payload } = client.recv().expect("stats reply") {
+            break payload;
         }
     };
     let metrics = payload.get("metrics").expect("stats payload has metrics");

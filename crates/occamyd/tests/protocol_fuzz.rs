@@ -125,7 +125,7 @@ proptest! {
             1 => {
                 let mut payload = bench::json::Value::obj();
                 payload.push("cycles", bench::json::Value::UInt(u64::from(attempts)));
-                let timing = with_timing.then(|| JobTiming {
+                let timing = with_timing.then_some(JobTiming {
                     queue_us: seq % 1_000_000,
                     run_us: vcycles % 1_000_000,
                 });

@@ -204,3 +204,31 @@ fn soak_1000_jobs_8_tenants_with_chaos() {
     );
     assert!(stats.contains("\"service.poisoned_locks\":0"), "no lock poisoning leaked: {stats}");
 }
+
+/// A job's `inject` spec is applied whole: its program clauses corrupt
+/// the compiled programs, so `truncate=1.0` (every program cut short)
+/// ends a job that runs clean without it differently.
+#[test]
+fn program_clauses_of_an_inject_spec_reach_the_simulation() {
+    let service = Service::start(ServiceConfig { workers: 1, max_attempts: 1, ..ServiceConfig::default() });
+    let outcome = |id: &str, inject: Option<&str>| {
+        let (tx, rx) = mpsc::channel::<Reply>();
+        let job = JobSpec { inject: inject.map(str::to_owned), ..small_job(0) };
+        service.submit("t", id, job, &tx);
+        loop {
+            match rx.recv_timeout(Duration::from_secs(120)).expect("a terminal reply") {
+                Reply::Result { payload, .. } => {
+                    return format!("ok after {:?} cycles", payload.get("cycles"))
+                }
+                Reply::Error { kind, .. } => return format!("error {kind}"),
+                Reply::Shed { kind, .. } => return format!("shed {kind}"),
+                _ => {}
+            }
+        }
+    };
+    let clean = outcome("clean", None);
+    assert!(clean.starts_with("ok"), "{clean}");
+    let truncated = outcome("truncated", Some("seed=1,truncate=1.0"));
+    assert_ne!(clean, truncated, "the truncate clause must reach the simulation");
+    service.join();
+}

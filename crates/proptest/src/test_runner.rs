@@ -1,6 +1,9 @@
 //! Test-runner plumbing: configuration, the per-test deterministic RNG,
 //! and the case-level error type.
 
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
 /// Configuration for one `proptest!` block.
 ///
 /// Field layout mirrors upstream so both `ProptestConfig::with_cases(n)`
@@ -65,12 +68,10 @@ impl std::fmt::Display for TestCaseError {
 /// The deterministic random source behind every strategy.
 ///
 /// Seeded from the fully-qualified test name (FNV-1a), so each property
-/// sees its own fixed stream: failures reproduce exactly on re-run.
-/// `xoshiro256**` over a SplitMix64-expanded seed.
+/// sees its own fixed stream: failures reproduce exactly on re-run. The
+/// stream is the workspace's one generator, [`rand::rngs::StdRng`].
 #[derive(Debug, Clone)]
-pub struct TestRng {
-    s: [u64; 4],
-}
+pub struct TestRng(StdRng);
 
 impl TestRng {
     /// An RNG seeded from a test's fully-qualified name.
@@ -85,28 +86,12 @@ impl TestRng {
 
     /// An RNG from an explicit 64-bit seed.
     pub fn from_seed(seed: u64) -> Self {
-        let mut state = seed;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        TestRng { s: [next(), next(), next(), next()] }
+        TestRng(StdRng::seed_from_u64(seed))
     }
 
     /// The next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        self.0.next_u64()
     }
 
     /// A uniform `f64` in `[0, 1)`.
