@@ -31,7 +31,9 @@ use crate::events::{Event, EventKind, EventLog, TraceStage, Track};
 use crate::exec;
 use crate::fault::FaultState;
 use crate::lsu::{Lsu, LsuEntry};
-use crate::regblocks::{BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks, NO_WAITER};
+use crate::regblocks::{
+    BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks, SameBits, NO_WAITER,
+};
 use crate::slotset::SlotSet;
 use crate::stats::{CoreStats, PhaseStats};
 
@@ -57,17 +59,24 @@ pub(crate) struct EmResponse {
 }
 
 /// A scalar-register writeback from the co-processor (reductions).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ScalarWriteback {
     pub core: usize,
     pub reg: XReg,
     pub value: f32,
 }
 
+impl PartialEq for ScalarWriteback {
+    fn eq(&self, other: &Self) -> bool {
+        let ScalarWriteback { core, reg, value } = self;
+        *core == other.core && *reg == other.reg && value.same_bits(&other.value)
+    }
+}
+
 /// A saved EM-SIMD context: the five dedicated registers plus the
 /// architectural vector state (§5: the OS saves these across context
 /// switches).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct OsContext {
     pub oi: u64,
     pub decision: u64,
@@ -75,6 +84,18 @@ pub(crate) struct OsContext {
     pub status: u64,
     pub vregs: Vec<Vec<f32>>,
     pub pregs: Vec<Vec<f32>>,
+}
+
+impl PartialEq for OsContext {
+    fn eq(&self, other: &Self) -> bool {
+        let OsContext { oi, decision, vl, status, vregs, pregs } = self;
+        *oi == other.oi
+            && *decision == other.decision
+            && *vl == other.vl
+            && *status == other.status
+            && vregs.same_bits(&other.vregs)
+            && pregs.same_bits(&other.pregs)
+    }
 }
 
 /// Outcome of the event kernel's per-core co-processor inertness probe
@@ -426,7 +447,7 @@ const RETRY_PENALTY: Cycle = 12;
 /// normal operand without manufacturing NaN/Inf out of thin air).
 const LANE_FLIP: u32 = 0x0040_0000;
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct InflightCompute {
     complete_at: Cycle,
     core: usize,
@@ -441,6 +462,32 @@ struct InflightCompute {
     faulted: Option<(usize, Cycle)>,
     /// The ROB position of `rob_seq` (derived; see [`Rob`]).
     rob: u64,
+}
+
+impl PartialEq for InflightCompute {
+    fn eq(&self, other: &Self) -> bool {
+        let InflightCompute {
+            complete_at,
+            core,
+            dst,
+            dst_class,
+            value,
+            scalar_wb,
+            rob_seq,
+            faulted,
+            rob,
+        } = self;
+        let wb_bits = |wb: &Option<(XReg, f32)>| wb.map(|(reg, v)| (reg, v.to_bits()));
+        *complete_at == other.complete_at
+            && *core == other.core
+            && *dst == other.dst
+            && *dst_class == other.dst_class
+            && value.same_bits(&other.value)
+            && wb_bits(scalar_wb) == wb_bits(&other.scalar_wb)
+            && *rob_seq == other.rob_seq
+            && *faulted == other.faulted
+            && *rob == other.rob
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]

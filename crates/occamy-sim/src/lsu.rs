@@ -2,11 +2,11 @@
 
 use mem_sim::Cycle;
 
-use crate::regblocks::PhysId;
+use crate::regblocks::{PhysId, SameBits};
 use crate::slotset::{AgeOrder, SlotSet};
 
 /// One queued vector memory operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LsuEntry {
     /// Global age (program-order sequence number).
     pub seq: u64,
@@ -31,6 +31,24 @@ pub struct LsuEntry {
     pub data: Option<Vec<f32>>,
     /// Governing predicate's physical register, if predicated.
     pub pred: Option<PhysId>,
+}
+
+impl PartialEq for LsuEntry {
+    fn eq(&self, other: &Self) -> bool {
+        let LsuEntry { seq, store, addr, bytes, lanes, dst, src, issued, complete_at, data, pred } =
+            self;
+        *seq == other.seq
+            && *store == other.store
+            && *addr == other.addr
+            && *bytes == other.bytes
+            && *lanes == other.lanes
+            && *dst == other.dst
+            && *src == other.src
+            && *issued == other.issued
+            && *complete_at == other.complete_at
+            && data.same_bits(&other.data)
+            && *pred == other.pred
+    }
 }
 
 impl LsuEntry {

@@ -278,10 +278,45 @@ impl RegBlocks {
     }
 }
 
+/// Equality of f32 payloads by bit pattern, the equality snapshot bytes
+/// have: a NaN lane equals itself, and `0.0` differs from `-0.0`. Machine
+/// state compares its vector values this way, so two machines built and
+/// run the same way compare equal whatever their registers hold.
+pub(crate) trait SameBits {
+    fn same_bits(&self, other: &Self) -> bool;
+}
+
+impl SameBits for f32 {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl<T: SameBits> SameBits for [T] {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.same_bits(b))
+    }
+}
+
+impl<T: SameBits> SameBits for Vec<T> {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.as_slice().same_bits(other)
+    }
+}
+
+impl<T: SameBits> SameBits for Option<T> {
+    fn same_bits(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Some(a), Some(b)) => a.same_bits(b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
 /// One value slot of the physical register file. A slot keeps its
 /// value and block buffers across recycling, so steady-state renames
 /// reuse storage instead of allocating it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct Slot {
     /// Whether the value has been produced.
     ready: bool,
@@ -295,6 +330,17 @@ struct Slot {
     /// ([`NO_WAITER`] when none). The issue stage owns the list's links;
     /// this is derived state, rebuilt rather than encoded.
     waiters: u32,
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        let Slot { ready, value, blocks, live, waiters } = self;
+        *ready == other.ready
+            && value.same_bits(&other.value)
+            && *blocks == other.blocks
+            && *live == other.live
+            && *waiters == other.waiters
+    }
 }
 
 /// The end of a waiter list (see [`PhysRegFile::add_waiter`]).

@@ -15,8 +15,7 @@ fn clean_machine() -> Machine {
         .expect("Table-3 pair builds")
 }
 
-/// The machine's checkpoint bytes: exact, where `==` is not once a
-/// bit-flipped immediate has put a NaN in a register.
+/// The machine's checkpoint bytes.
 fn bytes(m: &Machine) -> Vec<u8> {
     snapshot_to_bytes(&m.snapshot()).expect("no observer or latched fault")
 }
@@ -92,4 +91,23 @@ fn a_resumed_task_keeps_its_program() {
     m.resume(0, task, 100_000).expect("resumes");
     assert_eq!(m.program(0), Some(&program));
     assert_eq!(m.fault_stats().expect("plan installed").program_corruptions, count);
+}
+
+/// Machine equality compares every f32 payload by bit pattern, so two
+/// machines built and run the same way compare equal even after a
+/// corrupted program has put a NaN in a register.
+#[test]
+fn identical_runs_compare_equal_through_nan_payloads() {
+    let build = || {
+        let mut m = clean_machine();
+        m.set_fault_plan(&plan());
+        m
+    };
+    let (mut a, mut b) = (build(), build());
+    assert!(a == b, "built the same way");
+    let ra = a.run(300_000);
+    let rb = b.run(300_000);
+    assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+    assert_eq!(bytes(&a), bytes(&b), "the runs are identical");
+    assert!(a == b, "identical runs must compare equal");
 }

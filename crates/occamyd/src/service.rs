@@ -25,7 +25,10 @@
 //!    and every other job keep running. Poisoned locks are recovered
 //!    (`into_inner`) and audited in `service.poisoned_locks`.
 //! 4. **Terminal**: exactly one terminal reply per admitted requester —
-//!    result, typed error, or typed shed. Successes populate the
+//!    result, typed error, or typed shed — all through `State::settle`,
+//!    as every refusal goes through `State::shed`. A run ends through
+//!    `Inner::end_run`, which journals its terminal and hands its queue
+//!    ticket back to the lane that owns it. Successes populate the
 //!    content-addressed [`ResultCache`]; sampled hits are re-verified
 //!    against the cached bytes.
 
@@ -169,10 +172,11 @@ struct Requester {
     id: String,
     deadline: Option<Instant>,
     tx: Sender<Reply>,
-    /// Whether this requester's quota is held by the queue slot (the
-    /// submitting requester) or by an `admit_direct` in-flight count
-    /// (coalesced waiters).
-    via_queue: bool,
+    /// Whether this requester holds an `admit_direct` in-flight count of
+    /// its own (a coalesced waiter), released when it settles. The
+    /// submitting requester's quota is the run's queue ticket instead,
+    /// and a cache hit holds none.
+    direct_quota: bool,
     /// This requester's admission sequence in the per-tenant SLO book;
     /// every terminal must settle it so the tenant's reorder buffer
     /// keeps draining.
@@ -210,9 +214,10 @@ struct InFlight {
     state: RunState,
     class: RunClass,
     requesters: Vec<Requester>,
-    /// Tenant whose quota holds the queue slot (released exactly once,
-    /// at terminal time or on queued-cancel).
-    queue_slot_tenant: Option<String>,
+    /// Tenant whose lane owns the run's queue ticket: the ticket is
+    /// queued there, and a worker's `take` moves it into that lane's
+    /// in-flight count. [`Inner::end_run`] hands it back exactly once.
+    queue_slot_tenant: String,
     /// Cached payload bytes to compare against when this run is a
     /// verification re-run of a sampled cache hit.
     verify_against: Option<String>,
@@ -231,7 +236,6 @@ struct QueuedJob {
 struct Counters {
     submitted: u64,
     accepted: u64,
-    shed: u64,
     shed_overloaded: u64,
     shed_quota: u64,
     shed_shutdown: u64,
@@ -251,14 +255,16 @@ struct Counters {
 }
 
 impl Counters {
-    /// One shed: the aggregate counter plus the per-kind breakdown.
     fn count_shed(&mut self, reason: ShedReason) {
-        self.shed += 1;
         match reason {
             ShedReason::Overloaded => self.shed_overloaded += 1,
             ShedReason::QuotaExceeded => self.shed_quota += 1,
             ShedReason::ShuttingDown => self.shed_shutdown += 1,
         }
+    }
+
+    fn shed(&self) -> u64 {
+        self.shed_overloaded + self.shed_quota + self.shed_shutdown
     }
 }
 
@@ -373,11 +379,101 @@ impl State {
         match self.inflight.get(key) {
             Some(f) => match f.requesters.first() {
                 Some(r) => (r.tenant.clone(), r.id.clone()),
-                None => (f.queue_slot_tenant.clone().unwrap_or_default(), String::new()),
+                None => (f.queue_slot_tenant.clone(), String::new()),
             },
             None => (String::new(), String::new()),
         }
     }
+
+    /// Journals the terminal record of `key`'s job (no-op without a
+    /// journal). `outcome` is `ok`, an error kind, `abandoned` or
+    /// `shed:<reason>`; `cached` marks an `ok` answered from the cache.
+    fn journal_terminal(&mut self, key: &str, outcome: &str, cached: bool) {
+        self.journal_append(JournalRecord::Completed {
+            key: key.to_owned(),
+            outcome: outcome.to_owned(),
+            cached,
+        });
+    }
+
+    /// Refuses a submission: the shed counter, the journal record, the
+    /// `shed` event and the typed reply. Nothing was admitted, so
+    /// nothing is settled or released.
+    fn shed(&mut self, tenant: &str, id: &str, reason: ShedReason, tx: &Sender<Reply>) {
+        self.counters.count_shed(reason);
+        self.journal_append(JournalRecord::Shed {
+            tenant: tenant.into(),
+            id: id.into(),
+            kind: reason.tag().into(),
+        });
+        self.emit_event("shed", tenant, id, reason.tag());
+        send(tx, shed_reply(id, reason));
+    }
+
+    /// Ends an admitted requester's wait, exactly once: its terminal
+    /// reply, the counter `end` names, its SLO settlement, its
+    /// `completed` (or `shed`) event, and the release of its own quota
+    /// admission if it holds one.
+    fn settle(&mut self, r: &Requester, end: End<'_>) {
+        let id = || r.id.clone();
+        let error = |kind: &str, detail| Reply::Error { id: id(), kind: kind.into(), detail };
+        let c = &mut self.counters;
+        let mut cycles = 0;
+        let (reply, event, detail) = match end {
+            End::Ok { payload, cached, attempts, timing } => {
+                c.completed += 1;
+                cycles = payload.get("cycles").and_then(Value::as_u64).unwrap_or(0);
+                self.slo.fold_payload(&r.tenant, &payload);
+                let timing = Some(timing);
+                let reply = Reply::Result { id: id(), cached, attempts, timing, payload };
+                (reply, "completed", "ok")
+            }
+            End::Failed(e) => {
+                if *e == JobError::Deadline {
+                    c.deadline_expired += 1;
+                }
+                c.failed += 1;
+                (error(e.tag(), e.detail()), "completed", e.tag())
+            }
+            End::Cancelled => {
+                c.cancelled += 1;
+                (error("cancelled", JobError::Cancelled.detail()), "completed", "cancelled")
+            }
+            End::Abandoned => {
+                c.failed += 1;
+                (error("cancelled", "the run was abandoned".into()), "completed", "cancelled")
+            }
+            End::Shed(reason) => {
+                c.count_shed(reason);
+                (shed_reply(&r.id, reason), "shed", reason.tag())
+            }
+        };
+        send(&r.tx, reply);
+        self.slo.settle(&r.tenant, r.slo_seq, cycles);
+        self.emit_event(event, &r.tenant, &r.id, detail);
+        if r.direct_quota {
+            self.queue.release(&r.tenant);
+        }
+    }
+}
+
+/// How an admitted requester's wait ends ([`State::settle`]): the
+/// terminal reply it gets and the counter that counts it.
+enum End<'a> {
+    /// A result (`cached` as the reply reports it); counts `completed`
+    /// and settles the payload's cycles as service time.
+    Ok { payload: Value, cached: bool, attempts: u32, timing: JobTiming },
+    /// The run's typed error; counts `failed`, and a deadline also
+    /// `deadline_expired`.
+    Failed(&'a JobError),
+    /// The requester cancelled; counts `cancelled`.
+    Cancelled,
+    /// The run was abandoned under a requester that slipped in after
+    /// the last sweep; a `cancelled` reply that counts `failed`.
+    Abandoned,
+    /// Shed after admission, when the shutdown drain empties the queue;
+    /// counts the shed reason.
+    Shed(ShedReason),
 }
 
 struct Inner {
@@ -397,6 +493,35 @@ impl Inner {
             st.counters.poisoned_locks += 1;
             st
         })
+    }
+
+    /// Ends the run of `key`: takes its flight out of the in-flight map,
+    /// hands its queue ticket back to the lane of `queue_slot_tenant`
+    /// (dequeued if still queued, released if a worker took it),
+    /// journals `outcome` as the terminal of a journaled run, and wakes
+    /// [`Service::quiesce`] once nothing is queued or running. Returns
+    /// the flight so the caller can settle its remaining requesters; the
+    /// caller commits the journal.
+    fn end_run(&self, st: &mut State, key: &str, outcome: &str) -> Option<InFlight> {
+        let flight = st.inflight.remove(key)?;
+        match flight.state {
+            // A no-op after the shutdown drain, which already took every
+            // queued ticket.
+            RunState::Queued => {
+                st.queue.remove_queued(&flight.queue_slot_tenant, |job| job.key == key);
+            }
+            RunState::Running => st.queue.release(&flight.queue_slot_tenant),
+        }
+        // Background verification runs stay out of the journal: their
+        // key already has its terminal, and a second non-cached `ok`
+        // would read as a duplicated effect.
+        if flight.accepted.is_some() {
+            st.journal_terminal(key, outcome, false);
+        }
+        if st.queue.is_empty() && st.inflight.is_empty() {
+            self.idle.notify_all();
+        }
+        Some(flight)
     }
 }
 
@@ -458,14 +583,7 @@ impl Service {
         let mut st = self.inner.locked();
         st.counters.submitted += 1;
         if st.shutting_down {
-            st.counters.count_shed(ShedReason::ShuttingDown);
-            st.journal_append(JournalRecord::Shed {
-                tenant: tenant.into(),
-                id: id.into(),
-                kind: ShedReason::ShuttingDown.tag().into(),
-            });
-            st.emit_event("shed", tenant, id, ShedReason::ShuttingDown.tag());
-            send(tx, shed_reply(id, ShedReason::ShuttingDown));
+            st.shed(tenant, id, ShedReason::ShuttingDown, tx);
             return;
         }
         let duplicate = st
@@ -484,53 +602,43 @@ impl Service {
             );
             return;
         }
+        let requester = |slo_seq, direct_quota| Requester {
+            tenant: tenant.into(),
+            id: id.into(),
+            deadline,
+            tx: tx.clone(),
+            direct_quota,
+            slo_seq,
+            submitted: now,
+        };
 
         // Coalesce onto an identical in-flight run: the duplicate never
         // reaches the queue or the simulator, it just shares the
         // original run's terminal reply (quota still applies).
         if st.inflight.contains_key(&key) {
-            match st.queue.admit_direct(tenant) {
-                Ok(()) => {
-                    st.counters.accepted += 1;
-                    st.counters.coalesced += 1;
-                    st.journal_append(JournalRecord::Accepted {
-                        tenant: tenant.into(),
-                        id: id.into(),
-                        spec,
-                    });
-                    st.journal_commit();
-                    let depth = st.queue.len() as u64;
-                    send(tx, Reply::Accepted { id: id.into(), queue_depth: depth });
-                    st.emit_event("accepted", tenant, id, "coalesced");
-                    let slo_seq = st.slo.admit(tenant);
-                    if let Some(flight) = st.inflight.get_mut(&key) {
-                        flight.requesters.push(Requester {
-                            tenant: tenant.into(),
-                            id: id.into(),
-                            deadline,
-                            tx: tx.clone(),
-                            via_queue: false,
-                            slo_seq,
-                            submitted: now,
-                        });
-                        // A background run a client coalesced onto now
-                        // answers to that client: it may be abandoned
-                        // if the client leaves, and its terminal must
-                        // be journaled (the accepted record above needs
-                        // one).
-                        flight.class = RunClass::Client;
-                    }
-                }
-                Err(reason) => {
-                    st.counters.count_shed(reason);
-                    st.journal_append(JournalRecord::Shed {
-                        tenant: tenant.into(),
-                        id: id.into(),
-                        kind: reason.tag().into(),
-                    });
-                    st.emit_event("shed", tenant, id, reason.tag());
-                    send(tx, shed_reply(id, reason));
-                }
+            if let Err(reason) = st.queue.admit_direct(tenant) {
+                st.shed(tenant, id, reason, tx);
+                return;
+            }
+            st.counters.accepted += 1;
+            st.counters.coalesced += 1;
+            st.journal_append(JournalRecord::Accepted {
+                tenant: tenant.into(),
+                id: id.into(),
+                spec,
+            });
+            st.journal_commit();
+            let depth = st.queue.len() as u64;
+            send(tx, Reply::Accepted { id: id.into(), queue_depth: depth });
+            st.emit_event("accepted", tenant, id, "coalesced");
+            let waiter = requester(st.slo.admit(tenant), true);
+            if let Some(flight) = st.inflight.get_mut(&key) {
+                flight.requesters.push(waiter);
+                // A background run a client coalesced onto now answers
+                // to that client: it may be abandoned if the client
+                // leaves, and its terminal must be journaled (the
+                // accepted record above needs one).
+                flight.class = RunClass::Client;
             }
             return;
         }
@@ -540,38 +648,22 @@ impl Service {
         // requester must not pay for our own invariant auditing).
         if let Some(hit) = st.cache.lookup(&key) {
             st.counters.accepted += 1;
-            st.counters.completed += 1;
             st.journal_append(JournalRecord::Accepted {
                 tenant: tenant.into(),
                 id: id.into(),
                 spec: spec.clone(),
             });
-            st.journal_append(JournalRecord::Completed {
-                key: key.clone(),
-                outcome: "ok".into(),
-                cached: true,
-            });
+            st.journal_terminal(&key, "ok", true);
             st.journal_commit();
-            // Settle the SLO admission instantly: a cache hit consumes
-            // the same deterministic service cycles as the cold run
-            // that produced the payload.
+            // Settled at once: a cache hit consumes the same
+            // deterministic service cycles as the cold run that
+            // produced the payload.
             let slo_seq = st.slo.admit(tenant);
-            let cycles = hit.payload.get("cycles").and_then(Value::as_u64).unwrap_or(0);
-            st.slo.settle(tenant, slo_seq, cycles);
-            st.slo.fold_payload(tenant, &hit.payload);
             st.emit_event("accepted", tenant, id, "cache_hit");
-            st.emit_event("completed", tenant, id, "ok");
             let expected = hit.verify.then(|| hit.payload.render_compact());
-            send(
-                tx,
-                Reply::Result {
-                    id: id.into(),
-                    cached: true,
-                    attempts: 0,
-                    timing: Some(JobTiming { queue_us: 0, run_us: 0 }),
-                    payload: hit.payload,
-                },
-            );
+            let timing = JobTiming { queue_us: 0, run_us: 0 };
+            let end = End::Ok { payload: hit.payload, cached: true, attempts: 0, timing };
+            st.settle(&requester(slo_seq, false), end);
             if let Some(expected) = expected {
                 let offered = st
                     .queue
@@ -584,7 +676,7 @@ impl Service {
                             state: RunState::Queued,
                             class: RunClass::Verify,
                             requesters: Vec::new(),
-                            queue_slot_tenant: Some(VERIFY_TENANT.into()),
+                            queue_slot_tenant: VERIFY_TENANT.into(),
                             verify_against: Some(expected),
                             accepted: None,
                         },
@@ -601,48 +693,33 @@ impl Service {
         // Fresh run: through the bounded fair queue.
         let accepted =
             JournalRecord::Accepted { tenant: tenant.into(), id: id.into(), spec: spec.clone() };
-        match st.queue.offer(tenant, QueuedJob { key: key.clone(), spec }) {
-            Ok(depth) => {
-                st.counters.accepted += 1;
-                st.journal_append(accepted.clone());
-                st.journal_commit();
-                send(tx, Reply::Accepted { id: id.into(), queue_depth: depth as u64 });
-                st.emit_event("accepted", tenant, id, "queued");
-                let slo_seq = st.slo.admit(tenant);
-                let journaled = st.journal.is_some();
-                st.inflight.insert(
-                    key,
-                    InFlight {
-                        state: RunState::Queued,
-                        class: RunClass::Client,
-                        requesters: vec![Requester {
-                            tenant: tenant.into(),
-                            id: id.into(),
-                            deadline,
-                            tx: tx.clone(),
-                            via_queue: true,
-                            slo_seq,
-                            submitted: now,
-                        }],
-                        queue_slot_tenant: Some(tenant.into()),
-                        verify_against: None,
-                        accepted: journaled.then_some(accepted),
-                    },
-                );
-                drop(st);
-                self.inner.work_ready.notify_one();
-            }
+        let depth = match st.queue.offer(tenant, QueuedJob { key: key.clone(), spec }) {
+            Ok(depth) => depth,
             Err(reason) => {
-                st.counters.count_shed(reason);
-                st.journal_append(JournalRecord::Shed {
-                    tenant: tenant.into(),
-                    id: id.into(),
-                    kind: reason.tag().into(),
-                });
-                st.emit_event("shed", tenant, id, reason.tag());
-                send(tx, shed_reply(id, reason));
+                st.shed(tenant, id, reason, tx);
+                return;
             }
-        }
+        };
+        st.counters.accepted += 1;
+        st.journal_append(accepted.clone());
+        st.journal_commit();
+        send(tx, Reply::Accepted { id: id.into(), queue_depth: depth as u64 });
+        st.emit_event("accepted", tenant, id, "queued");
+        let first = requester(st.slo.admit(tenant), false);
+        let journaled = st.journal.is_some();
+        st.inflight.insert(
+            key,
+            InFlight {
+                state: RunState::Queued,
+                class: RunClass::Client,
+                requesters: vec![first],
+                queue_slot_tenant: tenant.into(),
+                verify_against: None,
+                accepted: journaled.then_some(accepted),
+            },
+        );
+        drop(st);
+        self.inner.work_ready.notify_one();
     }
 
     /// Cancels a queued, coalesced or running job. The requester gets
@@ -663,28 +740,13 @@ impl Service {
             return false;
         };
         let requester = flight.requesters.remove(idx);
-        let orphaned = flight.requesters.is_empty();
-        let queued = matches!(flight.state, RunState::Queued);
-        send(
-            &requester.tx,
-            Reply::Error {
-                id: requester.id,
-                kind: "cancelled".into(),
-                detail: "cancelled by the requester".into(),
-            },
-        );
-        if !requester.via_queue {
-            st.queue.release(&requester.tenant);
-        }
-        st.counters.cancelled += 1;
-        st.slo.settle(&requester.tenant, requester.slo_seq, 0);
-        st.emit_event("completed", tenant, id, "cancelled");
-        if orphaned && queued {
-            // Nobody else wants this run: drop the ticket before a
-            // worker picks it up. Removing the queued entry frees the
-            // queue slot, so the slot tenant needs no release.
-            st.queue.remove_queued(tenant, |job| job.key == key);
-            st.inflight.remove(&key);
+        let orphaned_in_queue =
+            flight.requesters.is_empty() && matches!(flight.state, RunState::Queued);
+        st.settle(&requester, End::Cancelled);
+        if orphaned_in_queue {
+            // Nobody else wants this run: end it before a worker picks
+            // up its ticket. Its terminal rides the next group commit.
+            self.inner.end_run(&mut st, &key, "abandoned");
         }
         true
     }
@@ -753,29 +815,14 @@ impl Service {
             return;
         }
         st.shutting_down = true;
+        // The drain is journaled as each run's terminal, so a restart
+        // does not resurrect work the clients were told was shed.
+        let outcome = format!("shed:{}", ShedReason::ShuttingDown.tag());
         for (_, job) in st.queue.drain() {
-            if let Some(flight) = st.inflight.remove(&job.key) {
-                if flight.accepted.is_some() {
-                    // Journal the drain as this key's terminal so a
-                    // restart does not resurrect work the clients were
-                    // already told was shed.
-                    st.journal_append(JournalRecord::Completed {
-                        key: job.key.clone(),
-                        outcome: format!("shed:{}", ShedReason::ShuttingDown.tag()),
-                        cached: false,
-                    });
+            if let Some(flight) = self.inner.end_run(&mut st, &job.key, &outcome) {
+                for r in &flight.requesters {
+                    st.settle(r, End::Shed(ShedReason::ShuttingDown));
                 }
-                for r in flight.requesters {
-                    send(&r.tx, shed_reply(&r.id, ShedReason::ShuttingDown));
-                    st.counters.count_shed(ShedReason::ShuttingDown);
-                    st.slo.settle(&r.tenant, r.slo_seq, 0);
-                    st.emit_event("shed", &r.tenant, &r.id, ShedReason::ShuttingDown.tag());
-                    if !r.via_queue {
-                        st.queue.release(&r.tenant);
-                    }
-                }
-                // The queue slot vanished with the drained entry; no
-                // release needed for `queue_slot_tenant`.
             }
         }
         st.journal_commit();
@@ -834,7 +881,7 @@ fn snapshot_metrics(st: &State) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
     m.counter("service.submitted", c.submitted, "jobs offered to admission control");
     m.counter("service.accepted", c.accepted, "jobs admitted (queued, coalesced or cache hits)");
-    m.counter("service.shed", c.shed, "jobs refused with a typed shed reply");
+    m.counter("service.shed", c.shed(), "jobs refused with a typed shed reply");
     m.counter("service.completed", c.completed, "jobs finished with a result");
     m.counter("service.failed", c.failed, "jobs finished with a typed error");
     m.counter("service.cancelled", c.cancelled, "requesters cancelled");
@@ -939,32 +986,24 @@ fn recover_state(st: &mut State, dir: &Path, config: &ServiceConfig) {
     // in-memory cache.
     let _ = st.cache.attach_disk(&dir.join("cache"), config.disk_cache_bytes);
     let journal_cfg = JournalConfig { max_bytes: config.journal_max_bytes };
-    let Ok((mut journal, records, _report)) =
-        Journal::open(&dir.join("journal.log"), journal_cfg)
+    let Ok((journal, records, _report)) = Journal::open(&dir.join("journal.log"), journal_cfg)
     else {
         return;
     };
+    st.journal = Some(journal);
     for job in plan_recovery(&records).incomplete {
         if job.spec.deadline_ms.is_some() {
             // The wall-clock deadline predates the crash, so it has
             // long expired; journal the terminal directly. Re-running
             // would also cache a result for a key whose crash-free
             // outcome is `deadline`.
-            journal.append(&JournalRecord::Completed {
-                key: job.key,
-                outcome: "deadline".into(),
-                cached: false,
-            });
+            st.journal_terminal(&job.key, "deadline", false);
             continue;
         }
         if st.cache.contains(&job.key) {
             // The result survived in the persistent cache — the crash
             // landed between the cache write and the journal record.
-            journal.append(&JournalRecord::Completed {
-                key: job.key,
-                outcome: "ok".into(),
-                cached: true,
-            });
+            st.journal_terminal(&job.key, "ok", true);
             continue;
         }
         let accepted = JournalRecord::Accepted {
@@ -981,7 +1020,7 @@ fn recover_state(st: &mut State, dir: &Path, config: &ServiceConfig) {
                         state: RunState::Queued,
                         class: RunClass::Recovered,
                         requesters: Vec::new(),
-                        queue_slot_tenant: Some(job.tenant),
+                        queue_slot_tenant: job.tenant,
                         verify_against: None,
                         accepted: Some(accepted),
                     },
@@ -990,16 +1029,13 @@ fn recover_state(st: &mut State, dir: &Path, config: &ServiceConfig) {
             Err(reason) => {
                 // No room to re-run: the job still gets its journaled
                 // terminal, so nothing is silently lost.
-                journal.append(&JournalRecord::Completed {
-                    key: job.key,
-                    outcome: format!("shed:{}", reason.tag()),
-                    cached: false,
-                });
+                st.journal_terminal(&job.key, &format!("shed:{}", reason.tag()), false);
             }
         }
     }
-    journal.sync();
-    st.journal = Some(journal);
+    if let Some(journal) = &mut st.journal {
+        journal.sync();
+    }
 }
 
 /// Saturating wall-clock span in microseconds (0 when `until < from`,
@@ -1240,42 +1276,22 @@ fn load_checkpoint(machine: &mut Machine, path: &Path, key: &str) -> Option<u64>
     Some(horizon)
 }
 
-/// Removes cancelled and deadline-expired requesters (replying to the
-/// expired ones), and reports whether anyone is still waiting.
+/// Removes deadline-expired requesters (settling each), and reports
+/// whether anyone is still waiting.
 fn sweep(inner: &Arc<Inner>, key: &str) -> Control {
     let now = Instant::now();
     let mut st = inner.locked();
     let Some(flight) = st.inflight.get_mut(key) else {
         return Control::Abandon;
     };
-    let mut expired = Vec::new();
-    flight.requesters.retain(|r| {
-        let dead = r.deadline.is_some_and(|d| d <= now);
-        if dead {
-            send(
-                &r.tx,
-                Reply::Error {
-                    id: r.id.clone(),
-                    kind: "deadline".into(),
-                    detail: JobError::Deadline.detail(),
-                },
-            );
-            expired.push((r.tenant.clone(), r.id.clone(), r.via_queue, r.slo_seq));
-        }
-        !dead
-    });
+    let expired: Vec<Requester> =
+        flight.requesters.extract_if(.., |r| r.deadline.is_some_and(|d| d <= now)).collect();
     // Requester-less background runs (recovery, verification) answer
     // to the journal or the cache, not to a client — they are never
     // abandoned for having no audience.
     let abandon = flight.requesters.is_empty() && flight.class == RunClass::Client;
-    for (tenant, id, via_queue, slo_seq) in expired {
-        st.counters.deadline_expired += 1;
-        st.counters.failed += 1;
-        st.slo.settle(&tenant, slo_seq, 0);
-        st.emit_event("completed", &tenant, &id, "deadline");
-        if !via_queue {
-            st.queue.release(&tenant);
-        }
+    for r in &expired {
+        st.settle(r, End::Failed(&JobError::Deadline));
     }
     if abandon {
         Control::Abandon
@@ -1284,9 +1300,10 @@ fn sweep(inner: &Arc<Inner>, key: &str) -> Control {
     }
 }
 
-/// Delivers terminal replies, updates the cache and releases quotas.
-/// `outcome: None` means the run was abandoned (all requesters already
-/// replied to by sweeps or cancellation).
+/// Ends a worker's run: updates the cache, then ends the run and
+/// settles every requester still waiting on it. `outcome: None` means
+/// the run was abandoned (its requesters were already settled by sweeps
+/// or cancellation).
 fn finish(inner: &Arc<Inner>, key: &str, started: Instant, outcome: Option<Outcome>) {
     let wall_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     // The run is over; its resumable checkpoint (if any) is obsolete.
@@ -1295,134 +1312,69 @@ fn finish(inner: &Arc<Inner>, key: &str, started: Instant, outcome: Option<Outco
     }
     let mut st = inner.locked();
     st.latency_us.observe(wall_us);
-    let Some(flight) = st.inflight.remove(key) else {
+    let State { inflight, cache, .. } = &mut *st;
+    let Some(flight) = inflight.get(key) else {
         return;
     };
-    if let Some(tenant) = &flight.queue_slot_tenant {
-        st.queue.release(tenant);
+    if let Some(Outcome { result, .. }) = &outcome {
+        if let Some(expected) = &flight.verify_against {
+            // A verification re-run of a cached `ok`. The simulator is
+            // deterministic, so a failed or different re-run is a
+            // mismatch — it poisons the entry and is counted.
+            let matched = result.as_ref().is_ok_and(|p| p.render_compact() == *expected);
+            cache.report_verification(key, matched);
+        }
+        // Ordering matters for exactly-once: the durable cache write
+        // lands *before* the journal terminal. A crash in between
+        // re-enqueues the job on restart, which then hits the
+        // persistent cache and journals `cached: true` — never a second
+        // fresh `ok`.
+        if let Ok(payload) = result {
+            cache.insert(key.to_owned(), payload.clone());
+        }
     }
-    // A journaled run gets exactly one journaled terminal. Background
-    // verification runs stay out: their key already has its terminal,
-    // and a second non-cached `ok` would read as a duplicated effect.
-    let journal_terminal = flight.accepted.is_some();
-    let Some(outcome) = outcome else {
-        // Abandoned: requesters (if any slipped in between the last
-        // sweep and here) get a cancelled reply so no one waits
-        // forever.
-        if journal_terminal {
-            st.journal_append(JournalRecord::Completed {
-                key: key.to_owned(),
-                outcome: "abandoned".into(),
-                cached: false,
-            });
-            st.journal_commit();
-        }
-        for r in flight.requesters {
-            send(
-                &r.tx,
-                Reply::Error {
-                    id: r.id.clone(),
-                    kind: "cancelled".into(),
-                    detail: "the run was abandoned".into(),
-                },
-            );
-            st.counters.failed += 1;
-            st.slo.settle(&r.tenant, r.slo_seq, 0);
-            st.emit_event("completed", &r.tenant, &r.id, "cancelled");
-            if !r.via_queue {
-                st.queue.release(&r.tenant);
-            }
-        }
-        if st.queue.is_empty() && st.inflight.is_empty() {
-            inner.idle.notify_all();
-        }
+    let terminal = match &outcome {
+        None => "abandoned",
+        Some(Outcome { result: Ok(_), .. }) => "ok",
+        Some(Outcome { result: Err(error), .. }) => error.tag(),
+    };
+    let Some(flight) = inner.end_run(&mut st, key, terminal) else {
         return;
     };
-
-    match &outcome.result {
-        Ok(payload) => {
-            if let Some(expected) = &flight.verify_against {
-                let matched = payload.render_compact() == *expected;
-                st.cache.report_verification(key, matched);
+    if flight.accepted.is_some() {
+        // The journaled terminal is durable before any reply leaves.
+        st.journal_commit();
+    }
+    match outcome {
+        // Requesters that slipped in between the last sweep and here
+        // get a cancelled reply so no one waits forever.
+        None => {
+            for r in &flight.requesters {
+                st.settle(r, End::Abandoned);
             }
-            // Ordering matters for exactly-once: the durable cache
-            // write lands *before* the journal terminal. A crash in
-            // between re-enqueues the job on restart, which then hits
-            // the persistent cache and journals `cached: true` — never
-            // a second fresh `ok`.
-            st.cache.insert(key.to_owned(), payload.clone());
-            if journal_terminal {
-                st.journal_append(JournalRecord::Completed {
-                    key: key.to_owned(),
-                    outcome: "ok".into(),
-                    cached: false,
-                });
-                st.journal_commit();
-            }
+        }
+        Some(Outcome { attempts, result: Ok(payload) }) => {
             // Advance the service's virtual clock by this fresh run's
             // simulated cycles (cache hits never reach here).
             let cycles = payload.get("cycles").and_then(Value::as_u64).unwrap_or(0);
             st.vcycles = st.vcycles.saturating_add(cycles);
             let now = Instant::now();
             for (i, r) in flight.requesters.iter().enumerate() {
-                let queue_us = elapsed_us(r.submitted, started);
-                let run_us = elapsed_us(started.max(r.submitted), now);
-                send(
-                    &r.tx,
-                    Reply::Result {
-                        id: r.id.clone(),
-                        // The first requester paid for the run; the
-                        // rest were coalesced onto it.
-                        cached: i > 0,
-                        attempts: outcome.attempts,
-                        timing: Some(JobTiming { queue_us, run_us }),
-                        payload: payload.clone(),
-                    },
-                );
-                st.counters.completed += 1;
-                st.slo.settle(&r.tenant, r.slo_seq, cycles);
-                st.slo.fold_payload(&r.tenant, payload);
-                st.emit_event("completed", &r.tenant, &r.id, "ok");
-                if !r.via_queue {
-                    st.queue.release(&r.tenant);
-                }
+                let timing = JobTiming {
+                    queue_us: elapsed_us(r.submitted, started),
+                    run_us: elapsed_us(started.max(r.submitted), now),
+                };
+                // The first requester paid for the run; the rest were
+                // coalesced onto it.
+                let end = End::Ok { payload: payload.clone(), cached: i > 0, attempts, timing };
+                st.settle(r, end);
             }
         }
-        Err(error) => {
-            if flight.verify_against.is_some() {
-                // The cached entry said `ok`; the verification re-run
-                // failed. The simulator is deterministic, so this is a
-                // mismatch — poison the entry and count it.
-                st.cache.report_verification(key, false);
-            }
-            if journal_terminal {
-                st.journal_append(JournalRecord::Completed {
-                    key: key.to_owned(),
-                    outcome: error.tag().into(),
-                    cached: false,
-                });
-                st.journal_commit();
-            }
+        Some(Outcome { result: Err(error), .. }) => {
             for r in &flight.requesters {
-                send(
-                    &r.tx,
-                    Reply::Error {
-                        id: r.id.clone(),
-                        kind: error.tag().into(),
-                        detail: error.detail(),
-                    },
-                );
-                st.counters.failed += 1;
-                st.slo.settle(&r.tenant, r.slo_seq, 0);
-                st.emit_event("completed", &r.tenant, &r.id, error.tag());
-                if !r.via_queue {
-                    st.queue.release(&r.tenant);
-                }
+                st.settle(r, End::Failed(&error));
             }
         }
-    }
-    if st.queue.is_empty() && st.inflight.is_empty() {
-        inner.idle.notify_all();
     }
 }
 
