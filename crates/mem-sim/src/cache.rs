@@ -1,6 +1,6 @@
 //! Set-associative LRU tag arrays.
 
-use std::fmt;
+use std::ops::Range;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,22 +13,11 @@ pub struct CacheConfig {
     pub line_bytes: usize,
 }
 
-impl CacheConfig {
-    /// Number of sets implied by the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is degenerate (zero ways, a line size that
-    /// is not a power of two, capacity not divisible into whole
-    /// power-of-two sets). Untrusted geometries should be checked with
-    /// [`validate`](CacheConfig::validate) first.
-    pub fn num_sets(&self) -> usize {
-        assert!(self.ways > 0 && self.line_bytes.is_power_of_two(), "degenerate cache geometry");
-        let sets = self.size_bytes / (self.ways * self.line_bytes);
-        assert!(sets > 0 && sets.is_power_of_two(), "sets ({sets}) must be a power of two");
-        sets
-    }
+/// The most lines one cache may hold (8x the paper L2): a cold cache
+/// allocates every line, so an untrusted geometry must be bounded.
+const MAX_LINES: usize = 1 << 20;
 
+impl CacheConfig {
     /// Checks the geometry without panicking, for untrusted
     /// configurations.
     ///
@@ -36,7 +25,7 @@ impl CacheConfig {
     ///
     /// Returns a message when the geometry is degenerate (zero ways, a
     /// line size that is not a power of two, or a set count that is zero
-    /// or not a power of two).
+    /// or not a power of two) or holds more than 2^20 lines.
     pub fn validate(&self) -> Result<(), String> {
         if self.ways == 0 || self.line_bytes == 0 {
             return Err("degenerate cache geometry: zero ways or line bytes".to_owned());
@@ -44,7 +33,7 @@ impl CacheConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err(format!("cache line size ({}) must be a power of two", self.line_bytes));
         }
-        let sets = self.size_bytes / (self.ways * self.line_bytes);
+        let sets = self.sets();
         if sets == 0 || !sets.is_power_of_two() {
             return Err(format!(
                 "cache sets ({sets}) must be a non-zero power of two \
@@ -52,7 +41,17 @@ impl CacheConfig {
                 self.size_bytes, self.ways, self.line_bytes
             ));
         }
+        let lines = sets * self.ways;
+        if lines > MAX_LINES {
+            return Err(format!("cache holds {lines} lines, more than the {MAX_LINES} supported"));
+        }
         Ok(())
+    }
+
+    /// Number of sets implied by the geometry (whole sets only; divides
+    /// in two steps so no product can overflow).
+    fn sets(&self) -> usize {
+        self.size_bytes / self.line_bytes / self.ways
     }
 }
 
@@ -67,34 +66,17 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; zero when no accesses were made.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp: larger is more recent.
-    lru: u64,
-    /// Cycle at which the line's data arrives (prefetched/filled lines
-    /// may be tagged present before their data lands).
-    ready_at: u64,
-}
-
 /// A set-associative, write-back, write-allocate cache tag array with LRU
 /// replacement. Stores no data — the functional memory is the single
 /// source of truth for values; the cache only decides *timing* (which
 /// level serves an access).
+///
+/// Way `w` of set `s` is line `s * ways + w` of four parallel arrays.
+/// A line is resident iff its LRU stamp is non-zero: the clock advances
+/// before every `access` and `fill`, so every stamp written is at least
+/// 1, and a cold line (all zero) is never dirty. A fill evicts the first
+/// way of its set with the least stamp, so cold ways fill in way order
+/// before any resident line is evicted.
 ///
 /// # Examples
 ///
@@ -109,25 +91,41 @@ struct Line {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    // One array per field, not one of line structs: the paper L2's
+    // largest is then 1 MiB, not 4 MiB, and freeing a 4 MiB block raises
+    // glibc's dynamic mmap threshold past the functional arena's, which
+    // then stays resident in the heap and raises peak RSS.
+    tags: Vec<u64>,
+    /// LRU stamps: larger is more recent, 0 is not resident.
+    lru: Vec<u64>,
+    /// Cycle at which each line's data arrives (prefetched/filled lines
+    /// may be tagged present before their data lands).
+    ready_at: Vec<u64>,
+    dirty: Vec<bool>,
+    /// log2 of the set count (derived from `cfg`).
+    set_bits: u32,
     clock: u64,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Creates an empty (all-invalid) cache with the given geometry.
+    /// Creates an empty (all-cold) cache with the given geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (see [`CacheConfig::num_sets`]).
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.num_sets();
+        let checked = cfg.validate();
+        assert!(checked.is_ok(), "{checked:?}");
+        let sets = cfg.sets();
+        let lines = sets * cfg.ways;
         Cache {
             cfg,
-            sets: vec![
-                vec![Line { tag: 0, valid: false, dirty: false, lru: 0, ready_at: 0 }; cfg.ways];
-                sets
-            ],
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            ready_at: vec![0; lines],
+            dirty: vec![false; lines],
+            set_bits: sets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -143,20 +141,24 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the statistics counters (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+    fn index_tag(&self, addr: u64) -> (usize, u64) {
+        // Line size and set count are powers of two (`validate`).
+        let line = addr >> self.cfg.line_bytes.trailing_zeros();
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        (set, line >> self.set_bits)
     }
 
-    fn index_tag(&self, addr: u64) -> (usize, u64) {
-        // Line size and set count are powers of two (`num_sets` and
-        // decode enforce it), so the line number and the tag are shifts
-        // and the set index a mask.
-        let line = addr >> self.cfg.line_bytes.trailing_zeros();
-        let sets = self.sets.len() as u64;
-        let set = (line & (sets - 1)) as usize;
-        let tag = line >> sets.trailing_zeros();
-        (set, tag)
+    /// The lines of `set`.
+    fn ways(&self, set: usize) -> Range<usize> {
+        set * self.cfg.ways..(set + 1) * self.cfg.ways
+    }
+
+    /// The resident line of `set` tagged `tag`, if any.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let ways = self.ways(set);
+        let (tags, lru) = (&self.tags[ways.clone()], &self.lru[ways.clone()]);
+        let way = tags.iter().zip(lru).position(|(&t, &stamp)| stamp != 0 && t == tag)?;
+        Some(ways.start + way)
     }
 
     /// Looks up the line containing `addr`, updating LRU and stats.
@@ -166,18 +168,14 @@ impl Cache {
     pub fn access(&mut self, addr: u64, write: bool) -> Option<u64> {
         self.clock += 1;
         let (set, tag) = self.index_tag(addr);
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                line.lru = self.clock;
-                if write {
-                    line.dirty = true;
-                }
-                self.stats.hits += 1;
-                return Some(line.ready_at);
-            }
-        }
-        self.stats.misses += 1;
-        None
+        let Some(i) = self.find(set, tag) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.lru[i] = self.clock;
+        self.dirty[i] |= write;
+        self.stats.hits += 1;
+        Some(self.ready_at[i])
     }
 
     /// Fills the line containing `addr` (after a miss was serviced by the
@@ -187,55 +185,35 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, write: bool, ready_at: u64) -> bool {
         self.clock += 1;
         let (set, tag) = self.index_tag(addr);
-        let clock = self.clock;
-        let Some(victim) =
-            self.sets[set].iter_mut().min_by_key(|l| if l.valid { l.lru } else { 0 })
+        let ways = self.ways(set);
+        let Some((way, _)) = self.lru[ways.clone()].iter().enumerate().min_by_key(|&(_, l)| l)
         else {
             debug_assert!(false, "sets are never empty");
             return false;
         };
-        let evicted_dirty = victim.valid && victim.dirty;
+        let victim = ways.start + way;
+        let evicted_dirty = self.dirty[victim];
         if evicted_dirty {
             self.stats.writebacks += 1;
         }
-        *victim = Line { tag, valid: true, dirty: write, lru: clock, ready_at };
+        self.tags[victim] = tag;
+        self.lru[victim] = self.clock;
+        self.ready_at[victim] = ready_at;
+        self.dirty[victim] = write;
         evicted_dirty
-    }
-
-    /// Invalidates everything (e.g. on a context switch in tests).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.dirty = false;
-            }
-        }
     }
 
     /// Whether the line containing `addr` is present (no LRU/stat update).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
-    }
-}
-
-impl fmt::Display for Cache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}KB {}-way {}B-line cache ({} hits, {} misses)",
-            self.cfg.size_bytes / 1024,
-            self.cfg.ways,
-            self.cfg.line_bytes,
-            self.stats.hits,
-            self.stats.misses
-        )
+        self.find(set, tag).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statecodec::{Codec, Sink, Src};
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 64B = 512B.
@@ -290,22 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn flush_invalidates() {
+    fn tag_zero_is_not_resident_in_a_cold_cache() {
+        // Address 0 maps to set 0 with tag 0, the fields of a cold line.
         let mut c = small();
-        c.fill(0x40, false, 0);
-        c.flush();
-        assert!(!c.probe(0x40));
-    }
-
-    #[test]
-    fn hit_rate_counts() {
-        let mut c = small();
-        c.fill(0x0, false, 0);
-        c.access(0x0, false);
-        c.access(0x1000, false);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
-        c.reset_stats();
-        assert_eq!(c.stats().hit_rate(), 0.0);
+        assert!(!c.probe(0));
+        assert!(c.access(0, false).is_none());
     }
 
     #[test]
@@ -321,6 +288,19 @@ mod tests {
     }
 
     #[test]
+    fn geometry_over_the_line_cap_is_rejected() {
+        let at_cap = CacheConfig { size_bytes: MAX_LINES * 64, ways: 16, line_bytes: 64 };
+        assert!(at_cap.validate().is_ok());
+        let over = CacheConfig { size_bytes: 2 * MAX_LINES * 64, ..at_cap };
+        assert!(over.validate().unwrap_err().contains("lines"));
+        let huge = CacheConfig { size_bytes: 1 << 62, ..at_cap };
+        assert!(huge.validate().is_err());
+        // Neither product of the geometry may overflow.
+        let wide = CacheConfig { size_bytes: usize::MAX, ways: usize::MAX, line_bytes: 64 };
+        assert!(wide.validate().is_err());
+    }
+
+    #[test]
     fn set_index_and_tag_split_the_line_number() {
         // 4 sets of 64-byte lines: line 13 is set 1, tag 3.
         let c = Cache::new(CacheConfig { size_bytes: 512, ways: 2, line_bytes: 64 });
@@ -332,8 +312,78 @@ mod tests {
         // 64KB L1, 128KB VecCache 8-way, 8MB L2 — Table 4.
         for (size, ways) in [(64 << 10, 4), (128 << 10, 8), (8 << 20, 16)] {
             let c = Cache::new(CacheConfig { size_bytes: size, ways, line_bytes: 64 });
-            assert!(c.config().num_sets() > 0);
+            assert_eq!(c.tags.len() * 64, size);
         }
+    }
+
+    fn encode(c: &Cache) -> Vec<u8> {
+        let mut sink = Sink::new();
+        c.encode(&mut sink);
+        sink.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Cache, statecodec::DecodeError> {
+        let mut src = Src::new(bytes);
+        let c = Cache::decode(&mut src)?;
+        src.finish()?;
+        Ok(c)
+    }
+
+    #[test]
+    fn snapshots_hold_only_resident_lines() {
+        let mut c = Cache::new(CacheConfig { size_bytes: 8 << 20, ways: 16, line_bytes: 64 });
+        let cold = encode(&c).len();
+        assert!(cold < 128, "a cold cache encodes as its geometry: {cold} bytes");
+        c.fill(0x40, true, 7);
+        c.fill(0x1_0040, false, 9);
+        c.access(0x40, false);
+        let bytes = encode(&c);
+        assert_eq!(bytes.len(), cold + 2 * (8 + 25));
+        assert_eq!(decode(&bytes).unwrap(), c);
+    }
+
+    /// Encodes a cache header for `cfg` followed by `lines` as given, each
+    /// `(index, lru)` with tag 1, dirty, ready at cycle 3.
+    fn crafted(cfg: CacheConfig, lines: &[(usize, u64)]) -> Vec<u8> {
+        let mut sink = Sink::new();
+        cfg.encode(&mut sink);
+        9u64.encode(&mut sink);
+        CacheStats::default().encode(&mut sink);
+        lines.len().encode(&mut sink);
+        for (index, lru) in lines {
+            index.encode(&mut sink);
+            1u64.encode(&mut sink);
+            true.encode(&mut sink);
+            lru.encode(&mut sink);
+            3u64.encode(&mut sink);
+        }
+        sink.into_bytes()
+    }
+
+    #[test]
+    fn crafted_cache_encodings_are_typed_errors() {
+        let cfg = small().config();
+        let ok = crafted(cfg, &[(0, 1), (7, 2)]);
+        assert!(decode(&ok).is_ok());
+        for (lines, bad) in [
+            (vec![(8, 1)], 8),
+            (vec![(usize::MAX, 1)], usize::MAX),
+            (vec![(3, 1), (3, 2)], 3),
+            (vec![(5, 1), (2, 2)], 2),
+            (vec![(4, 0)], 4),
+        ] {
+            let err = decode(&crafted(cfg, &lines)).unwrap_err();
+            assert!(err.detail.contains(&format!("resident line {bad} ")), "{lines:?}: {err}");
+        }
+        let over = CacheConfig { size_bytes: 2 * MAX_LINES * 64, ways: 16, line_bytes: 64 };
+        assert!(decode(&crafted(over, &[])).unwrap_err().detail.contains("lines"));
+        // More resident lines than the cache holds, claimed up front.
+        let mut many = crafted(cfg, &[]);
+        many.truncate(many.len() - 8);
+        let mut count = Sink::new();
+        (1usize << 40).encode(&mut count);
+        many.extend(count.into_bytes());
+        assert!(decode(&many).unwrap_err().detail.contains("resident"));
     }
 }
 
@@ -341,36 +391,57 @@ mod tests {
 
 statecodec::impl_codec!(CacheConfig { size_bytes, ways, line_bytes });
 statecodec::impl_codec!(CacheStats { hits, misses, writebacks });
-statecodec::impl_codec!(Line { tag, valid, dirty, lru, ready_at });
 
-// Hand-written so decode re-establishes the geometry invariants that
-// `index_tag` relies on (`sets.len()` matches the config and is
-// non-zero, every set holds exactly `ways` lines).
+// Hand-written: a cache encodes as its geometry, clock and stats plus
+// its resident lines, each as `(index, tag, dirty, lru, ready_at)` in
+// increasing index order, and decode rebuilds the cold arrays from the
+// geometry before placing them.
 impl statecodec::Codec for Cache {
     fn encode(&self, sink: &mut statecodec::Sink) {
         statecodec::Codec::encode(&self.cfg, sink);
-        statecodec::Codec::encode(&self.sets, sink);
         statecodec::Codec::encode(&self.clock, sink);
         statecodec::Codec::encode(&self.stats, sink);
+        let resident = || (0..self.lru.len()).filter(|&i| self.lru[i] != 0);
+        statecodec::Codec::encode(&resident().count(), sink);
+        for i in resident() {
+            statecodec::Codec::encode(&i, sink);
+            statecodec::Codec::encode(&self.tags[i], sink);
+            statecodec::Codec::encode(&self.dirty[i], sink);
+            statecodec::Codec::encode(&self.lru[i], sink);
+            statecodec::Codec::encode(&self.ready_at[i], sink);
+        }
     }
     fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
         let cfg: CacheConfig = statecodec::Codec::decode(src)?;
-        let sets: Vec<Vec<Line>> = statecodec::Codec::decode(src)?;
-        let clock = <u64 as statecodec::Codec>::decode(src)?;
-        let stats: CacheStats = statecodec::Codec::decode(src)?;
         cfg.validate().map_err(|e| statecodec::DecodeError::at(src, e))?;
-        if sets.len() != cfg.num_sets() {
+        let mut cache = Cache::new(cfg);
+        cache.clock = statecodec::Codec::decode(src)?;
+        cache.stats = statecodec::Codec::decode(src)?;
+        let lines = cache.lru.len();
+        let resident = <usize as statecodec::Codec>::decode(src)?;
+        if resident > lines {
             return Err(statecodec::DecodeError::at(
                 src,
-                format!("cache has {} sets, geometry implies {}", sets.len(), cfg.num_sets()),
+                format!("{resident} resident lines in a cache of {lines}"),
             ));
         }
-        if let Some(bad) = sets.iter().find(|s| s.len() != cfg.ways) {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!("cache set holds {} lines, geometry implies {}", bad.len(), cfg.ways),
-            ));
+        let mut next = 0;
+        for _ in 0..resident {
+            let i = <usize as statecodec::Codec>::decode(src)?;
+            let tag = <u64 as statecodec::Codec>::decode(src)?;
+            let dirty = <bool as statecodec::Codec>::decode(src)?;
+            let lru = <u64 as statecodec::Codec>::decode(src)?;
+            let ready_at = <u64 as statecodec::Codec>::decode(src)?;
+            if i >= lines || i < next || lru == 0 {
+                return Err(statecodec::DecodeError::at(
+                    src,
+                    format!("resident line {i} is out of range, out of order or unstamped"),
+                ));
+            }
+            (cache.tags[i], cache.dirty[i], cache.lru[i], cache.ready_at[i]) =
+                (tag, dirty, lru, ready_at);
+            next = i + 1;
         }
-        Ok(Cache { cfg, sets, clock, stats })
+        Ok(cache)
     }
 }

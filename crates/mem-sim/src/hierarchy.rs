@@ -31,7 +31,7 @@ impl fmt::Display for ServiceLevel {
 }
 
 /// Configuration of the full memory system (Table 4 defaults via
-/// [`MemConfig::paper_2core`]).
+/// [`MemConfig::paper`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// Number of scalar cores (each gets a private L1D).
@@ -88,9 +88,26 @@ impl MemConfig {
         }
     }
 
-    /// The paper's evaluated two-core configuration.
-    pub fn paper_2core() -> Self {
-        Self::paper(2)
+    /// Checks the configuration without panicking, for untrusted
+    /// configurations.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first bad parameter: a core count
+    /// outside `1..=64`, a cache geometry that fails
+    /// [`CacheConfig::validate`], or a zero bandwidth.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 || self.cores > 64 {
+            return Err(format!("memory system cores ({}) must be in 1..=64", self.cores));
+        }
+        for (name, cache) in [("l1", &self.l1), ("veccache", &self.veccache), ("l2", &self.l2)] {
+            cache.validate().map_err(|e| format!("{name}: {e}"))?;
+        }
+        if self.veccache_bytes_cycle == 0 || self.l2_bytes_cycle == 0 || self.dram_bytes_cycle == 0
+        {
+            return Err("memory bandwidths must be at least 1 byte/cycle".to_owned());
+        }
+        Ok(())
     }
 }
 
@@ -216,7 +233,7 @@ impl MemorySystem {
         let completion = if let Some(ready) = self.l1[core].access(addr, write) {
             ready.max(now) + self.cfg.l1_latency
         } else {
-            let ready = self.fetch_from_l2(now, addr);
+            let (ready, _) = self.fetch_from_l2(now, addr);
             if self.l1[core].fill(addr, write, ready) {
                 // Dirty eviction: write the line back to L2 (bandwidth only).
                 self.l2_chan.serve(now, line);
@@ -227,7 +244,7 @@ impl MemorySystem {
         for p in 1..=self.cfg.l1_prefetch_lines {
             let pf = ((addr >> line.trailing_zeros()) + p) * line;
             if !self.l1[core].probe(pf) {
-                let ready = self.fetch_from_l2(now, pf);
+                let (ready, _) = self.fetch_from_l2(now, pf);
                 if self.l1[core].fill(pf, false, ready) {
                     self.l2_chan.serve(now, line);
                 }
@@ -237,7 +254,8 @@ impl MemorySystem {
     }
 
     /// A vector access of `bytes` contiguous bytes from `core`'s SIMD
-    /// ld/st data path; returns the completion cycle of the whole access.
+    /// ld/st data path; returns the completion cycle of the whole access
+    /// and the deepest memory level involved.
     ///
     /// The access occupies the shared VecCache port for `bytes` worth of
     /// bandwidth; each spanned 64-byte line that misses is fetched from L2
@@ -247,24 +265,6 @@ impl MemorySystem {
     ///
     /// Panics if `bytes` is zero.
     pub fn vector_access(
-        &mut self,
-        now: Cycle,
-        core: usize,
-        addr: u64,
-        bytes: u64,
-        write: bool,
-    ) -> Cycle {
-        let (done, _) = self.vector_access_traced(now, core, addr, bytes, write);
-        done
-    }
-
-    /// Like [`vector_access`](Self::vector_access) but also reports the
-    /// deepest memory level involved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is zero.
-    pub fn vector_access_traced(
         &mut self,
         now: Cycle,
         core: usize,
@@ -293,7 +293,7 @@ impl MemorySystem {
                     slowest = slowest.max(ready);
                 }
                 None => {
-                    let (ready, lvl) = self.fetch_from_l2_traced(now, line_addr);
+                    let (ready, lvl) = self.fetch_from_l2(now, line_addr);
                     level = level.max(lvl);
                     slowest = slowest.max(ready);
                     if self.veccache.fill(line_addr, write, ready) {
@@ -307,26 +307,19 @@ impl MemorySystem {
         for p in 1..=self.cfg.vec_prefetch_lines {
             let pf_addr = (last_line + p) * line;
             if !self.veccache.probe(pf_addr) {
-                let (ready, _) = self.fetch_from_l2_traced(now, pf_addr);
+                let (ready, _) = self.fetch_from_l2(now, pf_addr);
                 if self.veccache.fill(pf_addr, false, ready) {
                     self.l2_chan.serve(now, line);
                 }
             }
         }
-        let lvl_idx = match level {
-            ServiceLevel::FirstLevel => 0,
-            ServiceLevel::L2 => 1,
-            ServiceLevel::Dram => 2,
-        };
-        self.vec_served[lvl_idx] += 1;
+        self.vec_served[level as usize] += 1;
         (slowest + self.cfg.veccache_latency, level)
     }
 
-    fn fetch_from_l2(&mut self, now: Cycle, line_addr: u64) -> Cycle {
-        self.fetch_from_l2_traced(now, line_addr).0
-    }
-
-    fn fetch_from_l2_traced(&mut self, now: Cycle, line_addr: u64) -> (Cycle, ServiceLevel) {
+    /// Fetches a line missing from a first-level cache; returns when it
+    /// arrives there and whether the L2 or DRAM served it.
+    fn fetch_from_l2(&mut self, now: Cycle, line_addr: u64) -> (Cycle, ServiceLevel) {
         let line = self.cfg.l2.line_bytes as u64;
         if let Some(ready) = self.l2.access(line_addr, false) {
             let served = self.l2_chan.serve(ready.max(now), line);
@@ -388,16 +381,16 @@ mod tests {
     use super::*;
 
     fn sys() -> MemorySystem {
-        MemorySystem::new(MemConfig::paper_2core())
+        MemorySystem::new(MemConfig::paper(2))
     }
 
     #[test]
     fn veccache_hit_is_fast() {
         let mut s = sys();
-        let t1 = s.vector_access(0, 0, 0x1000, 64, false);
+        let (t1, _) = s.vector_access(0, 0, 0x1000, 64, false);
         // Cold: DRAM latency dominates.
         assert!(t1 > 100, "cold access took only {t1}");
-        let t2 = s.vector_access(t1, 0, 0x1000, 64, false) - t1;
+        let t2 = s.vector_access(t1, 0, 0x1000, 64, false).0 - t1;
         assert!(t2 <= 7, "warm access took {t2}");
     }
 
@@ -405,7 +398,7 @@ mod tests {
     fn l2_resident_lines_skip_dram() {
         let mut s = sys();
         s.warm(0x4000, 256, ServiceLevel::L2);
-        let (done, lvl) = s.vector_access_traced(0, 0, 0x4000, 64, false);
+        let (done, lvl) = s.vector_access(0, 0, 0x4000, 64, false);
         assert_eq!(lvl, ServiceLevel::L2);
         assert!(done < 100, "L2 access took {done}");
     }
@@ -414,7 +407,7 @@ mod tests {
     fn warm_first_level_hits_immediately() {
         let mut s = sys();
         s.warm(0x8000, 128, ServiceLevel::FirstLevel);
-        let (done, lvl) = s.vector_access_traced(0, 0, 0x8000, 128, false);
+        let (done, lvl) = s.vector_access(0, 0, 0x8000, 128, false);
         assert_eq!(lvl, ServiceLevel::FirstLevel);
         assert_eq!(done, 1 + 5 /* port + latency */);
     }
@@ -424,8 +417,8 @@ mod tests {
         let mut s = sys();
         // Two cold 64B lines requested at the same cycle share the DRAM
         // channel: the second completes strictly later.
-        let a = s.vector_access(0, 0, 0x10000, 64, false);
-        let b = s.vector_access(0, 1, 0x20000, 64, false);
+        let (a, _) = s.vector_access(0, 0, 0x10000, 64, false);
+        let (b, _) = s.vector_access(0, 1, 0x20000, 64, false);
         assert!(b > a);
     }
 
@@ -495,9 +488,28 @@ mod tests {
         // dirty evictions.
         let mut now = 0;
         for i in 0..4096u64 {
-            now = s.vector_access(now, 0, i * 64, 64, true);
+            now = s.vector_access(now, 0, i * 64, 64, true).0;
         }
         assert!(s.stats().veccache.writebacks > 0);
+    }
+
+    #[test]
+    fn decode_checks_the_configuration_before_building_caches() {
+        use statecodec::{Codec, Sink, Src};
+        let decode = |cfg: MemConfig, l1s: usize| {
+            let mut sink = Sink::new();
+            cfg.encode(&mut sink);
+            l1s.encode(&mut sink);
+            MemorySystem::decode(&mut Src::new(&sink.into_bytes())).unwrap_err().detail
+        };
+        let paper = MemConfig::paper(2);
+        let huge = CacheConfig { size_bytes: 1 << 40, ..paper.l2 };
+        assert!(decode(MemConfig { l2: huge, ..paper }, 2).contains("l2"));
+        assert!(decode(MemConfig { cores: 1 << 20, ..paper }, 1 << 20).contains("cores"));
+        assert!(decode(MemConfig { dram_bytes_cycle: 0, ..paper }, 2).contains("bandwidth"));
+        assert!(decode(paper, 1 << 20).contains("L1 caches"));
+        // A valid header fails only on the missing cache bodies.
+        assert!(decode(paper, 2).contains("remain"));
     }
 }
 
@@ -520,9 +532,9 @@ statecodec::impl_codec!(MemConfig {
 });
 statecodec::impl_codec!(Channel { next_free, bytes_per_cycle, busy_cycles, bytes_served, requests });
 
-// Hand-written so decode re-checks the structural invariants
-// (one L1 per core, non-zero channel bandwidths — `Channel::serve`
-// divides by them).
+// Hand-written so decode re-checks the structural invariants (a valid
+// configuration, one L1 per core, non-zero channel bandwidths —
+// `Channel::serve` divides by them).
 impl statecodec::Codec for MemorySystem {
     fn encode(&self, sink: &mut statecodec::Sink) {
         statecodec::Codec::encode(&self.cfg, sink);
@@ -536,19 +548,24 @@ impl statecodec::Codec for MemorySystem {
     }
     fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
         let cfg: MemConfig = statecodec::Codec::decode(src)?;
-        let l1: Vec<Cache> = statecodec::Codec::decode(src)?;
+        cfg.validate().map_err(|e| statecodec::DecodeError::at(src, e))?;
+        // Caches allocate their lines as they decode: check the count first.
+        let cores = <usize as statecodec::Codec>::decode(src)?;
+        if cores != cfg.cores {
+            return Err(statecodec::DecodeError::at(
+                src,
+                format!("memory system has {cores} L1 caches for {} cores", cfg.cores),
+            ));
+        }
+        let l1 = (0..cores)
+            .map(|_| statecodec::Codec::decode(src))
+            .collect::<Result<Vec<Cache>, _>>()?;
         let veccache: Cache = statecodec::Codec::decode(src)?;
         let l2: Cache = statecodec::Codec::decode(src)?;
         let vec_chan: Channel = statecodec::Codec::decode(src)?;
         let l2_chan: Channel = statecodec::Codec::decode(src)?;
         let dram_chan: Channel = statecodec::Codec::decode(src)?;
         let vec_served: [u64; 3] = statecodec::Codec::decode(src)?;
-        if l1.len() != cfg.cores {
-            return Err(statecodec::DecodeError::at(
-                src,
-                format!("memory system has {} L1 caches for {} cores", l1.len(), cfg.cores),
-            ));
-        }
         for (chan, name) in
             [(&vec_chan, "veccache"), (&l2_chan, "l2"), (&dram_chan, "dram")]
         {

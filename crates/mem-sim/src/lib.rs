@@ -24,9 +24,9 @@
 //! let a = mem.alloc_f32(16);
 //! mem.write_f32(a, 1.5);
 //!
-//! let mut sys = MemorySystem::new(MemConfig::paper_2core());
-//! let t_first = sys.vector_access(0, 0, a, 64, false);
-//! let t_again = sys.vector_access(t_first, 0, a, 64, false);
+//! let mut sys = MemorySystem::new(MemConfig::paper(2));
+//! let (t_first, _) = sys.vector_access(0, 0, a, 64, false);
+//! let (t_again, _) = sys.vector_access(t_first, 0, a, 64, false);
 //! assert!(t_again - t_first < t_first, "second access hits the vector cache");
 //! ```
 

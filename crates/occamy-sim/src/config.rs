@@ -229,18 +229,7 @@ impl SimConfig {
                 self.mem.cores, self.cores
             ));
         }
-        for (name, cache) in
-            [("l1", &self.mem.l1), ("veccache", &self.mem.veccache), ("l2", &self.mem.l2)]
-        {
-            cache.validate().map_err(|e| format!("{name}: {e}"))?;
-        }
-        if self.mem.veccache_bytes_cycle == 0
-            || self.mem.l2_bytes_cycle == 0
-            || self.mem.dram_bytes_cycle == 0
-        {
-            return Err("memory bandwidths must be at least 1 byte/cycle".to_owned());
-        }
-        Ok(())
+        self.mem.validate()
     }
 
     /// Validates an architecture against this configuration.
@@ -368,6 +357,22 @@ mod tests {
         let mut cfg = SimConfig::paper_2core();
         cfg.mem.l1.ways = 0;
         assert!(cfg.validate().unwrap_err().contains("l1"));
+    }
+
+    #[test]
+    fn validate_rejects_caches_over_the_line_cap() {
+        // 2^21 lines of 64 bytes: twice the largest cache mem-sim builds.
+        // Only `validate` is called; building such a machine would try
+        // to allocate every line.
+        let mut cfg = SimConfig::paper_2core();
+        cfg.mem.l2.size_bytes = 128 << 20;
+        assert!(cfg.mem.l2.validate().unwrap_err().contains("lines"));
+        assert!(cfg.validate().unwrap_err().contains("l2"));
+        cfg.mem.l2.size_bytes = 1 << 62;
+        assert!(cfg.validate().unwrap_err().contains("l2"));
+        let mut cfg = SimConfig::paper_2core();
+        cfg.mem.veccache.size_bytes = 1 << 62;
+        assert!(cfg.validate().unwrap_err().contains("veccache"));
     }
 
     #[test]

@@ -1136,7 +1136,7 @@ impl CoProcessor {
             exec::load(mem, addr, lanes, pred.map(|p| self.ppf.read(p)), &mut data);
             Some(data)
         };
-        let (served, level) = memsys.vector_access_traced(now, core, addr, bytes, store);
+        let (served, level) = memsys.vector_access(now, core, addr, bytes, store);
         let done = served + faults.as_mut().map_or(0, FaultState::spike_mem);
         if level != mem_sim::ServiceLevel::FirstLevel {
             self.event(now, Track::Memory, EventKind::CacheMiss { core, level });

@@ -36,7 +36,7 @@ const MAGIC: [u8; 4] = *b"OCSN";
 
 /// Current format version. Bump on any encoding change; readers refuse
 /// versions they do not know rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why snapshot serialization or deserialization failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

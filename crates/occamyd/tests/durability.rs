@@ -9,6 +9,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use bench::json;
+use occamyd::cache::short_address;
 use occamyd::journal::{replay_bytes, Journal, JournalConfig, JournalRecord};
 use occamyd::loadgen::{
     apply_chaos, campaign_config, install_chaos_panic_hook, make_spec, outcome_digest,
@@ -222,6 +223,69 @@ fn long_runs_write_and_clean_up_checkpoints() {
         .unwrap_or(0);
     assert_eq!(leftover, 0, "terminal jobs must remove their checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint file that no longer decodes (written by an older
+/// snapshot format, or damaged) is treated as absent: the job runs
+/// fresh, replies exactly as a run without the file does, and counts no
+/// resume. The file is gone afterwards, which also shows the service
+/// looked for it where it was planted.
+#[test]
+fn checkpoints_that_no_longer_decode_run_fresh() {
+    let spec = quick_spec(31);
+    let key = spec.canonical_key();
+    let reference = {
+        let dir = temp_dir("stale-ck-reference");
+        let service = Service::start(durable_config(&dir));
+        let (tx, rx) = mpsc::channel::<Reply>();
+        service.submit("t0", "reference", spec.clone(), &tx);
+        let reply = wait_terminal(&rx);
+        service.join();
+        let _ = std::fs::remove_dir_all(&dir);
+        reply
+    };
+    let Reply::Result { payload: expected, .. } = reference else {
+        panic!("expected a result, got {reference:?}");
+    };
+
+    // A snapshot file is magic, a u32 version, the body and a CRC-32 of
+    // all three; a checkpoint prefixes it with its resume horizon and key.
+    let snapshot = |version: u32, body: &[u8]| {
+        let mut bytes = b"OCSN".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(body);
+        let crc = statecodec::crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    };
+    let stale = [
+        ("v3", snapshot(3, &[0; 64])),
+        ("truncated", snapshot(occamy_sim::SNAPSHOT_VERSION, &[0; 16])),
+    ];
+    for (tag, snapshot) in stale {
+        let dir = temp_dir(&format!("stale-ck-{tag}"));
+        let path = dir.join("checkpoints").join(format!("{}.ck", short_address(&key)));
+        std::fs::create_dir_all(path.parent().expect("checkpoint dir")).expect("mkdir");
+        let mut file = 50_000u64.to_le_bytes().to_vec();
+        file.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        file.extend_from_slice(key.as_bytes());
+        file.extend_from_slice(&snapshot);
+        std::fs::write(&path, file).expect("plant checkpoint");
+
+        let service = Service::start(durable_config(&dir));
+        let (tx, rx) = mpsc::channel::<Reply>();
+        service.submit("t0", "fresh", spec.clone(), &tx);
+        let Reply::Result { cached, payload, .. } = wait_terminal(&rx) else {
+            panic!("{tag}: expected a result");
+        };
+        assert!(!cached, "{tag}: nothing was cached");
+        assert_eq!(payload.render_compact(), expected.render_compact(), "{tag}");
+        let stats = service.stats_value(None, None).render_compact();
+        assert_eq!(metric_u64(&stats, "service.checkpoints_resumed"), 0, "{tag}: {stats}");
+        service.join();
+        assert!(!path.exists(), "{tag}: the finished run removes the stale checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// End-to-end crash-restart chaos harness: SIGKILL a real daemon
