@@ -32,7 +32,10 @@ pub struct Memory {
 impl Memory {
     /// Creates a memory arena of `capacity` bytes, zero-initialised.
     pub fn new(capacity: usize) -> Self {
-        Memory { bytes: vec![0; capacity], next_free: 64 }
+        // Whole MiB, so that a freed arena fits the next (INTERNALS, "Memory system").
+        let mut bytes = vec![0; capacity.checked_next_multiple_of(1 << 20).unwrap_or(capacity)];
+        bytes.truncate(capacity);
+        Memory { bytes, next_free: 64 }
     }
 
     /// The arena capacity in bytes.
@@ -221,6 +224,16 @@ mod tests {
         let err = mem.try_alloc(4096).unwrap_err();
         assert_eq!(err.requested, 4096);
         assert!(err.to_string().contains("4096"));
+    }
+
+    #[test]
+    fn arenas_are_allocated_in_whole_mib() {
+        for (capacity, allocated) in [(0, 0), (1024, 1 << 20), (1 << 20, 1 << 20), (1_300_000, 2 << 20)] {
+            let mem = Memory::new(capacity);
+            assert_eq!((mem.capacity(), mem.bytes.capacity()), (capacity, allocated));
+        }
+        let mut mem = Memory::new(1024);
+        assert!(mem.try_alloc(2048).is_err(), "the rounding is not addressable");
     }
 
     #[test]
