@@ -60,6 +60,18 @@ impl Value {
         }
     }
 
+    /// Removes the first object field named `key` and returns its
+    /// value, so a decoder can move a subtree out instead of cloning it.
+    pub fn remove(&mut self, key: &str) -> Option<Value> {
+        match self {
+            Value::Obj(fields) => {
+                let i = fields.iter().position(|(k, _)| k == key)?;
+                Some(fields.remove(i).1)
+            }
+            _ => None,
+        }
+    }
+
     /// Array elements (empty for non-arrays).
     pub fn items(&self) -> &[Value] {
         match self {
@@ -344,7 +356,7 @@ pub fn parse_limited(text: &str, limits: &Limits) -> Result<Value, ParseError> {
         });
     }
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0, depth_left: limits.max_depth };
+    let mut p = Parser { text, bytes, pos: 0, depth_left: limits.max_depth };
     let value = p.value()?;
     let mut pos = p.pos;
     skip_ws(bytes, &mut pos);
@@ -372,6 +384,7 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 /// so adversarial nesting fails with a typed error instead of blowing
 /// the stack.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth_left: usize,
@@ -501,6 +514,12 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run ends on a character boundary.
+            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            let end = run.map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.bytes.get(self.pos) {
                 None => {
                     return Err(err_kind(
@@ -513,7 +532,8 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: the run stopped at one of the two.
                     self.pos += 1;
                     match self.bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -552,27 +572,6 @@ impl Parser<'_> {
                         }
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this
-                    // cannot fail mid-character).
-                    let rest = match std::str::from_utf8(&self.bytes[self.pos..]) {
-                        Ok(r) => r,
-                        Err(_) => return Err(err(self.pos, "invalid utf-8")),
-                    };
-                    match rest.chars().next() {
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => {
-                            return Err(err_kind(
-                                self.pos,
-                                "unterminated string",
-                                ParseErrorKind::Truncated,
-                            ))
-                        }
-                    }
                 }
             }
         }
@@ -705,5 +704,43 @@ mod tests {
         assert!(!line.contains('\n'), "compact output must be newline-free: {line:?}");
         assert_eq!(parse(&line).expect("parse compact"), doc);
         assert_eq!(line, "{\"s\":\"line\\nbreak \\\"q\\\"\",\"u\":7,\"arr\":[false,null,0.5],\"empty_arr\":[],\"empty_obj\":{}}");
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_every_escape_round_trips() {
+        // 2-, 3- and 4-byte UTF-8 on both sides of each escape the writer emits.
+        for wide in ["é", "€", "🦀"] {
+            for escaped in ["\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}"] {
+                let s = format!("{wide}{escaped}{wide}{escaped}{escaped}{wide}");
+                let doc = Value::Arr(vec![Value::Str(s.clone()), Value::Str(s)]);
+                assert_eq!(parse(&doc.render_compact()).expect("compact"), doc);
+                assert_eq!(parse(&doc.render()).expect("pretty"), doc);
+            }
+        }
+        // Escapes only the parser reads.
+        let v = parse(r#""é\/€\b🦀\f\u00e9é\u20ac€🦀""#).expect("parse");
+        assert_eq!(v.as_str(), Some("é/€\u{8}🦀\u{c}éé€€🦀"));
+    }
+
+    #[test]
+    fn a_string_longer_than_64_kib_round_trips() {
+        let s: String = "aé€🦀\"\\\n".chars().cycle().take(40_000).collect();
+        assert!(s.len() >= 64 * 1024);
+        let doc = Value::Str(s);
+        assert_eq!(parse(&doc.render_compact()).expect("parse"), doc);
+    }
+
+    #[test]
+    fn every_cut_of_a_string_document_is_truncated_at_a_fixed_offset() {
+        let doc = r#"{"k\"é":["a€\\b","🦀\n\u00e9x",{"":"\/"}],"z":"tail"}"#;
+        assert!(parse(doc).is_ok());
+        // A cut inside `\u00e9` reports the `u`; any other cut, its own offset.
+        let u = doc.find("\\u").expect("has a \\u escape") + 1;
+        for cut in (0..doc.len()).filter(|&c| doc.is_char_boundary(c)) {
+            let e = parse(&doc[..cut]).expect_err("a proper prefix is incomplete");
+            assert_eq!(e.kind, ParseErrorKind::Truncated, "cut at {cut}: {e}");
+            let at = if (u + 1..u + 5).contains(&cut) { u } else { cut };
+            assert_eq!(e.at, at, "cut at {cut}: {e}");
+        }
     }
 }

@@ -89,15 +89,15 @@ impl DiskStore {
     fn render(key: &str, payload: &Value) -> String {
         let mut body = Value::obj();
         body.push("key", Value::Str(key.to_owned())).push("payload", payload.clone());
-        journal::frame(body)
+        journal::frame(&body)
     }
 
     /// Parses one persisted entry, validating the CRC guard.
     fn parse(bytes: &[u8]) -> Option<(String, Value)> {
         let text = std::str::from_utf8(bytes).ok()?;
-        let body = journal::unframe(text.trim_end(), 32)?;
-        let key = body.get("key").and_then(Value::as_str)?.to_owned();
-        Some((key, body.get("payload")?.clone()))
+        let mut body = journal::unframe(text.trim_end(), 32)?;
+        let Value::Str(key) = body.remove("key")? else { return None };
+        Some((key, body.remove("payload")?))
     }
 
     /// Writes one entry; returns its file size, or `None` on failure.
@@ -157,8 +157,11 @@ impl ResultCache {
     /// Attaches a disk store at `dir` (created if absent) and restores
     /// every valid persisted entry, oldest-address first (a
     /// deterministic order — file mtimes do not survive copies).
-    /// Corrupt or torn files are skipped and deleted. Returns the
-    /// number of entries restored.
+    /// Restored files are read, never rewritten. When they exceed the
+    /// entry or byte bound, the hottest (last-address) entries that fit
+    /// both stay and the files of the rest are evicted. Corrupt or torn
+    /// files are skipped and deleted. Returns the number of entries
+    /// restored.
     ///
     /// # Errors
     ///
@@ -196,15 +199,31 @@ impl ResultCache {
                 }
             }
         }
-        for (key, _, size) in &restored {
-            store.sizes.insert(key.clone(), *size);
-            store.total_bytes += *size;
+        let count = restored.len();
+        let (mut fit, mut fit_bytes) = (0, 0);
+        for (_, _, size) in restored.iter().rev() {
+            if fit == self.config.max_entries || fit_bytes + size > budget_bytes {
+                break;
+            }
+            fit += 1;
+            fit_bytes += size;
+        }
+        // With caching off the files stay on disk, tracked but not served.
+        let caching = self.config.max_entries > 0;
+        let cold = if caching { count - fit } else { 0 };
+        for (key, _, _) in restored.drain(..cold) {
+            let _ = std::fs::remove_file(store.file_path(&key));
+            self.stats.evictions += 1;
+        }
+        for (key, payload, size) in restored {
+            store.total_bytes += size;
+            store.sizes.insert(key.clone(), size);
+            if caching {
+                self.clock += 1;
+                self.entries.insert(key, Entry { payload, touched: self.clock });
+            }
         }
         self.disk = Some(store);
-        let count = restored.len();
-        for (key, payload, _) in restored {
-            self.insert(key, payload);
-        }
         self.stats.disk_loaded = count as u64;
         Ok(count)
     }
@@ -256,27 +275,14 @@ impl ResultCache {
         }
         self.entries.insert(key, Entry { payload, touched: self.clock });
         // The byte budget trumps the entry count: shed cold entries
-        // until the disk store fits.
-        while self
-            .disk
-            .as_ref()
-            .is_some_and(|d| d.total_bytes > d.budget_bytes && !d.sizes.is_empty())
-        {
-            let coldest = self.entries.iter().min_by_key(|(_, e)| e.touched).map(|(k, _)| k.clone());
-            match coldest {
-                Some(k) => self.evict(&k),
-                // Disk holds keys the memory map does not (should not
-                // happen — the mirror tracks memory); drop tracking
-                // rather than loop forever.
-                None => {
-                    if let Some(disk) = &mut self.disk {
-                        let keys: Vec<String> = disk.sizes.keys().cloned().collect();
-                        for k in keys {
-                            disk.remove(&k);
-                        }
-                    }
-                }
-            }
+        // until the disk store fits (every key on disk is in memory).
+        while self.disk.as_ref().is_some_and(|d| d.total_bytes > d.budget_bytes) {
+            let Some(coldest) =
+                self.entries.iter().min_by_key(|(_, e)| e.touched).map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.evict(&coldest);
         }
     }
 
@@ -494,5 +500,86 @@ mod tests {
         // The hottest (most recent) entry survived.
         assert!(c.lookup("key7").is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every entry file under `dir`, in address order, with its bytes.
+    fn entry_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("dir")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        files.into_iter().map(|p| (p.clone(), std::fs::read(&p).expect("read"))).collect()
+    }
+
+    /// A disk store at `dir` holding `key0`..`key7`, all of one file size.
+    fn fill_eight(dir: &Path) {
+        let mut c = ResultCache::new(CacheConfig { max_entries: 8, verify_every: 0 });
+        c.attach_disk(dir, 1 << 20).expect("attach");
+        for i in 0..8u64 {
+            c.insert(format!("key{i}"), payload(i));
+        }
+    }
+
+    #[test]
+    fn a_restart_reads_entry_files_and_never_rewrites_them() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = scratch_dir("untouched");
+        fill_eight(&dir);
+        let stamp = |files: Vec<(PathBuf, Vec<u8>)>| -> Vec<(u64, PathBuf, Vec<u8>)> {
+            files
+                .into_iter()
+                .map(|(p, bytes)| (std::fs::metadata(&p).expect("stat").ino(), p, bytes))
+                .collect()
+        };
+        let before = stamp(entry_files(&dir));
+        assert_eq!(before.len(), 8);
+
+        let mut c = ResultCache::new(CacheConfig { max_entries: 8, verify_every: 0 });
+        assert_eq!(c.attach_disk(&dir, 1 << 20).expect("reattach"), 8);
+        assert_eq!(c.len(), 8);
+        assert_eq!(stamp(entry_files(&dir)), before, "same inodes, same bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reloading_into_smaller_bounds_keeps_the_hottest_entries() {
+        let dir = scratch_dir("shrink_probe");
+        fill_eight(&dir);
+        let size = entry_files(&dir)[0].1.len() as u64;
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The hottest entries are the last in address order.
+        let hot5 = ["key7", "key0", "key1", "key2", "key3"];
+        let cases = [
+            ("bytes", 8, 5 * size + size / 2, &hot5[..], 3),
+            ("count", 3, 1 << 20, &hot5[2..], 5),
+        ];
+        for (tag, max_entries, budget, survivors, evictions) in cases {
+            let dir = scratch_dir(&format!("shrink_{tag}"));
+            fill_eight(&dir);
+            let before = entry_files(&dir);
+            assert!(before.iter().all(|(_, b)| b.len() as u64 == size), "{tag}: one file size");
+
+            let mut c = ResultCache::new(CacheConfig { max_entries, verify_every: 0 });
+            assert_eq!(c.attach_disk(&dir, budget).expect("reattach"), 8, "{tag}");
+            assert_eq!(c.len(), survivors.len(), "{tag}");
+            for key in survivors {
+                assert!(c.contains(key), "{tag}: {key} survives");
+            }
+            assert_eq!(c.stats().evictions, evictions, "{tag}");
+            assert_eq!(c.stats().disk_loaded, 8, "{tag}");
+            let kept: Vec<(PathBuf, Vec<u8>)> = before
+                .into_iter()
+                .filter(|(p, _)| {
+                    survivors.iter().any(|k| *p == dir.join(format!("{}.json", short_address(k))))
+                })
+                .collect();
+            assert_eq!(entry_files(&dir), kept, "{tag}: exactly the survivors' files, unchanged");
+            let disk_bytes = c.to_value().get("disk_bytes").and_then(Value::as_u64);
+            assert_eq!(disk_bytes, Some(size * survivors.len() as u64), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -132,7 +132,7 @@ impl JournalRecord {
     /// Renders the record as one CRC-guarded journal line (no trailing
     /// newline).
     pub fn to_line(&self) -> String {
-        frame(self.body())
+        frame(&self.body())
     }
 
     /// Validates one journal line's CRC guard and returns its body.
@@ -337,24 +337,33 @@ impl Journal {
 /// Renders `body` as one CRC-guarded record, `{"crc":"<8 hex>","body":...}`,
 /// where the CRC-32 covers the compact rendering of `body`: the framing
 /// of journal lines and of the result cache's disk files.
-pub(crate) fn frame(body: Value) -> String {
-    let crc = crc32(body.render_compact().as_bytes());
-    let mut outer = Value::obj();
-    outer.push("crc", Value::Str(format!("{crc:08x}"))).push("body", body);
-    outer.render_compact()
+pub(crate) fn frame(body: &Value) -> String {
+    let body = body.render_compact();
+    format!("{FRAME_HEAD}{:08x}{FRAME_MID}{body}}}", crc32(body.as_bytes()))
 }
 
+/// The fixed bytes [`frame`] writes before and after the CRC; the body
+/// follows, then a closing `}`.
+const FRAME_HEAD: &str = "{\"crc\":\"";
+const FRAME_MID: &str = "\",\"body\":";
+
 /// Parses one [`frame`]d record (nested at most `max_depth` deep) and
-/// returns its body if the CRC guard holds.
+/// returns its body if the CRC guard holds. The body's bytes are exactly
+/// the ones [`frame`] sealed, so the CRC is checked over them as stored
+/// and the body is parsed once.
 pub(crate) fn unframe(text: &str, max_depth: usize) -> Option<Value> {
-    let limits = Limits { max_bytes: crate::protocol::MAX_LINE_BYTES, max_depth };
-    let outer = json::parse_limited(text, &limits).ok()?;
-    let stored = outer.get("crc").and_then(Value::as_str)?;
-    let body = outer.get("body")?;
-    if stored != format!("{:08x}", crc32(body.render_compact().as_bytes())) {
+    if text.len() > crate::protocol::MAX_LINE_BYTES {
         return None;
     }
-    Some(body.clone())
+    let (stored, rest) = text.strip_prefix(FRAME_HEAD)?.split_at_checked(8)?;
+    let body = rest.strip_prefix(FRAME_MID)?.strip_suffix('}')?;
+    if stored != format!("{:08x}", crc32(body.as_bytes())) {
+        return None;
+    }
+    // The body sits one level inside the frame's object.
+    let max_depth = max_depth.checked_sub(1)?;
+    let limits = Limits { max_bytes: crate::protocol::MAX_LINE_BYTES, max_depth };
+    json::parse_limited(body, &limits).ok()
 }
 
 /// Writes `bytes` to `path` via a temp file, fsync, and atomic rename.

@@ -790,7 +790,8 @@ impl Reply {
     /// violation.
     pub fn parse_line(line: &str) -> Result<Reply, ProtocolError> {
         let limits = Limits { max_bytes: MAX_LINE_BYTES, max_depth: 32 };
-        let v = json::parse_limited(line, &limits)?;
+        let mut v = json::parse_limited(line, &limits)?;
+        let payload = v.remove("payload");
         let tag = v
             .get("reply")
             .and_then(Value::as_str)
@@ -817,10 +818,7 @@ impl Reply {
                 cached: v.get("cached").and_then(Value::as_bool).unwrap_or(false),
                 attempts: v.get("attempts").and_then(Value::as_u64).unwrap_or(0) as u32,
                 timing: v.get("timing").and_then(JobTiming::from_value),
-                payload: v
-                    .get("payload")
-                    .cloned()
-                    .ok_or_else(|| ProtocolError::schema("missing `payload`"))?,
+                payload: payload.ok_or_else(|| ProtocolError::schema("missing `payload`"))?,
             }),
             "error" => Ok(Reply::Error { id: id()?, kind: string("kind")?, detail: string("detail")? }),
             "shed" => Ok(Reply::Shed { id: id()?, kind: string("kind")?, detail: string("detail")? }),
@@ -829,10 +827,7 @@ impl Reply {
             }
             "pong" => Ok(Reply::Pong),
             "stats" => Ok(Reply::Stats {
-                payload: v
-                    .get("payload")
-                    .cloned()
-                    .ok_or_else(|| ProtocolError::schema("missing `payload`"))?,
+                payload: payload.ok_or_else(|| ProtocolError::schema("missing `payload`"))?,
             }),
             "watching" => Ok(Reply::Watching {
                 buffer: v.get("buffer").and_then(Value::as_u64).unwrap_or(0),

@@ -26,20 +26,35 @@
 //! payloads and signed zeros survive — cycle-accounting fields like
 //! busy-lane fractions are `f64` and must not be perturbed.
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), bit-reflected, one byte at
-/// a time. Slow-but-simple is fine: it guards snapshots written at
-/// checkpoint cadence and service records, never a per-cycle path.
+/// CRC-32 (IEEE 802.3, the zlib polynomial), bit-reflected, one table
+/// lookup per byte. It seals every snapshot and service record, and
+/// whole multi-megabyte snapshots pass through it on encode and decode.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
+
+/// `CRC32_TABLE[i]` is the CRC register after shifting the byte `i`
+/// through the reflected polynomial eight times.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 /// Encoding destination: an append-only byte buffer.
 #[derive(Debug, Default)]
@@ -448,6 +463,33 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition of the CRC, one bit at a time: the oracle the
+    /// table-driven [`crc32`] is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_table_matches_the_bitwise_definition(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            cut in 0usize..600,
+        ) {
+            let cut = cut.min(bytes.len());
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            proptest::prop_assert_eq!(crc32(&bytes[cut..]), crc32_bitwise(&bytes[cut..]));
+        }
     }
 
     #[test]
