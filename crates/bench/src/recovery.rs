@@ -160,41 +160,23 @@ pub struct RecoveryOutcome {
     pub memory_identical: bool,
 }
 
-/// Counters harvested from a machine after an attempt, successful or
-/// not (a failed run still reports how far recovery got).
-#[derive(Default)]
-struct Diag {
-    cycles: u64,
-    detections: u64,
-    selftest_detections: u64,
-    rollbacks: u64,
-    replayed_cycles: u64,
-    corrected_inline: u64,
-    avg_detection_latency: Option<f64>,
-    lanes_draining: u64,
-    lanes_retired: u64,
-    injections: u64,
-    stats_identical: bool,
-    memory_identical: bool,
-}
-
-impl Diag {
-    fn collect(machine: &Machine, baseline: &Baseline, stats: Option<&MachineStats>) -> Diag {
+impl RecoveryOutcome {
+    /// Records what `machine` reports after an attempt, successful or not
+    /// (a failed run still reports how far recovery got).
+    fn observe(&mut self, machine: &Machine, baseline: &Baseline, stats: Option<&MachineStats>) {
         let r = machine.recovery_stats().unwrap_or_default();
-        Diag {
-            cycles: machine.cycle(),
-            detections: r.detections,
-            selftest_detections: r.selftest_detections,
-            rollbacks: r.rollbacks,
-            replayed_cycles: r.replayed_cycles,
-            corrected_inline: r.corrected_inline,
-            avg_detection_latency: r.avg_detection_latency(),
-            lanes_draining: r.lanes_quarantined,
-            lanes_retired: r.lanes_retired,
-            injections: machine.fault_stats().map_or(0, |f| f.lane_corruptions),
-            stats_identical: stats.is_some_and(|s| arch_stats_eq(s, &baseline.stats)),
-            memory_identical: *machine.memory() == baseline.memory,
-        }
+        self.cycles = machine.cycle();
+        self.detections = r.detections;
+        self.selftest_detections = r.selftest_detections;
+        self.rollbacks = r.rollbacks;
+        self.replayed_cycles = r.replayed_cycles;
+        self.corrected_inline = r.corrected_inline;
+        self.avg_detection_latency = r.avg_detection_latency();
+        self.lanes_draining = r.lanes_quarantined;
+        self.lanes_retired = r.lanes_retired;
+        self.injections = machine.fault_stats().map_or(0, |f| f.lane_corruptions);
+        self.stats_identical = stats.is_some_and(|s| arch_stats_eq(s, &baseline.stats));
+        self.memory_identical = *machine.memory() == baseline.memory;
     }
 }
 
@@ -223,7 +205,34 @@ fn run_scenario(
     scenario: Scenario,
 ) -> RecoveryOutcome {
     let budget = baseline.cycles.saturating_mul(BUDGET_FACTOR).max(1_000_000);
-    let mut diag: Option<Diag> = None;
+    let (rate, seed) = match scenario {
+        Scenario::Transient { rate, seed } => (Some(rate), Some(seed)),
+        Scenario::Permanent => (None, None),
+    };
+    // Every attempt's machine overwrites the observed fields; the rest
+    // are settled once the retries are over.
+    let mut o = RecoveryOutcome {
+        scenario: scenario.name(),
+        policy: policy_name,
+        rate,
+        seed,
+        attempts: 0,
+        outcome: "ok",
+        cycles: 0,
+        detections: 0,
+        selftest_detections: 0,
+        rollbacks: 0,
+        replayed_cycles: 0,
+        corrected_inline: 0,
+        avg_detection_latency: None,
+        lanes_draining: 0,
+        lanes_retired: 0,
+        injections: 0,
+        retained_throughput: None,
+        retained_per_retired_lane: None,
+        stats_identical: false,
+        memory_identical: false,
+    };
     // No backoff: each attempt re-salts the fault plan, so waiting
     // between deterministic campaign attempts buys nothing.
     let retry = run_with_retry(
@@ -246,47 +255,20 @@ fn run_scenario(
                 (Err(JobFailure::Faulted { kind: e.kind(), detail: e.to_string() }), None)
             }
         };
-        diag = Some(Diag::collect(&machine, baseline, stats.as_ref()));
+        o.observe(&machine, baseline, stats.as_ref());
         out
     },
     );
-    let (attempts, result) = (retry.attempts, retry.result);
-    let d = diag.unwrap_or_default();
-    let outcome = match &result {
-        Ok(()) => "ok",
-        Err(f) => f.kind(),
-    };
-    let retained = result
-        .is_ok()
-        .then(|| baseline.cycles as f64 / d.cycles.max(1) as f64);
-    let (rate, seed) = match scenario {
-        Scenario::Transient { rate, seed } => (Some(rate), Some(seed)),
-        Scenario::Permanent => (None, None),
-    };
-    RecoveryOutcome {
-        scenario: scenario.name(),
-        policy: policy_name,
-        rate,
-        seed,
-        attempts,
-        outcome,
-        cycles: d.cycles,
-        detections: d.detections,
-        selftest_detections: d.selftest_detections,
-        rollbacks: d.rollbacks,
-        replayed_cycles: d.replayed_cycles,
-        corrected_inline: d.corrected_inline,
-        avg_detection_latency: d.avg_detection_latency,
-        lanes_draining: d.lanes_draining,
-        lanes_retired: d.lanes_retired,
-        injections: d.injections,
-        retained_throughput: retained,
-        retained_per_retired_lane: retained.and_then(|r| {
-            (d.lanes_retired > 0).then(|| r / d.lanes_retired as f64)
-        }),
-        stats_identical: d.stats_identical,
-        memory_identical: d.memory_identical,
+    o.attempts = retry.attempts;
+    if let Err(f) = &retry.result {
+        o.outcome = f.kind();
     }
+    o.retained_throughput =
+        retry.result.is_ok().then(|| baseline.cycles as f64 / o.cycles.max(1) as f64);
+    o.retained_per_retired_lane = o
+        .retained_throughput
+        .and_then(|r| (o.lanes_retired > 0).then(|| r / o.lanes_retired as f64));
+    o
 }
 
 /// Serializes one row.

@@ -240,18 +240,6 @@ impl VectorInst {
         )
     }
 
-    /// Fallible predication for untrusted instruction streams: `None`
-    /// instead of a panic when the instruction cannot carry a governing
-    /// predicate.
-    #[must_use]
-    pub fn try_predicated(self, pred: PReg) -> Option<VectorInst> {
-        if self.can_be_predicated() {
-            Some(VectorInst::Predicated { pred, inst: Box::new(self) })
-        } else {
-            None
-        }
-    }
-
     /// The governing predicate, if the instruction is predicated.
     pub fn governing_pred(&self) -> Option<PReg> {
         match self {

@@ -106,8 +106,8 @@ pub(crate) enum CoprocActivity {
     /// Nothing would happen this cycle. `reg_stall` reports whether the
     /// pool head is a vector instruction stalled on register-block
     /// exhaustion — the one inert case with a per-cycle statistics
-    /// side-effect (`rename_stall_cycles`), which the skip path must
-    /// replay in bulk.
+    /// side-effect (`rename_stall_cycles`), which a jump charges once
+    /// for its whole span.
     Inert { reg_stall: bool },
     /// A stage would do real work (or trip a fault) — do not skip.
     Active,
@@ -1218,7 +1218,7 @@ impl CoProcessor {
                 }
             }
             if stalled_on_regs {
-                stats[core].rename_stall_cycles += 1;
+                stats[core].charge_rename_stall(1);
             }
             if self.events.is_enabled() {
                 if stalled_on_regs {

@@ -1,7 +1,7 @@
 //! The top-level machine: scalar cores + co-processor + memory.
 
 use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program};
-use mem_sim::{Cycle, MemStats, Memory, MemorySystem};
+use mem_sim::{Cycle, Memory, MemorySystem};
 
 use crate::config::{Architecture, SimConfig};
 use crate::coproc::{
@@ -107,8 +107,9 @@ struct KernelCtl {
     /// seeded from the `OCCAMY_REFERENCE_KERNEL` environment variable so
     /// differential harnesses can flip whole binaries without plumbing.
     reference: bool,
-    /// Idle cycles jumped (still simulated: every per-cycle statistic is
-    /// applied in bulk, so `sim.cycles` and all outputs are unchanged).
+    /// Idle cycles jumped (still accounted: a jump hands its span to the
+    /// accounting a tick hands one cycle, so `sim.cycles` and all outputs
+    /// are unchanged).
     cycles_skipped: u64,
     /// Number of jumped spans.
     skips: u64,
@@ -120,17 +121,18 @@ struct KernelCtl {
     scratch: Scratch,
 }
 
-/// Per-cycle working storage of [`Machine::tick`],
-/// [`Machine::probe_inert`] and [`Machine::apply_skip`]. Every user
-/// clears what it fills; contents never carry over between cycles, so a
-/// clone starts empty and debug dumps leave the contents out.
+/// Per-cycle working storage of [`Machine::tick`] and of the event
+/// kernel's [`Machine::probe_inert`] and [`Machine::jump`]; tick and jump
+/// both describe the cycle to [`Machine::account`] through it. Every
+/// user clears what it fills; contents never carry over between cycles,
+/// so a clone starts empty and debug dumps leave the contents out.
 #[derive(Default)]
 struct Scratch {
-    /// Per-core issue counts of the current cycle.
+    /// Per-core issue counts of the current cycle (zero across a jump).
     issued: Vec<IssueCounts>,
-    /// Per-core busy lanes of the current cycle.
+    /// Per-core busy lanes per cycle, derived by `account`.
     busy: Vec<f64>,
-    /// Per-core allocated lanes of the current cycle (or skipped span).
+    /// Per-core allocated lanes, sampled before rename.
     alloc: Vec<usize>,
     /// Per-core overhead counters before rename, for the profiler.
     prof_base: Vec<(f64, f64, u64)>,
@@ -176,8 +178,8 @@ impl PartialEq for KernelCtl {
 }
 
 /// What the event kernel's probe found for one inert core: the per-cycle
-/// side-effects a real tick would have had, which
-/// [`Machine::apply_skip`] replays in bulk over the jumped span.
+/// charges a real tick would have made, which [`Machine::jump`] makes
+/// once for the whole span.
 #[derive(Debug, Clone, Copy)]
 struct InertCore {
     /// `Some(tag)` when the core is parked in `Wait::EmAck` and charges
@@ -243,6 +245,15 @@ impl MachineSnapshot {
     }
 }
 
+/// The first multiple of `interval` at or after `now`, where zero's only
+/// multiple is 0 (as for [`u64::is_multiple_of`]).
+fn next_multiple(now: Cycle, interval: Cycle) -> Option<Cycle> {
+    match interval {
+        0 => (now == 0).then_some(0),
+        i => now.checked_next_multiple_of(i),
+    }
+}
+
 /// Private state of the detection-and-recovery subsystem.
 #[derive(Debug, Clone, PartialEq)]
 struct RecoveryCtl {
@@ -257,6 +268,18 @@ struct RecoveryCtl {
     quarantined: Vec<usize>,
     /// The rollback target. Always present after `enable_recovery`.
     checkpoint: Option<MachineSnapshot>,
+}
+
+impl RecoveryCtl {
+    /// The first cycle from `now` on at which
+    /// [`Machine::recovery_maintenance`] takes a checkpoint (at once while
+    /// none is held), before the guards that can only postpone it.
+    fn checkpoint_due(&self, now: Cycle) -> Option<Cycle> {
+        match self.checkpoint {
+            None => Some(now),
+            Some(_) => next_multiple(now, self.policy.checkpoint_interval),
+        }
+    }
 }
 
 /// A task preempted by [`Machine::preempt`]: the scalar core state plus
@@ -553,11 +576,6 @@ impl Machine {
         &mut self.mem
     }
 
-    /// Memory-hierarchy statistics.
-    pub fn mem_stats(&self) -> MemStats {
-        self.memsys.stats()
-    }
-
     /// The current cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle
@@ -611,7 +629,7 @@ impl Machine {
 
     /// Enables the event log: instruction stages and cross-layer machine
     /// events in one ring retaining the most recent `capacity` events
-    /// (see [`crate::events`], [`crate::to_chrome_trace`],
+    /// (see [`EventLog`], [`crate::to_chrome_trace`],
     /// [`crate::render_pipeview`] and [`crate::to_kanata`]).
     pub fn enable_events(&mut self, capacity: usize) {
         self.coproc.events = EventLog::with_capacity(capacity);
@@ -629,7 +647,7 @@ impl Machine {
         crate::events::to_chrome_trace(&self.coproc.events, self.cfg.cores)
     }
 
-    /// Enables the cycle-attribution profiler (see [`crate::profile`]):
+    /// Enables the cycle-attribution profiler (see [`ProfileState`]):
     /// from now on every cycle is classified per core into
     /// compute/memory-bound/drain-reconfig/monitor/idle/other.
     pub fn enable_profile(&mut self) {
@@ -744,14 +762,14 @@ impl Machine {
     /// loop — same statistics, same outputs, same faults at the same
     /// cycles — but idle spans cost O(1) instead of O(span).
     ///
-    /// How the jump stays exact: the inertness probe
-    /// ([`probe_inert`](Machine::probe_inert)) proves that a tick at the
-    /// current cycle would change nothing, the earliest of every
+    /// How the jump stays exact: an inertness probe proves that a tick at
+    /// the current cycle would change nothing, the earliest of every
     /// scheduled future action (pipeline and memory completions, scalar
-    /// load arrivals, watchdog/checkpoint/self-test timers) bounds how
-    /// long that stays true, and [`apply_skip`](Machine::apply_skip)
-    /// replays the span's per-cycle accounting in bulk. The cycle at the
-    /// horizon itself is always executed as a real step.
+    /// load arrivals, watchdog/checkpoint/self-test timers, each due
+    /// cycle taken from the code that acts on it) bounds how long that
+    /// stays true, and the jump hands the whole span to the accounting a
+    /// tick hands one cycle. The cycle at the horizon itself is always
+    /// executed as a real step.
     ///
     /// # Errors
     ///
@@ -780,59 +798,29 @@ impl Machine {
         if self.recovery.is_some() && self.coproc.quarantine_counts().0 != 0 {
             return;
         }
-        let mut inert = std::mem::take(&mut self.kernel.scratch.inert);
-        if self.probe_inert(&mut inert) {
+        let mut s = std::mem::take(&mut self.kernel.scratch);
+        if self.probe_inert(&mut s.inert) {
             let horizon = self.skip_horizon(bound);
             if horizon > now {
-                self.apply_skip(horizon - now, &inert);
+                self.jump(horizon - now, &mut s);
             }
         }
-        self.kernel.scratch.inert = inert;
+        self.kernel.scratch = s;
     }
 
     /// The earliest cycle at which anything is scheduled to act, capped
     /// at `bound - 1`: a running minimum over every component's next
-    /// wake-up. A deadline at or before the current cycle yields a
-    /// horizon that is not in the future, so nothing is skipped.
+    /// wake-up, each taken from the function its acting code tests. A
+    /// wake-up at or before the current cycle yields a horizon that is
+    /// not in the future, so nothing is skipped.
     fn skip_horizon(&self, bound: Cycle) -> Cycle {
-        let now = self.cycle;
-        let scalar_loads = self
-            .scalar
-            .iter()
-            .flat_map(|s| s.pending_loads.iter().map(|&(done, _)| done))
-            .min();
-        // Watchdog timer: inert cycles are by definition stagnant, so
-        // the trip step (which must execute for real, recording the
-        // event and the dump) comes `watchdog - stagnant` steps out; the
-        // step *starting* at that cycle performs the trip.
-        let watchdog = (!self.done())
-            .then(|| now + self.watchdog.saturating_sub(self.stagnant).saturating_sub(1));
-        let (checkpoint, selftest) = match self.recovery.as_ref() {
+        let scalar_loads = self.scalar.iter().filter_map(|s| s.next_load()).map(|(at, _)| at).min();
+        // The watchdog trip must be a real step: the one that starts one
+        // cycle before it falls due.
+        let watchdog = self.watchdog_due().map(|due| due.saturating_sub(1));
+        let (checkpoint, selftest) = match self.recovery.as_deref() {
             None => (None, None),
-            Some(ctl) => {
-                // Checkpoint timer: the next multiple of the interval
-                // (`recovery_maintenance` checkpoints when `cycle %
-                // interval == 0`), or right now if the initial checkpoint
-                // is owed.
-                let checkpoint = if ctl.checkpoint.is_none() {
-                    now
-                } else {
-                    let i = ctl.policy.checkpoint_interval.max(1);
-                    now.div_ceil(i) * i
-                };
-                // Self-test timer — only when the sweep can observe
-                // anything (mirrors the guards in `recovery_maintenance`;
-                // without a fault plan the sweep is a no-op).
-                let selftest = (ctl.policy.selftest_interval > 0
-                    && ctl.policy.quarantine
-                    && self.coproc.has_lane_manager()
-                    && self.faults.is_some())
-                .then(|| {
-                    let i = ctl.policy.selftest_interval;
-                    now.max(1).div_ceil(i) * i
-                });
-                (Some(checkpoint), selftest)
-            }
+            Some(ctl) => (ctl.checkpoint_due(self.cycle), self.selftest_due(ctl)),
         };
         [self.coproc.next_completion(), scalar_loads, watchdog, checkpoint, selftest]
             .into_iter()
@@ -842,7 +830,7 @@ impl Machine {
 
     /// Proves — without mutating anything — that a `tick` at the current
     /// cycle would change no machine state, and captures each core's
-    /// per-cycle statistics side-effects into `cores` for bulk replay.
+    /// per-cycle charges into `cores` for [`jump`](Machine::jump).
     /// Built from the stages' own gates (the same functions the stages
     /// call before acting), so it holds no copy of any stage rule.
     /// Returns `false` as soon as any component would act; a
@@ -855,9 +843,7 @@ impl Machine {
         }
         let mem_capacity = self.mem.capacity() as u64;
         for c in 0..self.cfg.cores {
-            if self.scalar[c].pending_loads.iter().any(|&(done, _)| done <= now)
-                || self.finish_due(c)
-            {
+            if self.scalar[c].next_load().is_some_and(|(at, _)| at <= now) || self.finish_due(c) {
                 return false;
             }
             let CoprocActivity::Inert { reg_stall } =
@@ -884,48 +870,26 @@ impl Machine {
         true
     }
 
-    /// Replays `span` inert cycles' worth of per-cycle accounting in one
-    /// shot: lane-allocation integrals, rename-stall and overhead
-    /// charges, profiler attribution, the timeline series, watchdog
-    /// stagnation, and the cycle counter itself. Exact by construction —
-    /// every quantity below is what `span` consecutive inert `tick`s
-    /// would have accumulated (integer counters add exactly; the f64
-    /// overhead counters hold dyadic multiples of 1/8 far below 2^52,
-    /// where repeated `+1.0` equals one `+span`; busy-lane terms are
-    /// identically zero on an inert cycle).
-    fn apply_skip(&mut self, span: Cycle, inert: &[InertCore]) {
-        let start = self.cycle;
-        let mut alloc = std::mem::take(&mut self.kernel.scratch.alloc);
-        alloc.clear();
-        let mut prof = self.profile.take();
-        for c in 0..self.cfg.cores {
-            let lanes = self.coproc.cur_vl(c).lanes();
-            alloc.push(lanes);
-            self.core_stats[c].alloc_lane_cycles += lanes as u64 * span;
-            if inert[c].reg_stall {
-                self.core_stats[c].rename_stall_cycles += span;
+    /// Jumps `span` inert cycles: makes each core's per-cycle charges
+    /// once for the span, through the helpers the stages use (the
+    /// rename-stall charge, a parked core's overhead tag), then hands the
+    /// span to [`account`](Machine::account) as `tick` hands it one
+    /// cycle. Exact by construction: nothing issues, integer counters add
+    /// exactly, and the f64 overhead counters hold dyadic multiples of
+    /// 1/8 far below 2^52, where repeated `+1.0` equals one `+span`.
+    fn jump(&mut self, span: Cycle, s: &mut Scratch) {
+        s.issued.clear();
+        s.issued.resize(self.cfg.cores, IssueCounts::default());
+        self.sample_cycle(s);
+        for (c, core) in s.inert.iter().enumerate() {
+            if core.reg_stall {
+                self.core_stats[c].charge_rename_stall(span);
             }
-            let base = self.overhead_base(c);
-            if let Some(tag) = inert[c].overhead {
+            if let Some(tag) = core.overhead {
                 self.attribute_overhead(c, tag, span as f64);
             }
-            if let Some(prof) = prof.as_mut() {
-                let class = self.cycle_class(c, base, IssueCounts::default());
-                prof.attribute_span(c, self.coproc.open_phase(c), class, span);
-            }
         }
-        self.profile = prof;
-        self.timeline.record_idle_span(start, &alloc, span);
-        self.kernel.scratch.alloc = alloc;
-        // Inert cycles are stagnant by definition; `check_watchdog`
-        // would have reset to zero each cycle only if the machine were
-        // done.
-        if self.done() {
-            self.stagnant = 0;
-        } else {
-            self.stagnant += span;
-        }
-        self.cycle += span;
+        self.account(span, s);
         self.kernel.cycles_skipped += span;
         self.kernel.skips += 1;
     }
@@ -941,18 +905,7 @@ impl Machine {
         // Periodic lane self-test: catches permanent faults on granules
         // that are not currently computing (a lightly-loaded machine
         // would otherwise never detect them through the residue check).
-        // `faults.is_none()` means `hit` below is constant-false: skip
-        // the whole granule sweep (it used to run — a pure waste — on
-        // every interval boundary of a fault-free recovery-enabled run,
-        // and the event kernel's self-test timer assumes it is a no-op
-        // then).
-        if ctl.policy.selftest_interval > 0
-            && ctl.policy.quarantine
-            && self.cycle > 0
-            && self.cycle.is_multiple_of(ctl.policy.selftest_interval)
-            && self.coproc.has_lane_manager()
-            && self.faults.is_some()
-        {
+        if self.selftest_due(&ctl) == Some(self.cycle) {
             for g in 0..self.cfg.total_granules {
                 let hit =
                     self.faults.as_ref().is_some_and(|f| f.permanent_faulty(g, self.cycle));
@@ -978,12 +931,29 @@ impl Machine {
         let frozen = self.scalar.iter().any(|s| s.frozen);
         if !frozen
             && !self.coproc.inflight_tainted()
-            && (ctl.checkpoint.is_none()
-                || self.cycle.is_multiple_of(ctl.policy.checkpoint_interval))
+            && ctl.checkpoint_due(self.cycle) == Some(self.cycle)
         {
             ctl.checkpoint = Some(self.snapshot());
         }
         self.recovery = Some(ctl);
+    }
+
+    /// The first cycle from now on (and past cycle 0) at which
+    /// [`recovery_maintenance`](Machine::recovery_maintenance) sweeps the
+    /// lanes for permanent faults; `None` unless the sweep can observe
+    /// anything: a self-test interval, quarantine on, a lane manager to
+    /// repartition the survivors, and a fault plan to hit (without one
+    /// the sweep would be a pure waste).
+    fn selftest_due(&self, ctl: &RecoveryCtl) -> Option<Cycle> {
+        let p = &ctl.policy;
+        let observable = p.selftest_interval > 0
+            && p.quarantine
+            && self.coproc.has_lane_manager()
+            && self.faults.is_some();
+        if !observable {
+            return None;
+        }
+        next_multiple(self.cycle.max(1), p.selftest_interval)
     }
 
     /// Re-takes the checkpoint after an OS-visible transition (context
@@ -1126,8 +1096,9 @@ impl Machine {
     }
 
     /// Walks every live counter into a fresh hierarchical
-    /// [`MetricsRegistry`] snapshot (see [`crate::metrics`] for the
-    /// naming scheme). Taking a snapshot never perturbs the simulation.
+    /// [`MetricsRegistry`] snapshot, named
+    /// `sim.<component>[.<instance>].<quantity>`. Taking a snapshot never
+    /// perturbs the simulation.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
         r.counter("sim.cycles", self.cycle, "total simulated cycles");
@@ -1318,15 +1289,33 @@ impl Machine {
         (self.coproc.retired, scalar, decisions)
     }
 
-    fn check_watchdog(&mut self) -> Result<(), SimError> {
+    /// The watchdog's stagnation count over `span` cycles in which the
+    /// progress signature holds still: it restarts on a finished machine
+    /// or, on the span's first cycle, a moved signature, and otherwise
+    /// grows by one per cycle.
+    fn note_progress(&mut self, span: Cycle) {
         let sig = self.progress_signature();
-        if sig != self.last_sig || self.done() {
-            self.last_sig = sig;
+        if self.done() {
             self.stagnant = 0;
-            return Ok(());
+        } else if sig != self.last_sig {
+            self.stagnant = span - 1;
+        } else {
+            self.stagnant += span;
         }
-        self.stagnant += 1;
-        if self.stagnant < self.watchdog {
+        self.last_sig = sig;
+    }
+
+    /// The cycle count at which the watchdog trips if nothing progresses
+    /// until then: the step that advances the machine to it trips
+    /// (`None` while the machine is done, which restarts the count every
+    /// cycle).
+    fn watchdog_due(&self) -> Option<Cycle> {
+        (!self.done()).then(|| self.cycle + self.watchdog.saturating_sub(self.stagnant))
+    }
+
+    /// Trips the forward-progress watchdog once it falls due.
+    fn check_watchdog(&mut self) -> Result<(), SimError> {
+        if self.watchdog_due().is_none_or(|due| due > self.cycle) {
             return Ok(());
         }
         self.coproc.event(
@@ -1462,9 +1451,9 @@ impl Machine {
     }
 
     /// Advances the machine by one cycle without fault reporting (a
-    /// faulted machine does not advance; prefer [`step`](Machine::step),
-    /// which surfaces the error).
-    pub fn tick(&mut self) {
+    /// faulted machine does not advance); [`step`](Machine::step)
+    /// surfaces the error.
+    fn tick(&mut self) {
         if self.fault.is_some() || self.coproc.fault.is_some() {
             return;
         }
@@ -1483,34 +1472,16 @@ impl Machine {
             self.scalar[wb.core].pending_x[wb.reg.index()] = false;
         }
 
-        // Stage 2: issue; accumulate occupancy statistics.
+        // Stage 2: issue. The issue counters land before rename, whose
+        // phase records and `<OI>` sanitization read them.
         s.issued.clear();
         s.issued.resize(cores, IssueCounts::default());
         self.coproc.issue(now, &mut self.mem, &mut self.memsys, &mut self.faults, &mut s.issued);
-        s.busy.clear();
-        s.alloc.clear();
-        for c in 0..cores {
-            let lanes = self.coproc.cur_vl(c).lanes();
-            let issued = s.issued[c];
-            self.core_stats[c].vector_compute_issued += issued.compute;
-            self.core_stats[c].vector_mem_issued += issued.mem;
-            // Average occupancy over the compute and ld/st data paths.
-            let busy = lanes as f64
-                * (issued.compute as f64 / self.cfg.compute_width as f64
-                    + issued.mem as f64 / self.cfg.mem_width as f64)
-                / 2.0;
-            self.core_stats[c].busy_lane_cycles += busy;
-            s.busy.push(busy);
-            s.alloc.push(lanes);
-            self.core_stats[c].alloc_lane_cycles += lanes as u64;
+        for (st, issued) in self.core_stats.iter_mut().zip(&s.issued) {
+            st.vector_compute_issued += issued.compute;
+            st.vector_mem_issued += issued.mem;
         }
-
-        // Snapshot the overhead counters so the profiler can classify
-        // this cycle by what actually moved during it.
-        if self.profile.is_some() {
-            s.prof_base.clear();
-            s.prof_base.extend((0..cores).map(|c| self.overhead_base(c)));
-        }
+        self.sample_cycle(&mut s);
 
         // Stage 3: rename + EM-SIMD data path.
         s.resps.clear();
@@ -1535,20 +1506,58 @@ impl Machine {
             }
         }
 
-        // Classify the cycle per core. Every core gets exactly one
-        // category per cycle, so the per-core attribution sums to the
-        // total simulated cycles (checked by `render_profile`).
+        self.account(1, &mut s);
+        self.kernel.scratch = s;
+    }
+
+    /// Samples, before rename and scalar dispatch act, what
+    /// [`account`](Machine::account) measures a cycle against: each
+    /// core's allocated lanes (rename may reconfigure them) and, when
+    /// profiling, its overhead counters.
+    fn sample_cycle(&self, s: &mut Scratch) {
+        s.alloc.clear();
+        s.alloc.extend((0..self.cfg.cores).map(|c| self.coproc.cur_vl(c).lanes()));
+        if self.profile.is_some() {
+            s.prof_base.clear();
+            s.prof_base.extend((0..self.cfg.cores).map(|c| self.overhead_base(c)));
+        }
+    }
+
+    /// The machine-level accounting of `span` cycles that each look like
+    /// the one `s` describes (lanes and overhead counters from
+    /// [`sample_cycle`](Machine::sample_cycle), issue counts): the busy-
+    /// and allocated-lane integrals, the timeline, the profiler's class,
+    /// the cycle counter and the watchdog's stagnation count. `tick`
+    /// calls it for its one cycle and the event kernel's
+    /// [`jump`](Machine::jump) for a whole inert span, both after the
+    /// span's charges have landed.
+    fn account(&mut self, span: Cycle, s: &mut Scratch) {
+        let cores = self.cfg.cores;
+        s.busy.clear();
+        for c in 0..cores {
+            let (lanes, issued) = (s.alloc[c], s.issued[c]);
+            // Average occupancy over the compute and ld/st data paths.
+            let busy = lanes as f64
+                * (issued.compute as f64 / self.cfg.compute_width as f64
+                    + issued.mem as f64 / self.cfg.mem_width as f64)
+                / 2.0;
+            self.core_stats[c].busy_lane_cycles += busy * span as f64;
+            self.core_stats[c].alloc_lane_cycles += lanes as u64 * span;
+            s.busy.push(busy);
+        }
+        // Every core gets exactly one category per cycle, so the per-core
+        // attribution sums to the total simulated cycles (checked by
+        // `render_profile`).
         if let Some(mut prof) = self.profile.take() {
             for c in 0..cores {
                 let class = self.cycle_class(c, s.prof_base[c], s.issued[c]);
-                prof.attribute(c, self.coproc.open_phase(c), class);
+                prof.attribute(c, self.coproc.open_phase(c), class, span);
             }
             self.profile = Some(prof);
         }
-
-        self.timeline.record(now, &s.busy, &s.alloc);
-        self.kernel.scratch = s;
-        self.cycle += 1;
+        self.timeline.record(self.cycle, &s.busy, &s.alloc, span);
+        self.cycle += span;
+        self.note_progress(span);
     }
 
     /// Whether `tick` records core `c`'s finish marker this cycle: the
@@ -1571,8 +1580,6 @@ impl Machine {
     /// The profiler's classification of core `c`'s cycle, given the
     /// counters before it (`base`, from
     /// [`overhead_base`](Machine::overhead_base)) and its issue counts.
-    /// Shared by `tick` and `apply_skip`, so a jumped cycle lands in the
-    /// class a ticked one would.
     fn cycle_class(&self, c: usize, base: (f64, f64, u64), issued: IssueCounts) -> CycleClass {
         let (mon0, rec0, sc0) = base;
         let st = &self.core_stats[c];

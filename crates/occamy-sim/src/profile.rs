@@ -134,24 +134,11 @@ impl ProfileState {
         ProfileState { cores: vec![CoreProfile::default(); ncores] }
     }
 
-    /// Attributes one cycle on `core` to `class`, under phase index
-    /// `phase` (`None` = outside any phase). Out-of-range indices are
-    /// ignored rather than panicking (the profiler is diagnostic-only).
-    pub fn attribute(&mut self, core: usize, phase: Option<usize>, class: CycleClass) {
-        self.attribute_span(core, phase, class, 1);
-    }
-
-    /// Attributes `n` cycles at once — the event kernel's bulk form for
-    /// skipped idle spans. Equivalent to `n` calls to
-    /// [`attribute`](Self::attribute) (all counters are integers, so
-    /// bulk addition is exact).
-    pub fn attribute_span(
-        &mut self,
-        core: usize,
-        phase: Option<usize>,
-        class: CycleClass,
-        n: u64,
-    ) {
+    /// Attributes `n` cycles on `core` to `class`, under phase index
+    /// `phase` (`None` = outside any phase): one cycle per tick, a whole
+    /// span per event-kernel jump. Out-of-range cores are ignored rather
+    /// than panicking (the profiler is diagnostic-only).
+    pub fn attribute(&mut self, core: usize, phase: Option<usize>, class: CycleClass, n: u64) {
         let Some(cp) = self.cores.get_mut(core) else { return };
         let bucket = match phase {
             Some(idx) => {
@@ -253,12 +240,10 @@ mod tests {
     fn attribution_sums_to_total() {
         let mut p = ProfileState::new(2);
         for _ in 0..10 {
-            p.attribute(0, None, CycleClass::Compute);
+            p.attribute(0, None, CycleClass::Compute, 1);
         }
-        for _ in 0..5 {
-            p.attribute(0, Some(0), CycleClass::MemoryBound);
-        }
-        p.attribute(0, Some(2), CycleClass::DrainReconfig);
+        p.attribute(0, Some(0), CycleClass::MemoryBound, 5);
+        p.attribute(0, Some(2), CycleClass::DrainReconfig, 1);
         assert_eq!(p.cores[0].total(), 16);
         assert_eq!(p.cores[0].outside.compute, 10);
         assert_eq!(p.cores[0].phases[0].memory_bound, 5);
@@ -269,15 +254,15 @@ mod tests {
     #[test]
     fn out_of_range_core_is_ignored() {
         let mut p = ProfileState::new(1);
-        p.attribute(5, None, CycleClass::Idle);
+        p.attribute(5, None, CycleClass::Idle, 1);
         assert_eq!(p.cores[0].total(), 0);
     }
 
     #[test]
     fn render_mentions_every_category() {
         let mut p = ProfileState::new(1);
-        p.attribute(0, Some(0), CycleClass::Compute);
-        p.attribute(0, None, CycleClass::Idle);
+        p.attribute(0, Some(0), CycleClass::Compute, 1);
+        p.attribute(0, None, CycleClass::Idle, 1);
         let stats = MachineStats {
             cycles: 2,
             cores: Vec::new(),

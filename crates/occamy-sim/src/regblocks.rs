@@ -52,7 +52,7 @@ pub struct PhysId(pub(crate) u32);
 ///
 /// A granule classified as persistently faulty is first marked
 /// [`Draining`](LaneHealth::Draining): the lane manager stops planning
-/// over it and [`RegBlocks::reassign`] stops handing it out, but the
+/// over it and `RegBlocks::reassign` stops handing it out, but the
 /// current owner keeps it (at full width, with detections corrected
 /// in place) until its next partition point naturally releases it.
 /// Forcing the block away mid-phase would change the owner's `<VL>`

@@ -201,16 +201,22 @@ impl ScalarCore {
         Some(ScalarAccess { addr, reg, store })
     }
 
-    /// Retires scalar loads whose data has arrived.
+    /// The earliest in-flight scalar load: the cycle its data arrives
+    /// and its index in `pending_loads` (ties go to the older load).
+    pub fn next_load(&self) -> Option<(Cycle, usize)> {
+        self.pending_loads.iter().enumerate().map(|(i, &(at, _))| (at, i)).min()
+    }
+
+    /// Retires the scalar loads whose data has arrived by `now`, earliest
+    /// first.
     pub fn complete_scalar_loads(&mut self, now: Cycle) {
-        self.pending_loads.retain(|&(done, reg)| {
-            if done <= now {
-                self.pending_x[reg.index()] = false;
-                false
-            } else {
-                true
+        while let Some((at, i)) = self.next_load() {
+            if at > now {
+                break;
             }
-        });
+            let (_, reg) = self.pending_loads.remove(i);
+            self.pending_x[reg.index()] = false;
+        }
     }
 
     /// Executes a non-memory scalar instruction, updating registers and

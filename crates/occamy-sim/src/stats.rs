@@ -34,6 +34,12 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
+    /// Charges `cycles` cycles of rename stalled on register-block
+    /// exhaustion.
+    pub(crate) fn charge_rename_stall(&mut self, cycles: Cycle) {
+        self.rename_stall_cycles += cycles;
+    }
+
     /// Total vector instructions issued (compute + memory) — the
     /// numerator of the issue-rate metric, exposed for serializers.
     pub fn total_vector_issued(&self) -> u64 {
@@ -136,36 +142,24 @@ impl Timeline {
         }
     }
 
-    /// Records one cycle's per-core busy and allocated lane counts.
-    pub fn record(&mut self, cycle: Cycle, busy: &[f64], alloc: &[usize]) {
-        for c in 0..self.cores {
-            self.cur_busy[c] += busy[c];
-            self.cur_alloc[c] += alloc[c] as u64;
-        }
-        self.cur_count += 1;
-        if self.cur_count == self.bucket_cycles {
-            self.flush(cycle + 1 - self.bucket_cycles);
-        }
-    }
-
-    /// Records `span` consecutive *inert* cycles starting at `cycle` in
-    /// one call — the event kernel's bulk equivalent of `span` calls to
-    /// [`record`](Self::record) with zero busy lanes and constant
-    /// per-core allocations. Bucket boundaries inside the span flush
-    /// exactly where the per-cycle path would, so the resulting series
-    /// is identical.
-    pub fn record_idle_span(&mut self, mut cycle: Cycle, alloc: &[usize], mut span: Cycle) {
+    /// Records `span` consecutive cycles from `cycle` on, each with the
+    /// given per-core busy and allocated lane counts. Bucket boundaries
+    /// inside the span flush where one-cycle records would, so a span
+    /// equals that many one-cycle records whenever `busy × n` is exact
+    /// in f64: always for one cycle, and for the zero busy lanes of an
+    /// inert span the event kernel jumps.
+    pub fn record(&mut self, mut cycle: Cycle, busy: &[f64], alloc: &[usize], mut span: Cycle) {
         while span > 0 {
             let take = (self.bucket_cycles - self.cur_count).min(span);
             for c in 0..self.cores {
+                self.cur_busy[c] += busy[c] * take as f64;
                 self.cur_alloc[c] += alloc[c] as u64 * take;
             }
             self.cur_count += take;
             cycle += take;
             span -= take;
             if self.cur_count == self.bucket_cycles {
-                // Last cycle folded in was `cycle - 1`, matching
-                // `record`'s flush at `cycle + 1 - bucket_cycles`.
+                // The bucket's last cycle was `cycle - 1`.
                 self.flush(cycle - self.bucket_cycles);
             }
         }
@@ -240,7 +234,7 @@ pub struct MachineStats {
     /// timing runs).
     pub functional_insts: u64,
     /// Hierarchical metrics snapshot (the gem5-style stats tree, see
-    /// [`crate::metrics`]).
+    /// [`Machine::metrics`](crate::Machine::metrics)).
     pub metrics: crate::metrics::MetricsRegistry,
 }
 
@@ -360,7 +354,7 @@ mod tests {
     fn timeline_buckets_average() {
         let mut t = Timeline::new(2, 4);
         for cycle in 0..8 {
-            t.record(cycle, &[2.0, 4.0], &[8, 16]);
+            t.record(cycle, &[2.0, 4.0], &[8, 16], 1);
         }
         let buckets = t.finish(8);
         assert_eq!(buckets.len(), 2);
@@ -372,11 +366,41 @@ mod tests {
     #[test]
     fn partial_bucket_is_flushed_on_finish() {
         let mut t = Timeline::new(1, 10);
-        t.record(0, &[5.0], &[10]);
-        t.record(1, &[7.0], &[10]);
+        t.record(0, &[5.0], &[10], 1);
+        t.record(1, &[7.0], &[10], 1);
         let buckets = t.finish(2);
         assert_eq!(buckets.len(), 1);
         assert!((buckets[0].busy_lanes[0] - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_span_record_equals_that_many_single_cycle_records() {
+        // (busy, alloc, span) over 4-cycle buckets: cycle 0 alone, a span
+        // from mid-bucket across two boundaries, one from mid-bucket that
+        // ends exactly on a boundary, and a partial bucket for `finish`.
+        let spans: [([f64; 2], [usize; 2], Cycle); 4] = [
+            ([1.5, 0.0], [8, 16], 1),
+            ([0.0, 0.25], [4, 12], 10),
+            ([2.75, 1.0], [16, 0], 5),
+            ([0.5, 0.5], [8, 8], 2),
+        ];
+        let (mut bulk, mut single) = (Timeline::new(2, 4), Timeline::new(2, 4));
+        let mut cycle = 0;
+        for (busy, alloc, span) in spans {
+            bulk.record(cycle, &busy, &alloc, span);
+            for c in cycle..cycle + span {
+                single.record(c, &busy, &alloc, 1);
+            }
+            cycle += span;
+            assert_eq!(bulk, single, "after the span ending at cycle {cycle}");
+        }
+        assert_eq!(bulk.buckets().len(), 4, "boundaries at 4, 8, 12 and 16");
+        let series = bulk.finish(cycle);
+        assert_eq!(series, single.finish(cycle));
+        assert_eq!(series.len(), 5);
+        assert_eq!(series[4].start_cycle, 16);
+        assert_eq!(series[4].busy_lanes, vec![0.5, 0.5]);
+        assert_eq!(series[2].alloc_lanes, vec![7.0, 9.0], "cycles 8..12 straddle two spans");
     }
 
     #[test]

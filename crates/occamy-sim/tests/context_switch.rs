@@ -86,7 +86,7 @@ fn preempt_releases_lanes_and_resume_completes_correctly() {
 
     // Let both get going, then preempt core 0 mid-loop.
     for _ in 0..600 {
-        m.tick();
+        m.step().expect("simulation fault");
     }
     assert_eq!(m.vl(0).granules(), 4, "core 0 mid-phase");
     let task = m.preempt(0, 100_000).expect("preempt drains in budget");
@@ -99,7 +99,7 @@ fn preempt_releases_lanes_and_resume_completes_correctly() {
     // Run a while with core 0 switched out; core 1 makes progress.
     let before = m.stats().cores[1].vector_compute_issued;
     for _ in 0..2_000 {
-        m.tick();
+        m.step().expect("simulation fault");
     }
     assert!(m.stats().cores[1].vector_compute_issued > before);
 
@@ -142,7 +142,7 @@ fn round_robin_scheduling_three_tasks_two_cores() {
     let mut slices = 0;
     while !m.done() && slices < 64 {
         for _ in 0..1500 {
-            m.tick();
+            m.step().expect("simulation fault");
             if m.done() {
                 break;
             }
@@ -187,12 +187,12 @@ fn resume_onto_busy_core_is_a_typed_error() {
     let mut m = Machine::new(SimConfig::paper_2core(), Architecture::Occamy, mem).unwrap();
     m.load_program(0, scale_program(a, c, n, 2.0, 2));
     for _ in 0..200 {
-        m.tick();
+        m.step().expect("simulation fault");
     }
     let task = m.preempt(0, 100_000).expect("preempt drains in budget");
     m.load_program(0, scale_program(a, c, n, 2.0, 2));
     for _ in 0..200 {
-        m.tick();
+        m.step().expect("simulation fault");
     }
     let err = m.resume(0, task, 1_000).expect_err("resume onto a busy core must fail");
     assert!(err.to_string().contains("busy"), "unexpected error: {err}");
@@ -212,11 +212,11 @@ fn preempt_and_resume_on_baseline_architectures() {
         let mut m = Machine::new(SimConfig::paper_2core(), arch.clone(), mem).unwrap();
         m.load_program(0, scale_program(a, c, n, 4.0, granules));
         for _ in 0..400 {
-            m.tick();
+            m.step().expect("simulation fault");
         }
         let task = m.preempt(0, 100_000).expect("preempt drains in budget");
         for _ in 0..500 {
-            m.tick();
+            m.step().expect("simulation fault");
         }
         m.resume(0, task, 100_000).expect("resume re-acquires lanes");
         let stats = m.run(10_000_000).expect("simulation fault");

@@ -348,7 +348,7 @@ fn machine_is_deterministic_and_clonable_mid_run() {
     m.load_program(0, vec_add_program(arr0.a, arr0.b, arr0.c, 777, 4));
     m.load_program(1, vec_add_program(arr1.a, arr1.b, arr1.c, 777, 4));
     for _ in 0..2_000 {
-        m.tick();
+        m.step().expect("simulation fault");
     }
     // A clone must continue identically: cycle-accurate reproducibility.
     let mut fork = m.clone();

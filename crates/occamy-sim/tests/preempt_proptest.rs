@@ -105,12 +105,12 @@ proptest! {
 
         let (mut m, y, s) = build(seed);
         for _ in 0..preempt_at {
-            m.tick();
+            m.step().expect("simulation fault");
         }
         let task = m.preempt(0, 100_000).expect("preempt drains in budget");
         prop_assert!(m.vl(0).is_zero(), "lanes released on switch-out");
         for _ in 0..dwell {
-            m.tick();
+            m.step().expect("simulation fault");
         }
         m.resume(0, task, 100_000).expect("resume re-acquires lanes");
         let stats = m.run(20_000_000).expect("simulation fault");
@@ -135,13 +135,13 @@ proptest! {
                 break;
             }
             for _ in 0..gap {
-                m.tick();
+                m.step().expect("simulation fault");
             }
             // `preempt` requires a live program on the core; a finished
             // core is preempted trivially.
             let task = m.preempt(0, 100_000).expect("preempt drains in budget");
             for _ in 0..gap / 2 {
-                m.tick();
+                m.step().expect("simulation fault");
             }
             m.resume(0, task, 100_000).expect("resume re-acquires lanes");
         }

@@ -112,7 +112,7 @@ impl TenantSlo {
     }
 }
 
-/// The service-wide SLO book: one [`TenantSlo`] per tenant, keyed and
+/// The service-wide SLO book: one `TenantSlo` record per tenant, keyed and
 /// published in sorted tenant order (deterministic snapshots without
 /// sorting at snapshot time).
 #[derive(Default)]

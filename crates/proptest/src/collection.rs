@@ -31,7 +31,7 @@ impl From<usize> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,

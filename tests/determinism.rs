@@ -44,7 +44,7 @@ fn preemption_points_do_not_leak_into_fresh_machines() {
 
     let mut scratch = corun::build_machine(&specs, &cfg, &Architecture::Occamy, 0.25).unwrap();
     for _ in 0..700 {
-        scratch.tick();
+        scratch.step().expect("simulation fault");
     }
     let task = scratch.preempt(0, 100_000).expect("preempt drains in budget");
     scratch.resume(0, task, 100_000).expect("resume re-acquires lanes");
