@@ -53,13 +53,6 @@ impl DedicatedReg {
     pub fn is_shared(self) -> bool {
         matches!(self, DedicatedReg::Al)
     }
-
-    /// Whether a write to this register is a *phase-changing point* that
-    /// triggers the lane manager to generate a new partition plan (§3.3:
-    /// writes to `<OI>`).
-    pub fn write_triggers_partition(self) -> bool {
-        matches!(self, DedicatedReg::Oi)
-    }
 }
 
 impl fmt::Display for DedicatedReg {
@@ -83,15 +76,6 @@ mod tests {
     fn only_al_is_shared() {
         let shared: Vec<_> = DedicatedReg::ALL.iter().filter(|r| r.is_shared()).collect();
         assert_eq!(shared, vec![&DedicatedReg::Al]);
-    }
-
-    #[test]
-    fn only_oi_triggers_partitioning() {
-        let triggers: Vec<_> = DedicatedReg::ALL
-            .iter()
-            .filter(|r| r.write_triggers_partition())
-            .collect();
-        assert_eq!(triggers, vec![&DedicatedReg::Oi]);
     }
 
     #[test]

@@ -280,11 +280,6 @@ impl VectorInst {
         matches!(self.inner(), VectorInst::Load { .. } | VectorInst::Store { .. })
     }
 
-    /// Whether this is a vector compute instruction.
-    pub fn is_compute(&self) -> bool {
-        !self.is_mem()
-    }
-
     /// The destination vector register, if any.
     pub fn vector_dst(&self) -> Option<VReg> {
         match self.inner() {
@@ -359,11 +354,6 @@ impl EmSimdInst {
     pub fn is_vl_write(&self) -> bool {
         matches!(self, EmSimdInst::Msr { reg: DedicatedReg::Vl, .. })
     }
-
-    /// Whether this write marks a phase-changing point (a write to `<OI>`).
-    pub fn is_phase_change(&self) -> bool {
-        matches!(self, EmSimdInst::Msr { reg: DedicatedReg::Oi, .. })
-    }
 }
 
 /// A machine instruction of any family.
@@ -405,12 +395,6 @@ impl Inst {
             Inst::EmSimd(_) => InstClass::EmSimd,
             Inst::Halt => InstClass::Halt,
         }
-    }
-
-    /// Whether the instruction is transmitted to the SIMD co-processor
-    /// (vector and EM-SIMD instructions are; scalar instructions are not).
-    pub fn goes_to_coproc(&self) -> bool {
-        matches!(self, Inst::Vector(_) | Inst::EmSimd(_))
     }
 }
 
@@ -547,9 +531,6 @@ mod tests {
             b: VReg::Z1,
         });
         assert_eq!(add.class(), InstClass::VectorCompute);
-        assert!(ld.goes_to_coproc());
-        assert!(add.goes_to_coproc());
-        assert!(!Inst::Scalar(ScalarInst::Nop).goes_to_coproc());
         assert_eq!(Inst::Halt.class(), InstClass::Halt);
     }
 
@@ -565,7 +546,6 @@ mod tests {
         let red = VectorInst::ReduceAdd { dst: XReg::X9, src: VReg::Z4 };
         assert_eq!(red.scalar_dst(), Some(XReg::X9));
         assert_eq!(red.vector_dst(), None);
-        assert!(red.is_compute());
     }
 
     #[test]
@@ -577,12 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn vl_write_and_phase_change_detection() {
+    fn vl_write_detection() {
         let msr_vl = EmSimdInst::Msr { reg: DedicatedReg::Vl, src: Operand::Imm(2) };
         assert!(msr_vl.is_vl_write());
-        assert!(!msr_vl.is_phase_change());
         let msr_oi = EmSimdInst::Msr { reg: DedicatedReg::Oi, src: Operand::Reg(XReg::X1) };
-        assert!(msr_oi.is_phase_change());
+        assert!(!msr_oi.is_vl_write());
     }
 
     #[test]
@@ -617,7 +596,6 @@ mod tests {
         assert_eq!(w.pred_dst(), Some(PReg::P3));
         assert_eq!(w.vector_dst(), None);
         assert_eq!(w.scalar_srcs(), vec![XReg::X1, XReg::X2]);
-        assert!(w.is_compute());
         assert_eq!(w.to_string(), "whilelo p3.s, x1, x2");
 
         let f = VectorInst::Fcm { op: VCmpOp::Ge, dst: PReg::P1, a: VReg::Z1, b: VReg::Z2 };

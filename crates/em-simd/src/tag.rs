@@ -25,14 +25,6 @@ pub enum InstTag {
     Reconfigure,
 }
 
-impl InstTag {
-    /// Whether this tag marks elastic-sharing overhead rather than real
-    /// workload instructions.
-    pub fn is_overhead(self) -> bool {
-        !matches!(self, InstTag::Body)
-    }
-}
-
 impl fmt::Display for InstTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -49,13 +41,6 @@ impl fmt::Display for InstTag {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn body_is_not_overhead() {
-        assert!(!InstTag::Body.is_overhead());
-        assert!(InstTag::Monitor.is_overhead());
-        assert!(InstTag::Reconfigure.is_overhead());
-    }
 
     #[test]
     fn default_is_body() {

@@ -117,11 +117,6 @@ impl LaneManager {
         self
     }
 
-    /// Whether contention-aware planning is enabled.
-    pub fn is_contention_aware(&self) -> bool {
-        self.contention_aware
-    }
-
     /// The machine balance point: intensities below this are limited by
     /// the planning memory level at full width (FLOPs/byte).
     fn balance_oi(&self) -> f64 {
@@ -516,7 +511,6 @@ mod tests {
     #[test]
     fn contention_awareness_defaults_off_and_preserves_fig2e() {
         let base = LaneManager::paper_default(2, 8);
-        assert!(!base.is_contention_aware());
         // The exact Fig. 2(e) schedule is a full-ceiling result.
         let plan = base.plan(&[
             PhaseDemand::Active(OperationalIntensity::uniform(0.09)),

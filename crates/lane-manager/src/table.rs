@@ -291,6 +291,8 @@ mod tests {
         assert_eq!(tbl.total_granules(), 7);
     }
 
+    // Checks a `debug_assert!`, which release builds compile out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "try_reconfigure")]
     fn raw_vl_write_is_rejected() {

@@ -6,6 +6,8 @@ use std::fmt;
 use em_simd::VectorLength;
 use mem_sim::{Cycle, MemConfig};
 
+use crate::regblocks::RegClass;
+
 /// Which of the four SIMD architectures of Fig. 1 the machine models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Architecture {
@@ -166,6 +168,14 @@ impl SimConfig {
         self.total_granules / self.cores
     }
 
+    /// Physical registers of `class` in each RegBlk.
+    pub(crate) fn regs_per_block(&self, class: RegClass) -> usize {
+        match class {
+            RegClass::Vector => self.vregs_per_block,
+            RegClass::Pred => self.pregs_per_block,
+        }
+    }
+
     /// Validates the configuration itself, independent of the selected
     /// architecture, so untrusted (e.g. fuzzed or user-supplied)
     /// configurations surface a typed error instead of panicking deep in
@@ -184,19 +194,15 @@ impl SimConfig {
                 self.total_granules
             ));
         }
-        if self.vregs_per_block < em_simd::NUM_VREGS {
-            return Err(format!(
-                "vregs_per_block ({}) cannot hold the {} architectural vector registers",
-                self.vregs_per_block,
-                em_simd::NUM_VREGS
-            ));
-        }
-        if self.pregs_per_block < em_simd::NUM_PREGS {
-            return Err(format!(
-                "pregs_per_block ({}) cannot hold the {} architectural predicate registers",
-                self.pregs_per_block,
-                em_simd::NUM_PREGS
-            ));
+        for class in RegClass::ALL {
+            let (have, need) = (self.regs_per_block(class), class.arch_regs().len());
+            if have < need {
+                let field = ["vregs_per_block", "pregs_per_block"][class];
+                return Err(format!(
+                    "{field} ({have}) cannot hold the {need} architectural {} registers",
+                    class.noun()
+                ));
+            }
         }
         for (name, v) in [
             ("pool_entries", self.pool_entries),

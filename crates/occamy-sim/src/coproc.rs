@@ -19,7 +19,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use em_simd::{
     DedicatedReg, EmSimdInst, OperationalIntensity, PReg, RegList, VReg, VectorInst,
-    VectorLength, XReg, NUM_PREGS, NUM_VREGS,
+    VectorLength, XReg,
 };
 use lane_manager::{LaneManager, PhaseDemand, ResourceTable};
 use mem_sim::{Cycle, Memory, MemorySystem};
@@ -32,7 +32,8 @@ use crate::exec;
 use crate::fault::FaultState;
 use crate::lsu::{Lsu, LsuEntry};
 use crate::regblocks::{
-    BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks, SameBits, NO_WAITER,
+    ArchReg, BlockOwner, LaneHealth, PhysId, PhysRegFile, RegBlocks, RegClass, SameBits,
+    ARCH_REGS, NO_WAITER,
 };
 use crate::slotset::SlotSet;
 use crate::stats::{CoreStats, PhaseStats};
@@ -74,27 +75,26 @@ impl PartialEq for ScalarWriteback {
 }
 
 /// A saved EM-SIMD context: the five dedicated registers plus the
-/// architectural vector state (§5: the OS saves these across context
-/// switches).
+/// architectural vector and predicate state (§5: the OS saves these
+/// across context switches).
 #[derive(Debug, Clone)]
 pub(crate) struct OsContext {
     pub oi: u64,
     pub decision: u64,
     pub vl: usize,
     pub status: u64,
-    pub vregs: Vec<Vec<f32>>,
-    pub pregs: Vec<Vec<f32>>,
+    /// Each class's architectural values, in register order.
+    pub regs: [Vec<Vec<f32>>; 2],
 }
 
 impl PartialEq for OsContext {
     fn eq(&self, other: &Self) -> bool {
-        let OsContext { oi, decision, vl, status, vregs, pregs } = self;
+        let OsContext { oi, decision, vl, status, regs } = self;
         *oi == other.oi
             && *decision == other.decision
             && *vl == other.vl
             && *status == other.status
-            && vregs.same_bits(&other.vregs)
-            && pregs.same_bits(&other.pregs)
+            && regs.same_bits(&other.regs)
     }
 }
 
@@ -146,13 +146,6 @@ pub(crate) struct IssueCounts {
     pub mem: u64,
 }
 
-/// Which physical register file a name belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegClass {
-    Vector,
-    Pred,
-}
-
 #[derive(Debug, Clone, PartialEq)]
 struct IqEntry {
     seq: u64,
@@ -180,13 +173,25 @@ struct IqEntry {
 }
 
 impl IqEntry {
-    /// Whether every operand is ready, so the entry can issue.
-    fn ready(&self, prf: &PhysRegFile, ppf: &PhysRegFile) -> bool {
-        self.srcs.iter().all(|&s| prf.is_ready(s))
-            && self.pred.is_none_or(|p| ppf.is_ready(p))
-            && self.psrcs.iter().all(|&p| ppf.is_ready(p))
-            && self.merge.is_none_or(|m| prf.is_ready(m))
+    /// The operands the entry reads, with their classes: the vector
+    /// sources, the merge source, the governing predicate and the
+    /// predicate sources, in the order issue subscribes to them.
+    fn operands(&self) -> impl Iterator<Item = (RegClass, PhysId)> + '_ {
+        let vector = self.srcs.iter().chain(&self.merge).map(|&id| (RegClass::Vector, id));
+        vector.chain(self.pred.iter().chain(self.psrcs.iter()).map(|&id| (RegClass::Pred, id)))
     }
+
+    /// Whether every operand is ready, so the entry can issue.
+    fn ready(&self, files: &[PhysRegFile; 2]) -> bool {
+        self.operands().all(|(class, id)| files[class].is_ready(id))
+    }
+}
+
+/// The destination register `inst` renames, with its class, as a
+/// position in a core's rename map.
+fn dst_reg(inst: &VectorInst) -> Option<(RegClass, usize)> {
+    let vector = inst.vector_dst().map(|d| (RegClass::Vector, d.map_index()));
+    vector.or_else(|| inst.pred_dst().map(|p| (RegClass::Pred, p.map_index())))
 }
 
 /// The event of an instruction reaching a stage after rename (only
@@ -496,8 +501,9 @@ struct CoreCtx {
     iq: IssueQueue,
     lsu: Lsu,
     rob: Rob,
-    rename_map: [PhysId; NUM_VREGS],
-    pred_rename: [PhysId; NUM_PREGS],
+    /// The physical register each architectural register maps to, both
+    /// classes in one map ([`RegClass::arch_regs`]).
+    rename: [PhysId; ARCH_REGS],
     cur_vl: VectorLength,
     status: u64,
     /// Blocks the core's registers currently span.
@@ -521,9 +527,8 @@ pub(crate) struct CoProcessor {
     cfg: SimConfig,
     arch: Architecture,
     blocks: RegBlocks,
-    prf: PhysRegFile,
-    /// Physical predicate registers (masks stored as 1.0/0.0 lanes).
-    ppf: PhysRegFile,
+    /// The physical register file of each class.
+    files: [PhysRegFile; 2],
     cores: Vec<CoreCtx>,
     table: ResourceTable,
     mgr: Option<LaneManager>,
@@ -563,24 +568,17 @@ pub(crate) struct CoProcessor {
 impl CoProcessor {
     pub(crate) fn new(cfg: SimConfig, arch: Architecture) -> Self {
         let mut blocks =
-            RegBlocks::new(cfg.total_granules, cfg.vregs_per_block, cfg.pregs_per_block);
+            RegBlocks::new(cfg.total_granules, RegClass::ALL.map(|c| cfg.regs_per_block(c)));
         if arch == Architecture::TemporalSharing {
             blocks.set_all_shared();
         }
-        let mut prf = PhysRegFile::new();
-        let mut ppf = PhysRegFile::new();
         let cores = (0..cfg.cores)
             .map(|_| CoreCtx {
                 pool: VecDeque::new(),
                 iq: IssueQueue::new(cfg.rob_entries),
                 lsu: Lsu::new(cfg.lsu_entries, cfg.rob_entries),
                 rob: Rob::default(),
-                rename_map: std::array::from_fn(|_| {
-                    prf.alloc_zeroed(&[], 0, cfg.total_granules)
-                }),
-                pred_rename: std::array::from_fn(|_| {
-                    ppf.alloc_zeroed(&[], 0, cfg.total_granules)
-                }),
+                rename: [PhysId::default(); ARCH_REGS],
                 cur_vl: VectorLength::ZERO,
                 status: 0,
                 spans: Vec::new(),
@@ -606,12 +604,11 @@ impl CoProcessor {
         };
         let table = ResourceTable::new(cfg.cores, cfg.total_granules);
         let completions = Completions::with_capacity(cfg.cores * cfg.rob_entries);
-        CoProcessor {
+        let mut co = CoProcessor {
             cfg,
             arch,
             blocks,
-            prf,
-            ppf,
+            files: Default::default(),
             cores,
             table,
             mgr,
@@ -625,7 +622,12 @@ impl CoProcessor {
             hints_sanitized: 0,
             replan_epoch: 0,
             events: EventLog::disabled(),
+        };
+        // Zero-width architectural registers spanning no block.
+        for core in 0..co.cores.len() {
+            co.alloc_arch_regs(core, Vec::new(), 0);
         }
+        co
     }
 
     /// Latches the first pipeline fault; later faults are dropped (the
@@ -796,10 +798,7 @@ impl CoProcessor {
     /// Writes back a result, waking the issue-queue entries waiting on
     /// it.
     fn writeback(&mut self, class: RegClass, dst: PhysId, value: Vec<f32>) {
-        let file = match class {
-            RegClass::Vector => &mut self.prf,
-            RegClass::Pred => &mut self.ppf,
-        };
+        let file = &mut self.files[class];
         file.write(dst, value);
         let mut node = file.take_waiters(dst);
         // Waiter node `n` is operand `n % WAITS_PER_ENTRY` of issue-queue
@@ -833,14 +832,8 @@ impl CoProcessor {
                         self.retired += 1;
                         let kind = stage_kind(core, head.seq, TraceStage::Retire);
                         self.event(now, Track::Coproc, kind);
-                        match head.prev_phys {
-                            Some((prev, RegClass::Vector)) => {
-                                self.prf.free(prev, |b| self.blocks.release(b));
-                            }
-                            Some((prev, RegClass::Pred)) => {
-                                self.ppf.free(prev, |b| self.blocks.release_pred(b));
-                            }
-                            None => {}
+                        if let Some((prev, class)) = head.prev_phys {
+                            self.files[class].free(prev, |b| self.blocks.release(class, b));
                         }
                         budget -= 1;
                     }
@@ -961,7 +954,7 @@ impl CoProcessor {
         let slot = iq.oldest_ready();
         debug_assert_eq!(
             slot,
-            iq.entries().find(|(_, e)| e.ready(&self.prf, &self.ppf)).map(|(s, _)| s),
+            iq.entries().find(|(_, e)| e.ready(&self.files)).map(|(s, _)| s),
             "the ready set disagrees with IqEntry::ready"
         );
         slot
@@ -976,22 +969,16 @@ impl CoProcessor {
         let slot = iq.next;
         let first = (core * iq.span() + slot) * WAITS_PER_ENTRY;
         let links = &mut iq.links[slot * WAITS_PER_ENTRY..][..WAITS_PER_ENTRY];
-        let operands = e.srcs.iter().chain(&e.merge).map(|&id| (RegClass::Vector, id));
-        let operands =
-            operands.chain(e.pred.iter().chain(e.psrcs.iter()).map(|&id| (RegClass::Pred, id)));
         let mut unready = 0;
-        for (class, id) in operands {
-            let file = match class {
-                RegClass::Vector => &mut self.prf,
-                RegClass::Pred => &mut self.ppf,
-            };
+        for (class, id) in e.operands() {
+            let file = &mut self.files[class];
             if !file.is_ready(id) {
                 links[unready] = file.add_waiter(id, (first + unready) as u32);
                 unready += 1;
             }
         }
         e.unready = unready as u8;
-        debug_assert_eq!(unready == 0, e.ready(&self.prf, &self.ppf));
+        debug_assert_eq!(unready == 0, e.ready(&self.files));
         self.cores[core].iq.insert(e);
     }
 
@@ -1014,12 +1001,8 @@ impl CoProcessor {
             | VectorInst::Unary { op: em_simd::VUnOp::Fsqrt, .. } => self.cfg.exe_latency_long,
             _ => self.cfg.exe_latency,
         };
-        let mut value = match (e.dst, e.dst_class) {
-            (Some(d), RegClass::Vector) => self.prf.take_buffer(d),
-            (Some(d), RegClass::Pred) => self.ppf.take_buffer(d),
-            (None, _) => Vec::new(),
-        };
-        let (prf, ppf) = (&self.prf, &self.ppf);
+        let mut value = e.dst.map_or_else(Vec::new, |d| self.files[e.dst_class].take_buffer(d));
+        let [prf, ppf] = &self.files;
         let ops = exec::Operands {
             src: |i| prf.read(e.srcs[i]),
             sel: e.psrcs.first().map(|&p| ppf.read(p)),
@@ -1085,18 +1068,19 @@ impl CoProcessor {
     /// its ordering.
     fn pick_mem(&self, core: usize, capacity: u64) -> Option<MemPick> {
         let lsu = &self.cores[core].lsu;
+        let [prf, ppf] = &self.files;
         let oldest = lsu.oldest_unissued()?;
         let act = |slot: usize| {
             let e = lsu.get(slot)?;
-            if e.pred.is_some_and(|p| !self.ppf.is_ready(p)) {
+            if e.pred.is_some_and(|p| !ppf.is_ready(p)) {
                 return None;
             }
-            let mask = e.pred.map(|p| self.ppf.read(p));
+            let mask = e.pred.map(|p| ppf.read(p));
             if let Some(bytes) = exec::out_of_bounds(e.addr, e.bytes, mask, capacity) {
                 return Some(MemPick::Fault { addr: e.addr, bytes });
             }
             let ready = !lsu.blocked(slot, oldest)
-                && (!e.store || e.src.is_some_and(|src| self.prf.is_ready(src)));
+                && (!e.store || e.src.is_some_and(|src| prf.is_ready(src)));
             ready.then_some(MemPick::Issue(slot))
         };
         act(oldest).or_else(|| lsu.candidates(capacity).filter(|&s| s != oldest).find_map(act))
@@ -1125,15 +1109,16 @@ impl CoProcessor {
         let Some(e) = self.cores[core].lsu.get(slot) else { return false };
         let (seq, store, addr, bytes, lanes, dst, src, pred) =
             (e.seq, e.store, e.addr, e.bytes, e.lanes, e.dst, e.src, e.pred);
+        let [prf, ppf] = &mut self.files;
         let data = if store {
             // `pick_mem` only picks a store whose data source is ready.
             if let Some(src) = src {
-                exec::store(mem, addr, self.prf.read(src), pred.map(|p| self.ppf.read(p)));
+                exec::store(mem, addr, prf.read(src), pred.map(|p| ppf.read(p)));
             }
             None
         } else {
-            let mut data = dst.map_or_else(Vec::new, |d| self.prf.take_buffer(d));
-            exec::load(mem, addr, lanes, pred.map(|p| self.ppf.read(p)), &mut data);
+            let mut data = dst.map_or_else(Vec::new, |d| prf.take_buffer(d));
+            exec::load(mem, addr, lanes, pred.map(|p| ppf.read(p)), &mut data);
             Some(data)
         };
         let (served, level) = memsys.vector_access(now, core, addr, bytes, store);
@@ -1249,14 +1234,9 @@ impl CoProcessor {
         if ctx.cur_vl.lanes() == 0 {
             return RenameGate::InvalidVl;
         }
-        let regs_free = if inst.vector_dst().is_some() {
-            self.blocks.can_reserve(&ctx.spans)
-        } else if inst.pred_dst().is_some() {
-            self.blocks.can_reserve_pred(&ctx.spans)
-        } else {
-            // Stores rename without reserving a destination.
-            true
-        };
+        // Stores rename without reserving a destination.
+        let regs_free =
+            dst_reg(inst).is_none_or(|(class, _)| self.blocks.can_reserve(class, &ctx.spans));
         if regs_free {
             RenameGate::Go
         } else {
@@ -1282,37 +1262,28 @@ impl CoProcessor {
         // destination).
         let ctx = &self.cores[core];
         let srcs: RegList<PhysId> =
-            inst.vector_srcs().iter().map(|v| ctx.rename_map[v.index()]).collect();
-        let pred_phys = pred.map(|p| ctx.pred_rename[p.index()]);
+            inst.vector_srcs().iter().map(|v| ctx.rename[v.map_index()]).collect();
+        let pred_phys = pred.map(|p| ctx.rename[p.map_index()]);
         let psrcs: RegList<PhysId> =
-            inst.pred_srcs().iter().map(|p| ctx.pred_rename[p.index()]).collect();
+            inst.pred_srcs().iter().map(|p| ctx.rename[p.map_index()]).collect();
         // Merging predication needs the prior destination value — but only
         // for compute; predicated loads are zeroing.
         let merge = match (pred, inst.vector_dst()) {
-            (Some(_), Some(d)) if !inst.is_mem() => Some(ctx.rename_map[d.index()]),
+            (Some(_), Some(d)) if !inst.is_mem() => Some(ctx.rename[d.map_index()]),
             _ => None,
         };
 
         let mut prev_phys = None;
         let mut dst_phys = None;
         let mut dst_class = RegClass::Vector;
-        if let Some(d) = inst.vector_dst() {
+        if let Some((class, r)) = dst_reg(&inst) {
             let ctx = &mut self.cores[core];
-            let reserved = self.blocks.try_reserve(&ctx.spans);
+            let reserved = self.blocks.try_reserve(class, &ctx.spans);
             debug_assert!(reserved, "the rename gate checked the free entries");
-            let id = self.prf.alloc(&ctx.spans, self.cfg.total_granules);
-            prev_phys = Some((ctx.rename_map[d.index()], RegClass::Vector));
-            ctx.rename_map[d.index()] = id;
+            let id = self.files[class].alloc(&ctx.spans, self.cfg.total_granules);
+            prev_phys = Some((std::mem::replace(&mut ctx.rename[r], id), class));
             dst_phys = Some(id);
-        } else if let Some(p) = inst.pred_dst() {
-            let ctx = &mut self.cores[core];
-            let reserved = self.blocks.try_reserve_pred(&ctx.spans);
-            debug_assert!(reserved, "the rename gate checked the free entries");
-            let id = self.ppf.alloc(&ctx.spans, self.cfg.total_granules);
-            prev_phys = Some((ctx.pred_rename[p.index()], RegClass::Pred));
-            ctx.pred_rename[p.index()] = id;
-            dst_phys = Some(id);
-            dst_class = RegClass::Pred;
+            dst_class = class;
         }
 
         let seq = self.next_seq;
@@ -1327,7 +1298,7 @@ impl CoProcessor {
         if inst.is_mem() {
             let store = matches!(inst, VectorInst::Store { .. });
             let src = match &inst {
-                VectorInst::Store { src, .. } => Some(self.cores[core].rename_map[src.index()]),
+                VectorInst::Store { src, .. } => Some(self.cores[core].rename[src.map_index()]),
                 _ => None,
             };
             let entry = LsuEntry {
@@ -1370,8 +1341,7 @@ impl CoProcessor {
     /// Only `MSR <VL>` waits, for `core`'s SIMD pipeline to drain — the
     /// vector length only changes once the pipeline is empty (§4.2.2).
     fn em_must_wait(&self, core: usize, inst: &EmSimdInst) -> bool {
-        matches!(inst, EmSimdInst::Msr { reg: DedicatedReg::Vl, .. })
-            && !self.cores[core].rob.is_empty()
+        inst.is_vl_write() && !self.cores[core].rob.is_empty()
     }
 
     /// Executes one EM-SIMD instruction on the in-order EM-SIMD data
@@ -1702,12 +1672,10 @@ impl CoProcessor {
             decision: self.table.read(core, DedicatedReg::Decision),
             vl: self.cores[core].cur_vl.granules(),
             status: self.cores[core].status,
-            vregs: (0..NUM_VREGS)
-                .map(|v| self.prf.read(self.cores[core].rename_map[v]).to_vec())
-                .collect(),
-            pregs: (0..NUM_PREGS)
-                .map(|p| self.ppf.read(self.cores[core].pred_rename[p]).to_vec())
-                .collect(),
+            regs: RegClass::ALL.map(|class| {
+                let (file, map) = (&self.files[class], &self.cores[core].rename);
+                class.arch_regs().map(|r| file.read(map[r]).to_vec()).collect()
+            }),
         };
         let released = self.try_set_vl(core, 0);
         debug_assert!(released, "releasing lanes cannot fail");
@@ -1729,13 +1697,13 @@ impl CoProcessor {
         }
         self.cores[core].status = ctx.status;
         self.table.write(core, DedicatedReg::Decision, ctx.decision);
-        // Restore the architectural vector values at the re-acquired
-        // width (alloc_arch_regs left them zeroed).
-        for (v, value) in ctx.vregs.iter().enumerate() {
-            self.prf.swap_value(self.cores[core].rename_map[v], &mut value.clone());
-        }
-        for (p, value) in ctx.pregs.iter().enumerate() {
-            self.ppf.swap_value(self.cores[core].pred_rename[p], &mut value.clone());
+        // Restore the architectural vector and predicate values at the
+        // re-acquired width (alloc_arch_regs left them zeroed).
+        for class in RegClass::ALL {
+            for (r, value) in class.arch_regs().zip(&ctx.regs[class]) {
+                let id = self.cores[core].rename[r];
+                self.files[class].swap_value(id, &mut value.clone());
+            }
         }
         true
     }
@@ -1756,10 +1724,11 @@ impl CoProcessor {
             let old = &self.cores[core].spans;
             let fits = granules == 0
                 || (0..total).all(|b| {
-                    let released = if old.contains(&b) { NUM_VREGS } else { 0 };
-                    let released_p = if old.contains(&b) { NUM_PREGS } else { 0 };
-                    self.blocks.free_entries(b) + released >= NUM_VREGS
-                        && self.blocks.free_pred_entries(b) + released_p >= NUM_PREGS
+                    RegClass::ALL.iter().all(|&class| {
+                        let need = class.arch_regs().len();
+                        let released = if old.contains(&b) { need } else { 0 };
+                        self.blocks.free_entries(class, b) + released >= need
+                    })
                 });
             if !fits {
                 return false;
@@ -1782,11 +1751,11 @@ impl CoProcessor {
     }
 
     fn release_arch_regs(&mut self, core: usize) {
-        for v in 0..NUM_VREGS {
-            self.prf.free(self.cores[core].rename_map[v], |b| self.blocks.release(b));
-        }
-        for p in 0..NUM_PREGS {
-            self.ppf.free(self.cores[core].pred_rename[p], |b| self.blocks.release_pred(b));
+        for class in RegClass::ALL {
+            for r in class.arch_regs() {
+                let id = self.cores[core].rename[r];
+                self.files[class].free(id, |b| self.blocks.release(class, b));
+            }
         }
     }
 
@@ -1799,74 +1768,64 @@ impl CoProcessor {
             "core {core} allocating registers in blocks it does not own"
         );
         let lanes = granules * em_simd::LANES_PER_GRANULE;
-        for v in 0..NUM_VREGS {
-            let reserved = self.blocks.try_reserve(&spans);
-            debug_assert!(reserved, "architectural registers must always fit (32 of {})",
-                self.cfg.vregs_per_block);
-            if !reserved {
-                self.trip(SimError::RegBlockExhausted {
-                    core,
-                    requested: NUM_VREGS,
-                    detail: format!(
-                        "architectural vector registers do not fit ({NUM_VREGS} of {})",
-                        self.cfg.vregs_per_block
-                    ),
-                });
+        for class in RegClass::ALL {
+            let (requested, per_block) = (class.arch_regs().len(), self.cfg.regs_per_block(class));
+            for r in class.arch_regs() {
+                if !self.blocks.try_reserve(class, &spans) {
+                    let detail = format!(
+                        "architectural {} registers do not fit ({requested} of {per_block})",
+                        class.noun()
+                    );
+                    debug_assert!(false, "{detail}");
+                    self.trip(SimError::RegBlockExhausted { core, requested, detail });
+                }
+                let id = self.files[class].alloc_zeroed(&spans, lanes, self.cfg.total_granules);
+                self.cores[core].rename[r] = id;
             }
-            let id = self.prf.alloc_zeroed(&spans, lanes, self.cfg.total_granules);
-            self.cores[core].rename_map[v] = id;
-        }
-        for p in 0..NUM_PREGS {
-            let reserved = self.blocks.try_reserve_pred(&spans);
-            debug_assert!(reserved, "architectural predicates must always fit (8 of {})",
-                self.cfg.pregs_per_block);
-            if !reserved {
-                self.trip(SimError::RegBlockExhausted {
-                    core,
-                    requested: NUM_PREGS,
-                    detail: format!(
-                        "architectural predicate registers do not fit ({NUM_PREGS} of {})",
-                        self.cfg.pregs_per_block
-                    ),
-                });
-            }
-            let id = self.ppf.alloc_zeroed(&spans, lanes, self.cfg.total_granules);
-            self.cores[core].pred_rename[p] = id;
         }
         self.cores[core].cur_vl = VectorLength::new(granules);
         self.cores[core].spans = spans;
     }
 
-    /// Debug/test hook: the number of free entries in each block.
+    /// Debug/test hook: the number of free vector entries in each block.
     pub(crate) fn block_free_entries(&self) -> Vec<usize> {
-        (0..self.blocks.num_blocks()).map(|b| self.blocks.free_entries(b)).collect()
+        let blocks = 0..self.blocks.num_blocks();
+        blocks.map(|b| self.blocks.free_entries(RegClass::Vector, b)).collect()
     }
 
-    /// Borrows the current architectural value of a vector register —
-    /// the allocation-free read path of the functional engine's
-    /// instruction loop.
+    /// Borrows the current architectural value of register `r` — the
+    /// allocation-free read path of the functional engine's instruction
+    /// loop.
+    fn arch_value<R: ArchReg>(&self, core: usize, r: R) -> &[f32] {
+        self.files[R::CLASS].read(self.cores[core].rename[r.map_index()])
+    }
+
+    /// Overwrites the `class` register at rename-map position `r` in
+    /// place (functional engine) by swapping buffers: `value` receives
+    /// the old value's buffer for reuse. The physical entry and its
+    /// register blocks are unchanged.
+    fn write_arch(&mut self, core: usize, class: RegClass, r: usize, value: &mut Vec<f32>) {
+        let id = self.cores[core].rename[r];
+        self.files[class].swap_value(id, value);
+    }
+
     pub(crate) fn vreg(&self, core: usize, v: VReg) -> &[f32] {
-        self.prf.read(self.cores[core].rename_map[v.index()])
+        self.arch_value(core, v)
     }
 
-    /// Borrows the current architectural value of a predicate register
-    /// (see [`vreg`](Self::vreg)).
     pub(crate) fn preg(&self, core: usize, p: PReg) -> &[f32] {
-        self.ppf.read(self.cores[core].pred_rename[p.index()])
+        self.arch_value(core, p)
     }
 
-    /// Overwrites an architectural vector register in place (functional
-    /// engine) by swapping buffers: `value` receives the old value's
-    /// buffer for reuse. The physical entry and its register blocks are
-    /// unchanged.
     pub(crate) fn write_vreg(&mut self, core: usize, v: VReg, value: &mut Vec<f32>) {
-        self.prf.swap_value(self.cores[core].rename_map[v.index()], value);
+        self.write_arch(core, RegClass::Vector, v.map_index(), value);
     }
 
-    /// Overwrites an architectural predicate register in place
-    /// (functional engine; see [`write_vreg`](Self::write_vreg)).
-    pub(crate) fn write_preg(&mut self, core: usize, p: PReg, value: &mut Vec<f32>) {
-        self.ppf.swap_value(self.cores[core].pred_rename[p.index()], value);
+    /// Overwrites `inst`'s destination register, if it has one.
+    pub(crate) fn write_dst(&mut self, core: usize, inst: &VectorInst, value: &mut Vec<f32>) {
+        if let Some((class, r)) = dst_reg(inst) {
+            self.write_arch(core, class, r, value);
+        }
     }
 }
 
@@ -1923,11 +1882,6 @@ impl statecodec::Codec for PoolEntry {
         }
     }
 }
-
-statecodec::impl_codec_enum!(RegClass {
-    0 => Vector,
-    1 => Pred,
-});
 
 // Hand-written for the same reason as `PoolEntry`: `inst` and `gov`
 // encode as the one instruction they were split from.
@@ -2035,8 +1989,7 @@ statecodec::impl_codec!(CoreCtx {
     iq,
     lsu,
     rob,
-    rename_map,
-    pred_rename,
+    rename,
     cur_vl,
     status,
     spans,
@@ -2054,8 +2007,7 @@ impl statecodec::Codec for CoProcessor {
         statecodec::Codec::encode(&self.cfg, sink);
         statecodec::Codec::encode(&self.arch, sink);
         statecodec::Codec::encode(&self.blocks, sink);
-        statecodec::Codec::encode(&self.prf, sink);
-        statecodec::Codec::encode(&self.ppf, sink);
+        statecodec::Codec::encode(&self.files, sink);
         statecodec::Codec::encode(&self.cores, sink);
         statecodec::Codec::encode(&self.table, sink);
         statecodec::Codec::encode(&self.mgr, sink);
@@ -2074,8 +2026,7 @@ impl statecodec::Codec for CoProcessor {
         let cfg: SimConfig = statecodec::Codec::decode(src)?;
         let arch: Architecture = statecodec::Codec::decode(src)?;
         let blocks: RegBlocks = statecodec::Codec::decode(src)?;
-        let prf: PhysRegFile = statecodec::Codec::decode(src)?;
-        let ppf: PhysRegFile = statecodec::Codec::decode(src)?;
+        let files: [PhysRegFile; 2] = statecodec::Codec::decode(src)?;
         let cores: Vec<CoreCtx> = statecodec::Codec::decode(src)?;
         let table: ResourceTable = statecodec::Codec::decode(src)?;
         let mgr: Option<LaneManager> = statecodec::Codec::decode(src)?;
@@ -2110,12 +2061,11 @@ impl statecodec::Codec for CoProcessor {
                 format!("resource table serves {} of {} cores", table.num_cores(), cfg.cores),
             ));
         }
-        let nv = prf.slot_count();
-        let np = ppf.slot_count();
         for ctx in &cores {
-            if ctx.rename_map.iter().any(|p| p.0 as usize >= nv)
-                || ctx.pred_rename.iter().any(|p| p.0 as usize >= np)
-            {
+            if RegClass::ALL.iter().any(|&class| {
+                let slots = files[class].slot_count();
+                ctx.rename[class.arch_regs()].iter().any(|p| p.0 as usize >= slots)
+            }) {
                 return Err(statecodec::DecodeError::at(
                     src,
                     "rename map references a physical register beyond the file",
@@ -2133,8 +2083,7 @@ impl statecodec::Codec for CoProcessor {
             cfg,
             arch,
             blocks,
-            prf,
-            ppf,
+            files,
             cores,
             table,
             mgr,
@@ -2163,7 +2112,6 @@ impl CoProcessor {
     /// files.
     fn rebuild(&mut self, inflight: Vec<InflightCompute>) -> Result<(), String> {
         let span = self.cfg.rob_entries;
-        let (nv, np) = (self.prf.slot_count(), self.ppf.slot_count());
         let rob_of = |ctx: &CoreCtx, what: &str, seq: u64| {
             ctx.rob.position(seq).ok_or_else(|| format!("{what} {seq} has no pending ROB entry"))
         };
@@ -2182,9 +2130,7 @@ impl CoProcessor {
                 }
             }
             for (_, e) in iq.entries() {
-                if e.srcs.iter().chain(&e.merge).any(|p| p.0 as usize >= nv)
-                    || e.pred.iter().chain(e.psrcs.iter()).any(|p| p.0 as usize >= np)
-                {
+                if e.operands().any(|(class, p)| p.0 as usize >= self.files[class].slot_count()) {
                     let seq = e.seq;
                     return Err(format!("issue-queue entry {seq} reads a register beyond the file"));
                 }

@@ -31,7 +31,7 @@
 //! refuses to enter functional mode while either is active
 //! ([`SimError::Config`]), so the engine never sees them.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, Operand, PReg, VectorInst};
+use em_simd::{EmSimdInst, Inst, PReg, VectorInst};
 
 use crate::error::SimError;
 use crate::exec;
@@ -155,11 +155,7 @@ impl<'m> FunctionalEngine<'m> {
         );
         let pc = self.m.scalar[c].pc;
         if pc >= program.len() {
-            return Err(self.trip(SimError::Decode {
-                core: c,
-                pc,
-                detail: "program counter ran off the end of the program (missing HALT?)".into(),
-            }));
+            return Err(self.trip(self.m.off_the_end(c)));
         }
         match program.fetch(pc) {
             Inst::Halt => {
@@ -235,11 +231,7 @@ impl<'m> FunctionalEngine<'m> {
             lanes,
         };
         let scalar_wb = exec::compute(inst, &ops, &mut self.value);
-        if let Some(d) = v.vector_dst() {
-            m.coproc.write_vreg(c, d, &mut self.value);
-        } else if let Some(p) = v.pred_dst() {
-            m.coproc.write_preg(c, p, &mut self.value);
-        }
+        m.coproc.write_dst(c, v, &mut self.value);
         if let Some((reg, sum)) = scalar_wb {
             m.scalar[c].write_f32(reg, sum);
         }
@@ -289,18 +281,12 @@ impl<'m> FunctionalEngine<'m> {
     /// sanitization, phase records, lane-manager replans and `<VL>`
     /// reconfiguration semantics.
     fn exec_em(&mut self, c: usize, e: EmSimdInst) -> Result<Step, SimError> {
-        // MRS <decision> is satisfied speculatively (§4.1.1), exactly as
-        // in the timing front end.
-        if let EmSimdInst::Mrs { dst, reg: DedicatedReg::Decision } = e {
-            self.m.scalar[c].x[dst.index()] = self.m.coproc.read_decision(c);
-            self.m.scalar[c].pc += 1;
+        // MRS <decision> is satisfied speculatively, exactly as in the
+        // timing front end.
+        if self.m.scalar[c].speculative_read(e, self.m.coproc.read_decision(c)) {
             return Ok(Step::Retired);
         }
-        let operand = match e {
-            EmSimdInst::Msr { src: Operand::Reg(r), .. } => self.m.scalar[c].x[r.index()],
-            EmSimdInst::Msr { src: Operand::Imm(i), .. } => i as u64,
-            EmSimdInst::Mrs { .. } => 0,
-        };
+        let operand = self.m.scalar[c].em_operand(e);
         let now = self.m.cycle;
         // The pipeline is drained (nothing enters the ROB in functional
         // mode), so the MSR <VL> drain-wait case cannot occur and

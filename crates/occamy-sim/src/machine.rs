@@ -1,6 +1,6 @@
 //! The top-level machine: scalar cores + co-processor + memory.
 
-use em_simd::{DedicatedReg, EmSimdInst, Inst, InstTag, Operand, Program};
+use em_simd::{EmSimdInst, Inst, InstTag, Operand, Program};
 use mem_sim::{Cycle, Memory, MemorySystem};
 
 use crate::config::{Architecture, SimConfig};
@@ -1626,7 +1626,7 @@ impl Machine {
         // boxes off the per-cycle path.
         let Some(program) = self.scalar[c].program.take() else {
             debug_assert!(false, "running core has a program");
-            self.trip_off_the_end(c);
+            self.trip(self.off_the_end(c));
             return;
         };
         self.step_scalar_in(c, now, &program, deferred);
@@ -1680,20 +1680,17 @@ impl Machine {
             }
             Inst::EmSimd(e) => match e {
                 EmSimdInst::Mrs { dst, .. } if s.pending_x[dst.index()] => true,
-                EmSimdInst::Mrs { reg: DedicatedReg::Decision, .. } => false,
+                _ if e.is_speculative_read() => false,
                 EmSimdInst::Msr { src: Operand::Reg(r), .. } if s.pending_x[r.index()] => true,
                 _ => !self.coproc.pool_has_space(c),
             },
         }
     }
 
-    /// Latches the decode fault of a core whose PC left its program.
-    fn trip_off_the_end(&mut self, c: usize) {
-        self.trip(SimError::Decode {
-            core: c,
-            pc: self.scalar[c].pc,
-            detail: "program counter ran off the end of the program (missing HALT?)".into(),
-        });
+    /// The decode fault of core `c`, whose PC left its program.
+    pub(crate) fn off_the_end(&self, c: usize) -> SimError {
+        let detail = "program counter ran off the end of the program (missing HALT?)".into();
+        SimError::Decode { core: c, pc: self.scalar[c].pc, detail }
     }
 
     /// [`step_scalar`](Machine::step_scalar) over a program taken out of
@@ -1715,7 +1712,7 @@ impl Machine {
         while budget > 0 && !self.scalar[c].halted {
             let pc = self.scalar[c].pc;
             let Some(inst) = fetch(program, pc) else {
-                self.trip_off_the_end(c);
+                self.trip(self.off_the_end(c));
                 return;
             };
             if self.dispatch_blocked(c, inst) {
@@ -1768,19 +1765,12 @@ impl Machine {
                     budget -= 1;
                 }
                 &Inst::EmSimd(e) => {
-                    // MRS <decision> is satisfied speculatively (§4.1.1).
-                    if let EmSimdInst::Mrs { dst, reg: DedicatedReg::Decision } = e {
-                        self.scalar[c].x[dst.index()] = self.coproc.read_decision(c);
-                        self.scalar[c].pc += 1;
+                    if self.scalar[c].speculative_read(e, self.coproc.read_decision(c)) {
                         deferred.push(tag);
                         budget -= 1;
                         continue;
                     }
-                    let operand = match e {
-                        EmSimdInst::Msr { src: Operand::Reg(r), .. } => self.scalar[c].x[r.index()],
-                        EmSimdInst::Msr { src: Operand::Imm(i), .. } => i as u64,
-                        EmSimdInst::Mrs { .. } => 0,
-                    };
+                    let operand = self.scalar[c].em_operand(e);
                     self.coproc.push_em(c, e, operand);
                     self.scalar[c].pc += 1;
                     self.scalar[c].wait = Wait::EmAck;

@@ -7,8 +7,9 @@
 //! a single [`RegBlocks`] ownership table.
 //!
 //! The crucial modeling decision for reproducing Fig. 13: physical
-//! registers live in **per-block free lists**. A rename allocates one
-//! entry in *every block the destination register spans*:
+//! registers live in **per-block free lists**, one per [`RegClass`]
+//! (vector and predicate). A rename allocates one entry of the
+//! destination's class in *every block the destination register spans*:
 //!
 //! * spatial sharing (Private/VLS/Occamy): a core's registers span only
 //!   its own blocks, so cores never contend;
@@ -17,8 +18,9 @@
 //!   them and the renamer stalls.
 
 use std::fmt;
+use std::ops::{Index, IndexMut, Range};
 
-use em_simd::LANES_PER_GRANULE;
+use em_simd::{PReg, VReg, LANES_PER_GRANULE, NUM_PREGS, NUM_VREGS};
 
 /// Ownership state of one RegBlk/ExeBU pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,30 +72,99 @@ pub enum LaneHealth {
     Retired,
 }
 
+/// A register class. Each RegBlk holds physical registers of both
+/// (Fig. 5), and every per-block rule (reservation, rename, retirement,
+/// context save) is written once and indexed by the class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RegClass {
+    /// The vector registers `z0`-`z31`.
+    Vector,
+    /// The predicate registers `p0`-`p7` (masks stored as 1.0/0.0 lanes).
+    Pred,
+}
+
+/// The architectural registers of both classes: the length of a core's
+/// rename map.
+pub(crate) const ARCH_REGS: usize = NUM_VREGS + NUM_PREGS;
+
+impl RegClass {
+    /// Both classes, in the order architectural registers are allocated
+    /// (physical register numbering and the recycle lists follow it).
+    pub(crate) const ALL: [RegClass; 2] = [RegClass::Vector, RegClass::Pred];
+
+    /// The class's architectural registers, as positions in a core's
+    /// rename map (vector registers first).
+    pub(crate) fn arch_regs(self) -> Range<usize> {
+        match self {
+            RegClass::Vector => 0..NUM_VREGS,
+            RegClass::Pred => NUM_VREGS..ARCH_REGS,
+        }
+    }
+
+    /// The class's name in diagnostics.
+    pub(crate) fn noun(self) -> &'static str {
+        match self {
+            RegClass::Vector => "vector",
+            RegClass::Pred => "predicate",
+        }
+    }
+}
+
+/// One value per register class: `[T; 2]` indexed by [`RegClass`].
+impl<T> Index<RegClass> for [T; 2] {
+    type Output = T;
+    fn index(&self, class: RegClass) -> &T {
+        &self[class as usize]
+    }
+}
+
+impl<T> IndexMut<RegClass> for [T; 2] {
+    fn index_mut(&mut self, class: RegClass) -> &mut T {
+        &mut self[class as usize]
+    }
+}
+
+/// An architectural register name of one class.
+pub(crate) trait ArchReg: Copy {
+    /// The register's class.
+    const CLASS: RegClass;
+    /// The register's position in a core's rename map.
+    fn map_index(self) -> usize;
+}
+
+impl ArchReg for VReg {
+    const CLASS: RegClass = RegClass::Vector;
+    fn map_index(self) -> usize {
+        self.index()
+    }
+}
+
+impl ArchReg for PReg {
+    const CLASS: RegClass = RegClass::Pred;
+    fn map_index(self) -> usize {
+        RegClass::Pred.arch_regs().start + self.index()
+    }
+}
+
 /// The RegBlk ownership table plus per-block free-entry counters for
-/// both register classes (Fig. 5: each RegBlk holds 160 x 128-bit
-/// vector registers and 64 x 16-bit predicate registers).
+/// each register class (Fig. 5: each RegBlk holds 160 x 128-bit vector
+/// registers and 64 x 16-bit predicate registers).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegBlocks {
     owner: Vec<BlockOwner>,
-    free: Vec<usize>,
-    capacity: usize,
-    pred_free: Vec<usize>,
-    pred_capacity: usize,
+    free: [Vec<usize>; 2],
+    capacity: [usize; 2],
     health: Vec<LaneHealth>,
 }
 
 impl RegBlocks {
-    /// Creates `blocks` RegBlks of `capacity` physical vector registers
-    /// and `pred_capacity` physical predicate registers each, all
-    /// initially [`BlockOwner::Free`].
-    pub fn new(blocks: usize, capacity: usize, pred_capacity: usize) -> Self {
+    /// Creates `blocks` RegBlks of `capacity[class]` physical registers
+    /// of each [`RegClass`], all initially [`BlockOwner::Free`].
+    pub(crate) fn new(blocks: usize, capacity: [usize; 2]) -> Self {
         RegBlocks {
             owner: vec![BlockOwner::Free; blocks],
-            free: vec![capacity; blocks],
+            free: capacity.map(|c| vec![c; blocks]),
             capacity,
-            pred_free: vec![pred_capacity; blocks],
-            pred_capacity,
             health: vec![LaneHealth::Healthy; blocks],
         }
     }
@@ -108,9 +179,9 @@ impl RegBlocks {
         self.owner[block]
     }
 
-    /// Free physical-register entries remaining in `block`.
-    pub fn free_entries(&self, block: usize) -> usize {
-        self.free[block]
+    /// Free physical-register entries of `class` remaining in `block`.
+    pub(crate) fn free_entries(&self, class: RegClass, block: usize) -> usize {
+        self.free[class][block]
     }
 
     /// Marks every block [`BlockOwner::Shared`] (the FTS configuration).
@@ -207,72 +278,36 @@ impl RegBlocks {
         );
     }
 
-    /// Whether one physical-register entry is free in each of `blocks`;
-    /// the renamer stalls when one is exhausted.
-    pub fn can_reserve(&self, blocks: &[usize]) -> bool {
-        !blocks.iter().any(|&b| self.free[b] == 0)
+    /// Whether one physical-register entry of `class` is free in each of
+    /// `blocks`; the renamer stalls when one is exhausted.
+    pub(crate) fn can_reserve(&self, class: RegClass, blocks: &[usize]) -> bool {
+        let free = &self.free[class];
+        !blocks.iter().any(|&b| free[b] == 0)
     }
 
-    /// Reserves one physical-register entry in each of `blocks` if
+    /// Reserves one `class` entry in each of `blocks` if
     /// [`can_reserve`](Self::can_reserve) allows; returns whether it did
     /// (reserving nothing otherwise).
-    pub fn try_reserve(&mut self, blocks: &[usize]) -> bool {
-        if !self.can_reserve(blocks) {
+    pub(crate) fn try_reserve(&mut self, class: RegClass, blocks: &[usize]) -> bool {
+        if !self.can_reserve(class, blocks) {
             return false;
         }
         for &b in blocks {
-            self.free[b] -= 1;
+            self.free[class][b] -= 1;
         }
         true
     }
 
-    /// Releases one entry in each of `blocks` (on retire-time free or
-    /// pipeline reset). A release past a block's capacity (double free)
-    /// saturates at the capacity (and trips a `debug_assert!` in debug
-    /// builds).
-    pub fn release(&mut self, blocks: &[usize]) {
+    /// Releases one `class` entry in each of `blocks` (on retire-time
+    /// free or pipeline reset). A release past a block's capacity (double
+    /// free) saturates at the capacity (and trips a `debug_assert!` in
+    /// debug builds).
+    pub(crate) fn release(&mut self, class: RegClass, blocks: &[usize]) {
+        let (free, capacity) = (&mut self.free[class], self.capacity[class]);
         for &b in blocks {
-            debug_assert!(self.free[b] < self.capacity, "double free in block {b}");
-            if self.free[b] < self.capacity {
-                self.free[b] += 1;
-            }
-        }
-    }
-
-    /// Free predicate-register entries remaining in `block`.
-    pub fn free_pred_entries(&self, block: usize) -> usize {
-        self.pred_free[block]
-    }
-
-    /// Whether one predicate-register entry is free in each of `blocks`.
-    pub fn can_reserve_pred(&self, blocks: &[usize]) -> bool {
-        !blocks.iter().any(|&b| self.pred_free[b] == 0)
-    }
-
-    /// Reserves one predicate-register entry in each of `blocks` if
-    /// [`can_reserve_pred`](Self::can_reserve_pred) allows; returns
-    /// whether it did (reserving nothing otherwise).
-    pub fn try_reserve_pred(&mut self, blocks: &[usize]) -> bool {
-        if !self.can_reserve_pred(blocks) {
-            return false;
-        }
-        for &b in blocks {
-            self.pred_free[b] -= 1;
-        }
-        true
-    }
-
-    /// Releases one predicate entry in each of `blocks`, saturating at
-    /// the block capacity on a double free (which trips a
-    /// `debug_assert!` in debug builds).
-    pub fn release_pred(&mut self, blocks: &[usize]) {
-        for &b in blocks {
-            debug_assert!(
-                self.pred_free[b] < self.pred_capacity,
-                "predicate double free in block {b}"
-            );
-            if self.pred_free[b] < self.pred_capacity {
-                self.pred_free[b] += 1;
+            debug_assert!(free[b] < capacity, "{} double free in block {b}", class.noun());
+            if free[b] < capacity {
+                free[b] += 1;
             }
         }
     }
@@ -358,11 +393,6 @@ pub struct PhysRegFile {
 }
 
 impl PhysRegFile {
-    /// Creates an empty register file.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Allocates a slot spanning `blocks` (whose free-list entries the
     /// caller has already reserved). The value is not ready. A new slot
     /// reserves storage for `max_granules` granules, the widest register
@@ -496,7 +526,7 @@ mod tests {
 
     #[test]
     fn reassign_claims_lowest_free_blocks() {
-        let mut rb = RegBlocks::new(8, 160, 64);
+        let mut rb = RegBlocks::new(8, [160, 64]);
         let a = reassign(&mut rb, 0, 3);
         assert_eq!(a, vec![0, 1, 2]);
         let b = reassign(&mut rb, 1, 2);
@@ -510,7 +540,7 @@ mod tests {
 
     #[test]
     fn quarantine_of_a_free_block_retires_immediately() {
-        let mut rb = RegBlocks::new(4, 160, 64);
+        let mut rb = RegBlocks::new(4, [160, 64]);
         assert!(rb.begin_quarantine(2));
         assert_eq!(rb.health(2), LaneHealth::Retired);
         assert!(!rb.begin_quarantine(2), "idempotent");
@@ -521,7 +551,7 @@ mod tests {
 
     #[test]
     fn quarantine_of_an_owned_block_drains_then_retires() {
-        let mut rb = RegBlocks::new(4, 160, 64);
+        let mut rb = RegBlocks::new(4, [160, 64]);
         assert_eq!(reassign(&mut rb, 0, 2), vec![0, 1]);
         assert!(rb.begin_quarantine(1));
         assert_eq!(rb.health(1), LaneHealth::Draining);
@@ -540,35 +570,43 @@ mod tests {
 
     #[test]
     fn shared_blocks_span_everything() {
-        let mut rb = RegBlocks::new(4, 160, 64);
+        let mut rb = RegBlocks::new(4, [160, 64]);
         rb.set_all_shared();
         assert!((0..4).all(|b| rb.owner(b) == BlockOwner::Shared));
     }
 
     #[test]
     fn reserve_fails_atomically_when_any_block_is_full() {
-        let mut rb = RegBlocks::new(2, 1, 64);
-        assert!(rb.try_reserve(&[0]));
-        // Block 0 now empty; a span covering both blocks must not touch
-        // block 1 when it fails.
-        assert!(!rb.try_reserve(&[0, 1]));
-        assert_eq!(rb.free_entries(1), 1);
-        rb.release(&[0]);
-        assert!(rb.try_reserve(&[0, 1]));
+        for (class, other) in [(RegClass::Vector, RegClass::Pred), (RegClass::Pred, RegClass::Vector)] {
+            let mut rb = RegBlocks::new(2, [1, 1]);
+            assert!(rb.try_reserve(class, &[0]));
+            // Block 0 now empty; a span covering both blocks must not
+            // touch block 1 when it fails.
+            assert!(!rb.try_reserve(class, &[0, 1]));
+            assert_eq!(rb.free_entries(class, 1), 1);
+            // The other class keeps its own free lists.
+            assert!(rb.can_reserve(other, &[0, 1]));
+            rb.release(class, &[0]);
+            assert!(rb.try_reserve(class, &[0, 1]));
+        }
     }
 
     // Checks a `debug_assert!`, which release builds compile out.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "double free")]
     fn release_past_capacity_panics() {
-        let mut rb = RegBlocks::new(1, 2, 64);
-        rb.release(&[0]);
+        for class in RegClass::ALL {
+            let mut rb = RegBlocks::new(1, [2, 2]);
+            let err = std::panic::catch_unwind(move || rb.release(class, &[0]))
+                .expect_err("a release past capacity panics");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("double free"), "{class:?}: {msg}");
+        }
     }
 
     #[test]
     fn phys_file_value_lifecycle() {
-        let mut prf = PhysRegFile::new();
+        let mut prf = PhysRegFile::default();
         let id = prf.alloc(&[0, 1], 2);
         assert!(!prf.is_ready(id));
         prf.write(id, vec![1.0; 8]);
@@ -581,7 +619,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled() {
-        let mut prf = PhysRegFile::new();
+        let mut prf = PhysRegFile::default();
         let a = prf.alloc(&[0], 1);
         prf.free(a, |_| {});
         let b = prf.alloc(&[1], 1);
@@ -594,7 +632,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double write")]
     fn double_write_panics() {
-        let mut prf = PhysRegFile::new();
+        let mut prf = PhysRegFile::default();
         let id = prf.alloc_zeroed(&[0], 4, 1);
         prf.write(id, vec![1.0; 4]);
     }
@@ -604,7 +642,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "freed physical register")]
     fn use_after_free_panics() {
-        let mut prf = PhysRegFile::new();
+        let mut prf = PhysRegFile::default();
         let id = prf.alloc(&[0], 1);
         prf.free(id, |_| {});
         let _ = prf.is_ready(id);
@@ -612,7 +650,7 @@ mod tests {
 
     #[test]
     fn recycled_slots_reuse_their_buffers() {
-        let mut prf = PhysRegFile::new();
+        let mut prf = PhysRegFile::default();
         let a = prf.alloc_zeroed(&[0, 1], 8, 3);
         assert_eq!(prf.read(a).len(), 8);
         prf.free(a, |_| {});
@@ -671,46 +709,52 @@ impl statecodec::Codec for Slot {
 }
 statecodec::impl_codec!(PhysRegFile { slots, recycled });
 
+statecodec::impl_codec_enum!(RegClass {
+    0 => Vector,
+    1 => Pred,
+});
+
 // Hand-written so decode re-establishes the parallel-array invariant
-// (one free-count and one health state per block, free counts within
-// capacity).
+// (one free-count per class and one health state per block, free counts
+// within capacity). Each class encodes its free counts, then its
+// capacity.
 impl statecodec::Codec for RegBlocks {
     fn encode(&self, sink: &mut statecodec::Sink) {
         statecodec::Codec::encode(&self.owner, sink);
-        statecodec::Codec::encode(&self.free, sink);
-        statecodec::Codec::encode(&self.capacity, sink);
-        statecodec::Codec::encode(&self.pred_free, sink);
-        statecodec::Codec::encode(&self.pred_capacity, sink);
+        for class in RegClass::ALL {
+            statecodec::Codec::encode(&self.free[class], sink);
+            statecodec::Codec::encode(&self.capacity[class], sink);
+        }
         statecodec::Codec::encode(&self.health, sink);
     }
     fn decode(src: &mut statecodec::Src<'_>) -> Result<Self, statecodec::DecodeError> {
         let owner: Vec<BlockOwner> = statecodec::Codec::decode(src)?;
-        let free: Vec<usize> = statecodec::Codec::decode(src)?;
-        let capacity = <usize as statecodec::Codec>::decode(src)?;
-        let pred_free: Vec<usize> = statecodec::Codec::decode(src)?;
-        let pred_capacity = <usize as statecodec::Codec>::decode(src)?;
+        let (mut free, mut capacity) = (<[Vec<usize>; 2]>::default(), [0; 2]);
+        for class in RegClass::ALL {
+            free[class] = statecodec::Codec::decode(src)?;
+            capacity[class] = statecodec::Codec::decode(src)?;
+        }
         let health: Vec<LaneHealth> = statecodec::Codec::decode(src)?;
-        if free.len() != owner.len() || pred_free.len() != owner.len() || health.len() != owner.len()
-        {
+        let blocks = owner.len();
+        if free.iter().any(|f| f.len() != blocks) || health.len() != blocks {
             return Err(statecodec::DecodeError::at(
                 src,
                 format!(
-                    "regblock tables disagree on block count: {} owners, {} free, \
+                    "regblock tables disagree on block count: {blocks} owners, {} free, \
                      {} pred_free, {} health",
-                    owner.len(),
-                    free.len(),
-                    pred_free.len(),
+                    free[RegClass::Vector].len(),
+                    free[RegClass::Pred].len(),
                     health.len()
                 ),
             ));
         }
-        if free.iter().any(|&f| f > capacity) || pred_free.iter().any(|&f| f > pred_capacity) {
+        if RegClass::ALL.iter().any(|&c| free[c].iter().any(|&f| f > capacity[c])) {
             return Err(statecodec::DecodeError::at(
                 src,
                 "regblock free count exceeds its capacity",
             ));
         }
-        Ok(RegBlocks { owner, free, capacity, pred_free, pred_capacity, health })
+        Ok(RegBlocks { owner, free, capacity, health })
     }
 }
 

@@ -17,7 +17,7 @@
 //!   EM-SIMD data path responds — except `MRS <decision>`, which is
 //!   speculatively satisfied immediately (§4.1.1).
 
-use em_simd::{InstTag, Operand, Program, RegList, ScalarInst, XReg, NUM_XREGS};
+use em_simd::{EmSimdInst, InstTag, Operand, Program, RegList, ScalarInst, XReg, NUM_XREGS};
 use mem_sim::Cycle;
 
 use crate::error::SimError;
@@ -113,6 +113,29 @@ impl ScalarCore {
         match op {
             Operand::Reg(r) => self.x[r.index()] as i64,
             Operand::Imm(i) => i,
+        }
+    }
+
+    /// The operand an EM-SIMD instruction carries to the co-processor,
+    /// captured at dispatch: an `MSR`'s source value (0 for an `MRS`).
+    pub fn em_operand(&self, e: EmSimdInst) -> u64 {
+        match e {
+            EmSimdInst::Msr { src, .. } => self.operand(src) as u64,
+            EmSimdInst::Mrs { .. } => 0,
+        }
+    }
+
+    /// Executes `e` at dispatch if it is the speculative `MRS <decision>`
+    /// (§4.1.1): writes `decision` to its destination and steps past it.
+    /// Returns whether it did.
+    pub fn speculative_read(&mut self, e: EmSimdInst, decision: u64) -> bool {
+        match e {
+            EmSimdInst::Mrs { dst, .. } if e.is_speculative_read() => {
+                self.x[dst.index()] = decision;
+                self.pc += 1;
+                true
+            }
+            _ => false,
         }
     }
 
